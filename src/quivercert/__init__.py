@@ -8,7 +8,7 @@ emitted as reproducible certificates.
 """
 
 from .fields import GF, QQ, Field, FieldError, field_from_name, field_name
-from .matrix import GF_BACKEND, Matrix, NoSolution
+from .matrix import Matrix, NoSolution
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,5 @@ __all__ = [
     "field_name",
     "Matrix",
     "NoSolution",
-    "GF_BACKEND",
     "__version__",
 ]

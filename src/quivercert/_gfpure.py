@@ -1,13 +1,6 @@
-"""Pure-Python GF(p) matrix kernels.
-
-Same call signatures as the compiled `_gfcore` extension; the matrix
-layer picks whichever is importable.  Entries are flat row-major lists
-of ints in [0, p).
-"""
+"""GF(p) matrix kernels on flat row-major lists of ints in [0, p)."""
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def matmul_mod(a, b, n, m, k, p):

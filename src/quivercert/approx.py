@@ -16,8 +16,8 @@ from .algebra import BasicAlgebra
 from .decompose import EndAlgebra, decompose, is_isomorphic
 from .matrix import Matrix
 from .module import (
-    Module, ModuleMap, direct_sum, dual, hom_basis, image_of_map,
-    kernel_of_map, projective, submodule, zero_map, zero_module,
+    Module, ModuleMap, direct_sum, dual, hom_basis, in_span,
+    kernel_of_map, map_vector, projective, submodule, zero_map, zero_module,
 )
 from .functors import NotProjective, is_projective_module
 
@@ -113,23 +113,15 @@ class AddCategory:
         return self._rad[key]
 
 
-def _vectorize(f: ModuleMap) -> list:
-    out = []
-    for v in f.source.algebra.quiver.vertices:
-        out.extend(f.components[v].entries)
-    return out
-
-
 def _cover_representatives(field, candidates: list[ModuleMap],
                            radical_image: list[ModuleMap]) -> list[ModuleMap]:
     """Candidates spanning Hom(M_i, X); keep coset representatives modulo
     the radical-factoring subspace (deterministic pivot choice)."""
     if not candidates:
         return []
-    length = len(_vectorize(candidates[0]))
-    rad_cols = [_vectorize(f) for f in radical_image]
-    cand_cols = [_vectorize(f) for f in candidates]
-    cols = rad_cols + cand_cols
+    rad_cols = [map_vector(f) for f in radical_image]
+    cols = rad_cols + [map_vector(f) for f in candidates]
+    length = len(cols[-1])
     mat = Matrix(field, length, len(cols),
                  [cols[c][r] for r in range(length) for c in range(len(cols))])
     _, pivots, _ = mat.rref()
@@ -288,17 +280,7 @@ def left_proj_approximation(u: Module) -> ModuleMap:
 
 def factors_through(f: ModuleMap, through: ModuleMap) -> bool:
     """Does f = through . g for some g? (f: A -> C, through: B -> C)"""
-    candidates = hom_basis(f.source, through.source)
-    if not candidates:
-        return f.is_zero()
-    composed = [g.then(through) for g in candidates]
-    field = f.source.field
-    cols = [_vectorize(g) for g in composed]
-    target = _vectorize(f)
-    mat = Matrix(field, len(target), len(cols),
-                 [cols[c][r] for r in range(len(target)) for c in range(len(cols))])
-    from .matrix import solve_or_none
-    return solve_or_none(mat, Matrix.column(field, target)) is not None
+    return in_span(f, [g.then(through) for g in hom_basis(f.source, through.source)])
 
 
 def _hom_lambda_rank(algebra, maps_to_lambda) -> int:
@@ -312,7 +294,7 @@ def _hom_lambda_rank(algebra, maps_to_lambda) -> int:
         vec = []
         for j, _ in enumerate(projectives(algebra)):
             if j == y_idx:
-                vec.extend(_vectorize(f))
+                vec.extend(map_vector(f))
             else:
                 size = sum(projectives(algebra)[j].dims[v] * f.source.dims[v]
                            for v in algebra.quiver.vertices)

@@ -9,12 +9,12 @@ minimal covers.  Gamma is never realized as a path-algebra quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .approx import AddCategory, injectives, projectives
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix, NoSolution, complement_basis
-from .module import Module, ModuleMap, hom_basis, map_coordinates
+from .module import Module, ModuleMap, hom_basis, in_span, map_coordinates
 from .torsfin import IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
 
@@ -47,7 +47,6 @@ class CatAlgebra:
                         raise DuplicateObject(
                             f"objects {i} and {j} are isomorphic")
         self._cat = AddCategory(self.objects)
-        self._action_cache: dict = {}
 
     def __len__(self):
         return len(self.objects)
@@ -73,50 +72,6 @@ class CatAlgebra:
             for s, val in enumerate(coords):
                 mat[s, t] = val
         return mat
-
-    def rad_action(self, i: int, j: int, r_idx: int, c: int) -> Matrix:
-        key = ("rad", i, j, r_idx, c)
-        if key not in self._action_cache:
-            r = self.radical_maps(i, j)[r_idx]
-            self._action_cache[key] = self.compose_into(r, i, j, c)
-        return self._action_cache[key]
-
-    def hom_action(self, i: int, j: int, h_idx: int, c: int) -> Matrix:
-        key = ("hom", i, j, h_idx, c)
-        if key not in self._action_cache:
-            h = self.hom(i, j)[h_idx]
-            self._action_cache[key] = self.compose_into(h, i, j, c)
-        return self._action_cache[key]
-
-    def radical_arrow_counts(self) -> dict[tuple[int, int], int]:
-        """dim rad(M_i, M_j)/rad^2 per ordered pair (the quiver of Gamma)."""
-        n = len(self.objects)
-        counts = {}
-        for i in range(n):
-            for j in range(n):
-                rads = self.radical_maps(i, j)
-                if not rads:
-                    continue
-                two_step = []
-                for k in range(n):
-                    for r1 in self.radical_maps(i, k):
-                        for r2 in self.radical_maps(k, j):
-                            two_step.append(r1.then(r2))
-                basis = self.hom(i, j)
-                def coords(f):
-                    return map_coordinates(f, basis)
-                rad_mat = Matrix(self.field, len(rads), len(basis),
-                                 [x for r in rads for x in coords(r)])
-                if two_step:
-                    two_mat = Matrix(self.field, len(two_step), len(basis),
-                                     [x for r in two_step for x in coords(r)])
-                    two_rank = two_mat.rank()
-                else:
-                    two_rank = 0
-                c = rad_mat.rank() - two_rank
-                if c:
-                    counts[(i, j)] = c
-        return counts
 
 
 @dataclass
@@ -308,7 +263,6 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
     results = []
     all_pass = True
     for idx in range(n):
-        obj = cat.objects[idx]
         level = layer_of[idx]
         alpha_mod, alpha_incl = alpha[idx]
         entry = {"object": idx, "layer": level,
@@ -332,16 +286,13 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
                 if hit is None:
                     entry["alpha_in_lower_layers"] = False
                     entry["witness"] = f"alpha summand {part.dim_vector()} not in lower layers"
-        factor_basis = [g.then(alpha_incl)
-                        for g in hom_basis(obj, alpha_mod)] if not alpha_mod.is_zero() else []
         for jdx in range(n):
-            if layer_of[jdx] > level:
+            rads = cat.radical_maps(jdx, idx) if layer_of[jdx] <= level else []
+            if not rads:
                 continue
-            for r in cat.radical_maps(jdx, idx):
-                ok = _in_span_after(r, [g.then(alpha_incl)
-                                        for g in hom_basis(cat.objects[jdx], alpha_mod)]) \
-                    if not alpha_mod.is_zero() else r.is_zero()
-                if not ok:
+            through_alpha = [g.then(alpha_incl) for g in hom_basis(cat.objects[jdx], alpha_mod)]
+            for r in rads:
+                if not in_span(r, through_alpha):
                     entry["factorizations"] = False
                     entry["witness"] = {"from_object": jdx,
                                         "map_dims": list(cat.objects[jdx].dim_vector())}
@@ -358,19 +309,3 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
         "objects": results,
     }
 
-
-def _in_span_after(f: ModuleMap, family: list[ModuleMap]) -> bool:
-    if not family:
-        return f.is_zero()
-    field = f.source.field
-    vecs = []
-    for g in family:
-        vecs.append([e for v in g.components for e in g.components[v].entries])
-    target = [e for v in f.components for e in f.components[v].entries]
-    mat = Matrix(field, len(target), len(vecs),
-                 [vecs[c][r] for r in range(len(target)) for c in range(len(vecs))])
-    try:
-        mat.solve(Matrix.column(field, target))
-        return True
-    except NoSolution:
-        return False

@@ -1,8 +1,10 @@
-"""JSON schemas for algebras, modules, and lattices, plus DOT export.
+"""JSON schemas for algebras, modules, and lattices.
 
 Scalars are decimal strings ("3", "-7/2") everywhere.  Matrices are
 row-major nested lists; a matrix for an arrow x -> y has dim(y) rows
-and dim(x) columns.  The exact grammar is documented in README.md.
+and dim(x) columns.  Polynomial lattice entries are lists of
+[coefficient, exponent list] terms.  Missing keys and wrongly typed
+values raise InputError.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from .algebra import BasicAlgebra, tensor as tensor_algebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, direct_sum, hom_basis, kernel_of_map, zero_map,
+    Module, ModuleMap, hom_basis, identity_map, in_span, kernel_of_map,
+    map_coordinates, map_from_coordinates, zero_map,
 )
 from .functors import min_projective_presentation, projective_cover
 
@@ -361,27 +362,12 @@ def tensor_sequence(lat: Lattice, alpha) -> ExtensionClass:
 
 # -- Ext non-vanishing -------------------------------------------------------------------
 
-def _lift_through(candidates_src: Module, through: ModuleMap, target: ModuleMap) -> ModuleMap:
-    """h: candidates_src -> through.source with h.then(through) = target."""
-    basis = hom_basis(candidates_src, through.source)
-    if not basis:
-        if target.is_zero():
-            return zero_map(candidates_src, through.source)
-        raise NoSolution()
-    field = candidates_src.field
-    cols = []
-    for h in basis:
-        comp = h.then(through)
-        cols.append([e for v in comp.components for e in comp.components[v].entries])
-    vec = [e for v in target.components for e in target.components[v].entries]
-    mat = Matrix(field, len(vec), len(cols),
-                 [cols[c][r] for r in range(len(vec)) for c in range(len(cols))])
-    sol = mat.solve(Matrix.column(field, vec))
-    out = zero_map(candidates_src, through.source)
-    for c, h in zip(sol.col(0), basis):
-        if c != field.zero():
-            out = out + h.scale(c)
-    return out
+def _lift_through(src: Module, through: ModuleMap, target: ModuleMap) -> ModuleMap:
+    """h: src -> through.source with h.then(through) = target; raises
+    NoSolution when there is none."""
+    basis = hom_basis(src, through.source)
+    coords = map_coordinates(target, [h.then(through) for h in basis])
+    return map_from_coordinates(coords, basis) if basis else zero_map(src, through.source)
 
 
 def _resolution(module: Module, length: int):
@@ -403,79 +389,29 @@ def yoneda_cocycle(cls: ExtensionClass):
     """(cocycle phi_d: P_d -> left, resolution data) by comparison lifting."""
     d = cls.degree
     projs, diffs, aug = _resolution(cls.right, d)
-    chain = [cls.left] + cls.mids + [cls.right]
     maps = cls.maps
-    phi = _lift_through(projs[0], maps[-1], aug)
-    for k in range(1, d):
-        target = diffs[k - 1].then(phi)
-        phi = _lift_through(projs[k], maps[d - k], target)
-    target = diffs[d - 1].then(phi)
-    # final step: through the injection left -> mids[0]
-    basis = hom_basis(projs[d], cls.left)
-    field = cls.left.field
-    if basis:
-        cols = []
-        for h in basis:
-            comp = h.then(maps[0])
-            cols.append([e for v in comp.components for e in comp.components[v].entries])
-        vec = [e for v in target.components for e in target.components[v].entries]
-        mat = Matrix(field, len(vec), len(cols),
-                     [cols[c][r] for r in range(len(vec)) for c in range(len(cols))])
-        sol = mat.solve(Matrix.column(field, vec))
-        phi_d = zero_map(projs[d], cls.left)
-        for c, h in zip(sol.col(0), basis):
-            if c != field.zero():
-                phi_d = phi_d + h.scale(c)
-    else:
-        if not target.is_zero():
-            raise LatticeError("cocycle lift failed")
-        phi_d = zero_map(projs[d], cls.left)
-    return phi_d, projs, diffs
+    try:
+        phi = _lift_through(projs[0], maps[-1], aug)
+        for k in range(1, d + 1):  # k = d lifts through the injection left -> mids[0]
+            phi = _lift_through(projs[k], maps[d - k], diffs[k - 1].then(phi))
+    except NoSolution:
+        raise LatticeError("cocycle lift failed") from None
+    return phi, projs, diffs
 
 
 def cocycle_is_coboundary(phi_d: ModuleMap, last_diff: ModuleMap) -> bool:
     """phi_d = last_diff followed by some psi: P_{d-1} -> left?"""
-    basis = hom_basis(last_diff.target, phi_d.target)
-    field = phi_d.target.field
-    if not basis:
-        return phi_d.is_zero()
-    cols = []
-    for psi in basis:
-        comp = last_diff.then(psi)
-        cols.append([e for v in comp.components for e in comp.components[v].entries])
-    vec = [e for v in phi_d.components for e in phi_d.components[v].entries]
-    mat = Matrix(field, len(vec), len(cols),
-                 [cols[c][r] for r in range(len(vec)) for c in range(len(cols))])
-    try:
-        mat.solve(Matrix.column(field, vec))
-        return True
-    except NoSolution:
-        return False
+    return in_span(phi_d, [last_diff.then(psi)
+                           for psi in hom_basis(last_diff.target, phi_d.target)])
 
 
 def ext_nonzero(cls: ExtensionClass, via: str = "auto") -> bool:
     """Non-vanishing of the class: retraction search in degree 1,
     cocycle-versus-coboundary in any degree."""
     if cls.degree == 1 and via in ("auto", "retraction"):
-        incl = cls.maps[0]
-        basis = hom_basis(cls.mids[0], cls.left)
-        field = cls.left.field
-        if not basis:
-            return not cls.left.is_zero()
-        cols = []
-        for r in basis:
-            comp = incl.then(r)
-            cols.append([e for v in comp.components for e in comp.components[v].entries])
-        from .module import identity_map
-        ident_map = identity_map(cls.left)
-        vec = [e for v in ident_map.components for e in ident_map.components[v].entries]
-        mat = Matrix(field, len(vec), len(cols),
-                     [cols[c][r] for r in range(len(vec)) for c in range(len(cols))])
-        try:
-            mat.solve(Matrix.column(field, vec))
-            return False  # retraction exists: split
-        except NoSolution:
-            return True
+        # split iff some r: mids[0] -> left retracts the injection
+        composites = [cls.maps[0].then(r) for r in hom_basis(cls.mids[0], cls.left)]
+        return not in_span(identity_map(cls.left), composites)
     phi_d, projs, diffs = yoneda_cocycle(cls)
     return not cocycle_is_coboundary(phi_d, diffs[cls.degree - 1])
 

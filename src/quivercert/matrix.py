@@ -1,28 +1,15 @@
 """Exact matrices over GF(p) or Q with deterministic row reduction.
 
-Everything downstream (Hom spaces, kernels, resolutions) funnels into
-`rref`, so the GF(p) case dispatches to a compiled kernel when the
-`_gfcore` extension built; set QUIVERCERT_PURE=1 to force the
-pure-Python fallback.  Rational matrices always use the generic
-Fraction path.  Pivoting is first-nonzero in column order, which makes
-every derived basis (kernels, images, complements) reproducible.
+GF(p) products and row reduction run on plain ints mod p in `_gfpure`;
+rational matrices use the generic Fraction path.  Pivoting is
+first-nonzero in column order, which makes every derived basis (kernels,
+images, complements) reproducible.
 """
 
 from __future__ import annotations
 
-import os
-
+from ._gfpure import matmul_mod, rref_mod
 from .fields import Field, FieldError
-
-if os.environ.get("QUIVERCERT_PURE"):
-    from . import _gfpure as _gf
-else:
-    try:
-        from . import _gfcore as _gf  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _gfpure as _gf
-
-GF_BACKEND = _gf.BACKEND
 
 
 class NoSolution(Exception):
@@ -162,7 +149,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.field.is_prime_field:
-            out = _gf.matmul_mod(
+            out = matmul_mod(
                 self.entries, other.entries, self.rows, self.cols, other.cols, self.field.p
             )
             return Matrix(self.field, self.rows, other.cols, out)
@@ -236,7 +223,7 @@ class Matrix:
         column indices; deterministic for a given input.
         """
         if self.field.is_prime_field:
-            reduced, pivots = _gf.rref_mod(self.entries, self.rows, self.cols, self.field.p)
+            reduced, pivots = rref_mod(self.entries, self.rows, self.cols, self.field.p)
             return Matrix(self.field, self.rows, self.cols, reduced), tuple(pivots), len(pivots)
         F = self.field
         m = [list(self.row(i)) for i in range(self.rows)]
@@ -315,13 +302,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-
-def solve_or_none(a: Matrix, b: Matrix):
-    try:
-        return a.solve(b)
-    except NoSolution:
-        return None
 
 
 def complement_basis(span: Matrix) -> Matrix:

@@ -333,19 +333,33 @@ def hom_dim(m: Module, n: Module) -> int:
     return len(hom_basis(m, n))
 
 
-def map_coordinates(f: ModuleMap, basis: list[ModuleMap]) -> list:
-    """Coordinates of f in a hom basis; raises NoSolution if absent."""
-    field = f.source.field
-    if not basis:
+def map_vector(f: ModuleMap) -> list:
+    """The entries of f, vertex by vertex in quiver order."""
+    return [e for v in f.source.algebra.quiver.vertices for e in f.components[v].entries]
+
+
+def map_coordinates(f: ModuleMap, family: list[ModuleMap]) -> list:
+    """Coordinates c with f = sum c_k family[k]; raises NoSolution when f
+    is outside the span.  The family may be dependent (free coordinates
+    are 0) or empty (then f must be zero)."""
+    if not family:
         if f.is_zero():
             return []
         raise NoSolution()
-    cols = []
-    for g in basis:
-        cols.append(Matrix.column(field, [e for v in f.components for e in g.components[v].entries]))
-    target = Matrix.column(field, [e for v in f.components for e in f.components[v].entries])
-    sol = Matrix.hstack(cols).solve(target)
-    return sol.col(0)
+    target = map_vector(f)
+    cols = [map_vector(g) for g in family]
+    field, rows = f.source.field, len(target)
+    mat = Matrix(field, rows, len(cols), [col[r] for r in range(rows) for col in cols])
+    return mat.solve(Matrix(field, rows, 1, target)).col(0)
+
+
+def in_span(f: ModuleMap, family: list[ModuleMap]) -> bool:
+    """Is f a linear combination of the family?"""
+    try:
+        map_coordinates(f, family)
+    except NoSolution:
+        return False
+    return True
 
 
 def map_from_coordinates(coords, basis: list[ModuleMap]) -> ModuleMap:

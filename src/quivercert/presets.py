@@ -1,7 +1,7 @@
-"""Programmatic builders for the fixture algebras shipped with the CLI.
+"""Programmatic builders for the named example algebras.
 
-Each returns a fresh BasicAlgebra; the JSON files under fixtures/ are
-generated from these (see tests/test_io.py for the round-trip check).
+Each returns a fresh BasicAlgebra over the given field (Q by default);
+`io.algebra_to_json` serializes any of them.
 """
 
 from __future__ import annotations

@@ -145,6 +145,15 @@ def test_left_approximation_factoring_property():
             assert factors_through(f, u) or f.is_zero()
 
 
+def test_factors_through_rejects_other_arrow():
+    alg = presets.kronecker(GF(5))
+    p1, p2 = projective(alg, "1"), projective(alg, "2")
+    g1, g2 = hom_basis(p2, p1)
+    assert factors_through(g1.scale(3), g1)
+    assert not factors_through(g2, g1)
+    assert not factors_through(g1 + g2, g1)
+
+
 def test_strongly_exact_elementary_sequences():
     alg = presets.a3_rad_square(QQ)
     p = projective(alg, "2")

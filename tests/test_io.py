@@ -1,0 +1,91 @@
+import json
+
+import pytest
+
+from quivercert import GF, QQ
+from quivercert import presets
+from quivercert.algebra import MalformedRelation
+from quivercert.io import (
+    InputError, algebra_from_json, algebra_to_json, lattice_from_json,
+    lattice_to_json, load_algebra, load_lattice, load_module, module_from_json,
+    module_to_json, payload_hash, save_algebra, save_lattice,
+)
+from quivercert.lattice import kronecker_family
+from quivercert.module import ModuleError, projective, regular_module
+
+PRESETS = (
+    presets.a3_rad_square, presets.kronecker, presets.commutative_square_plus,
+    presets.local_xy, presets.kronecker_tensor_a2, presets.full_commutative_square,
+)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("build", PRESETS, ids=lambda b: b.__name__)
+def test_algebra_round_trip_keeps_basis_relations_and_hash(build, field):
+    alg = build(field)
+    payload = algebra_to_json(alg)
+    back = algebra_from_json(json.loads(json.dumps(payload)))
+    assert back.field == alg.field
+    assert back.basis_paths == alg.basis_paths
+    assert back.relations == alg.relations
+    assert payload_hash(algebra_to_json(back)) == payload_hash(payload)
+
+
+def test_algebra_file_round_trip(tmp_path):
+    alg = presets.kronecker_tensor_a2(GF(5))
+    path = tmp_path / "alg.json"
+    save_algebra(alg, str(path))
+    back, digest = load_algebra(str(path))
+    assert digest == payload_hash(algebra_to_json(alg))
+    assert back.dim == alg.dim
+
+
+def test_module_round_trip_on_projectives(tmp_path):
+    alg = presets.commutative_square_plus(GF(5))
+    reg, _, _ = regular_module(alg)
+    for m in [projective(alg, x) for x in alg.quiver.vertices] + [reg]:
+        payload = module_to_json(m)
+        back = module_from_json(json.loads(json.dumps(payload)), alg)
+        assert back.content_hash() == m.content_hash() == payload["content_hash"]
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(module_to_json(reg)))
+    back, digest = load_module(str(path), alg)
+    assert back.content_hash() == reg.content_hash()
+    assert digest == payload_hash(module_to_json(reg))
+
+
+def test_lattice_round_trip_on_kronecker_family(tmp_path):
+    for field in (GF(3), QQ):
+        lat = kronecker_family(presets.kronecker(field))
+        payload = lattice_to_json(lat)
+        back, alg = lattice_from_json(json.loads(json.dumps(payload)))
+        assert lattice_to_json(back) == payload
+        assert back.specialize([2]).content_hash() == lat.specialize([2]).content_hash()
+    path = tmp_path / "lat.json"
+    save_lattice(lat, str(path))
+    back, _, digest = load_lattice(str(path))
+    assert digest == payload_hash(lattice_to_json(lat))
+
+
+def test_malformed_payloads_raise_typed_errors(tmp_path):
+    alg = presets.kronecker(GF(3))
+    payload = algebra_to_json(alg)
+    with pytest.raises(InputError):
+        algebra_from_json({k: v for k, v in payload.items() if k != "arrows"})
+    with pytest.raises(InputError):
+        algebra_from_json(dict(payload, arrows=[{"name": "a", "source": "1"}]))
+    with pytest.raises(MalformedRelation):
+        algebra_from_json(dict(payload, relations=[[{"coeff": "1", "path": ["a", "z"]}]]))
+    with pytest.raises(InputError):
+        module_from_json({"action": {}}, alg)
+    with pytest.raises(ModuleError):
+        module_from_json({"dims": {"1": 1, "2": 1}, "action": {"a": [["1", "0"]]}}, alg)
+    lat_payload = lattice_to_json(kronecker_family(alg))
+    with pytest.raises(InputError):
+        lattice_from_json({k: v for k, v in lat_payload.items() if k != "d"})
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(InputError):
+        load_algebra(str(bad))
+    with pytest.raises(InputError):
+        load_lattice(str(tmp_path / "missing.json"))

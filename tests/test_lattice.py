@@ -9,7 +9,7 @@ from quivercert.lattice import (
     rational_points, scale_class, tensor_lattice, tensor_module,
     tensor_sequence, yoneda_cocycle, cocycle_is_coboundary,
 )
-from quivercert.module import Module, projective, simple
+from quivercert.module import Module, projective, simple, zero_map
 
 
 def test_kronecker_family_specializations():
@@ -59,6 +59,16 @@ def test_ext_nonzero_agreement_degree_one():
     for a in range(5):
         cls = tensor_sequence(lat, a)
         assert ext_nonzero(cls, via="retraction") == ext_nonzero(cls, via="cocycle")
+
+
+def test_yoneda_cocycle_failed_lift_is_lattice_error():
+    alg = presets.kronecker(GF(5))
+    cls = tensor_sequence(kronecker_family(alg), 1)
+    # a zero "injection" cannot carry the non-zero cocycle
+    broken = ExtensionClass(1, cls.left, cls.mids, cls.right,
+                            [zero_map(cls.left, cls.mids[0]), cls.maps[1]])
+    with pytest.raises(LatticeError, match="cocycle lift failed"):
+        yoneda_cocycle(broken)
 
 
 def test_constant_projective_lattice_splits():

@@ -6,7 +6,6 @@ import pytest
 
 from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert.fields import FieldError, field_from_name
-from quivercert import _gfpure
 
 
 def det_laplace(field, m, idx_rows, idx_cols):
@@ -140,19 +139,27 @@ def test_rref_deterministic():
     assert r1[0] == r2[0] and r1[1] == r2[1]
 
 
-def test_backends_agree_with_pure_python():
+def test_gf_kernels_match_independent_checks():
     rng = random.Random(41)
     for p in (2, 3, 31):
+        field = GF(p)
         for _ in range(6):
             rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
-            ent = [rng.randrange(p) for _ in range(rows * cols)]
-            m = Matrix(GF(p), rows, cols, ent)
-            reduced, pivots, _ = m.rref()
-            pure_red, pure_piv = _gfpure.rref_mod(ent, rows, cols, p)
-            assert reduced.entries == pure_red and list(pivots) == pure_piv
-            other = [rng.randrange(p) for _ in range(cols * 2)]
-            o = Matrix(GF(p), cols, 2, other)
-            assert (m @ o).entries == _gfpure.matmul_mod(ent, other, rows, cols, 2, p)
+            m = Matrix(field, rows, cols, [rng.randrange(p) for _ in range(rows * cols)])
+            reduced, pivots, rank = m.rref()
+            # reduced echelon form at the reported pivots
+            assert list(pivots) == sorted(set(pivots)) and rank == len(pivots)
+            for r, pc in enumerate(pivots):
+                assert reduced.col(pc) == [1 if i == r else 0 for i in range(rows)]
+                assert all(x == 0 for x in reduced.row(r)[:pc])
+            assert all(x == 0 for r in range(rank, rows) for x in reduced.row(r))
+            kernel = m.kernel_basis()
+            assert (m @ kernel).is_zero()
+            assert rank + kernel.cols == cols
+            other = Matrix(field, cols, 2, [rng.randrange(p) for _ in range(cols * 2)])
+            naive = [sum(m[i, t] * other[t, j] for t in range(cols)) % p
+                     for i in range(rows) for j in range(2)]
+            assert (m @ other).entries == naive
 
 
 def test_scalar_parse_format():

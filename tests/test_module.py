@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from quivercert import GF, QQ, Matrix
+from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import presets
 from quivercert.module import (
     ModuleError, ModuleMap, direct_sum, dual, dual_map, hom_basis, hom_dim,
-    identity_map, image_of_map, injective, kernel_of_map, projective, quotient,
-    radical, regular_module, simple, socle, socle_layers, socle_series,
-    spanned_submodule, submodule, top, zero_module,
+    identity_map, image_of_map, in_span, injective, kernel_of_map, map_coordinates,
+    map_from_coordinates, map_vector, projective, quotient, radical,
+    regular_module, simple, socle, socle_layers, socle_series,
+    spanned_submodule, submodule, top, zero_map, zero_module,
 )
 
 
@@ -212,3 +213,46 @@ def test_map_algebra_and_identity():
     assert (ident - ident).is_zero()
     doubled = ident + ident
     assert doubled.components["3"][0, 0] == 2
+
+
+def _kronecker_arrow_maps(field):
+    """The two maps P(2) -> P(1) over the Kronecker algebra (one per arrow)."""
+    alg = presets.kronecker(field)
+    basis = hom_basis(projective(alg, "2"), projective(alg, "1"))
+    assert len(basis) == 2
+    return basis
+
+
+def test_map_vector_lists_vertices_in_quiver_order():
+    g, _ = _kronecker_arrow_maps(GF(5))
+    assert map_vector(g) == g.components["1"].entries + g.components["2"].entries
+
+
+def test_map_coordinates_dependent_family_frees_to_zero():
+    field = GF(5)
+    g1, g2 = _kronecker_arrow_maps(field)
+    f = g1.scale(2) + g2
+    family = [g1, g2, g1 + g2, g2.scale(3)]
+    coords = map_coordinates(f, family)
+    assert coords == [2, 1, 0, 0]
+    rebuilt = map_from_coordinates(coords, family)
+    assert map_vector(rebuilt) == map_vector(f)
+
+
+def test_map_coordinates_empty_family():
+    g, _ = _kronecker_arrow_maps(GF(3))
+    zero = zero_map(g.source, g.target)
+    assert map_coordinates(zero, []) == []
+    assert in_span(zero, [])
+    with pytest.raises(NoSolution):
+        map_coordinates(g, [])
+    assert not in_span(g, [])
+
+
+def test_map_coordinates_outside_span_raises():
+    for field in (GF(2), QQ):
+        g1, g2 = _kronecker_arrow_maps(field)
+        with pytest.raises(NoSolution):
+            map_coordinates(g2, [g1, g1.scale(field.element(-1))])
+        assert not in_span(g1 + g2, [g1])
+        assert in_span(g1 + g2, [g1, g2])
