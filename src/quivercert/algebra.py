@@ -273,15 +273,15 @@ def build_algebra(quiver: Quiver, field: Field, relations, max_len: int = 30,
 def _expand_pivots(field, current, reduced, pivots, free, free_index):
     """reduce_map entries for one rref: pivots expand over free paths."""
     entries = {}
-    for n, k in enumerate(free):
-        entries[tuple(current[k])] = ((free_index[k], field.one()),)
+    for k in free:
+        entries[path_key(current[k])] = ((free_index[k], field.one()),)
     for r, pc in enumerate(pivots):
         expansion = []
         for k in free:
             c = reduced[r, k]
             if c != field.zero():
                 expansion.append((free_index[k], field.neg(c)))
-        entries[tuple(current[pc])] = tuple(expansion)
+        entries[path_key(current[pc])] = tuple(expansion)
     return entries
 
 
@@ -380,16 +380,7 @@ def _build_filtered(quiver, field, relations, max_len, flags, tensor_of, arrow_f
     free = [k for k in range(len(all_paths)) if k not in pivot_set]
     free_index = {k: n for n, k in enumerate(free)}
     basis_paths = [all_paths[k] for k in free]
-    reduce_map = {}
-    for k in free:
-        reduce_map[path_key(all_paths[k])] = ((free_index[k], field.one()),)
-    for r, pc in enumerate(pivots):
-        expansion = []
-        for k in free:
-            c = reduced[r, k]
-            if c != field.zero():
-                expansion.append((free_index[k], field.neg(c)))
-        reduce_map[path_key(all_paths[pc])] = tuple(expansion)
+    reduce_map = _expand_pivots(field, all_paths, reduced, pivots, free, free_index)
     top_len = max((len(p) for p in basis_paths), default=0)
     if top_len >= max_len:
         raise NotAdmissible(

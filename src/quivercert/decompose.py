@@ -222,16 +222,7 @@ class QuotientAlgebra:
 
     def frobenius_fixed_dim(self) -> int:
         """dim {x : x^p = x} for commutative S over GF(p)."""
-        p = self.field.p
-        cols = []
-        for j in range(self.dim):
-            unit = [self.field.zero()] * self.dim
-            unit[j] = self.field.one()
-            power = self._power(unit, p)
-            delta = [self.field.sub(power[k], unit[k]) for k in range(self.dim)]
-            cols.append(Matrix.column(self.field, delta))
-        frob = Matrix.hstack(cols)
-        return frob.kernel_basis().cols
+        return len(self.frobenius_fixed_basis())
 
     def frobenius_fixed_basis(self):
         p = self.field.p
@@ -428,7 +419,6 @@ def _crt_idempotent(s: QuotientAlgebra, x, factors):
 def _lift_idempotent(end: EndAlgebra, s: QuotientAlgebra, e_bar) -> ModuleMap:
     coords = s.lift(e_bar)
     e = end.element_map(coords)
-    ident = identity_map(end.module)
     for _ in range(32):
         sq = e.then(e)
         if sq.components == e.components:

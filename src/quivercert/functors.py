@@ -15,11 +15,10 @@ import warnings
 from .algebra import BasicAlgebra
 from .matrix import Matrix, complement_basis
 from .module import (
-    Module, ModuleMap, direct_sum, dual, dual_map, hom_basis, image_of_map,
-    injective, kernel_of_map, projective, quotient, radical, socle, submodule,
-    zero_map, zero_module,
+    Module, ModuleMap, direct_sum, dual, dual_map, image_of_map, injective,
+    kernel_of_map, projective, quotient, radical, zero_map, zero_module,
 )
-from .decompose import decompose, is_isomorphic
+from .decompose import decompose
 
 
 class NotProjective(ValueError):

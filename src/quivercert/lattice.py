@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra, tensor as tensor_algebra
+from .algebra import BasicAlgebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
     Module, ModuleMap, hom_basis, identity_map, in_span, kernel_of_map,
     map_coordinates, map_from_coordinates, zero_map,
 )
-from .functors import min_projective_presentation, projective_cover
+from .functors import projective_cover
 
 MAX_POLY_DEGREE = 8
 MAX_VARIABLES = 2
@@ -87,18 +87,6 @@ def poly_eval(field: Field, p, point) -> object:
                 term = field.mul(term, a)
         total = field.add(total, term)
     return total
-
-
-def poly_eval_matrix(field: Field, p, t_mat: Matrix) -> Matrix:
-    """p(T) at a square matrix (single variable only)."""
-    n = t_mat.rows
-    out = Matrix.zero(field, n, n)
-    for exps, c in p.items():
-        power = Matrix.identity(field, n)
-        for _ in range(exps[0]):
-            power = power @ t_mat
-        out = out + power.scale(c)
-    return out
 
 
 # -- lattices ------------------------------------------------------------------------
@@ -181,32 +169,49 @@ class Lattice:
             action[a.name] = m
         return Module(self.algebra, dict(self.rank), action)
 
+    def coefficients(self, name: str) -> dict:
+        """The action of arrow `name` as {exponents: coefficient Matrix},
+        so that the action is the sum of C_e T^e."""
+        a = self.algebra.quiver.arrow(name)
+        out = {}
+        for i, row in enumerate(self.action[name]):
+            for j, poly in enumerate(row):
+                for exps, c in poly.items():
+                    if exps not in out:
+                        out[exps] = Matrix.zero(self.field, self.rank[a.target],
+                                                self.rank[a.source])
+                    out[exps][i, j] = c
+        return out
+
     def tensor_with_t_module(self, t_matrices: list[Matrix]) -> Module:
         """L (x)_R V for a finite-length k[T_1..T_d]-module V given by
         commuting matrices of the T_i; fiber basis is (lattice, V) pairs."""
         if len(t_matrices) != self.d:
             raise LatticeError("need one T-matrix per variable")
-        vdim = t_matrices[0].rows if t_matrices else 1
         field = self.field
+        vdim = t_matrices[0].rows
         action = {}
         for a in self.algebra.quiver.arrows:
-            rows, cols = self.rank[a.target], self.rank[a.source]
-            big = Matrix.zero(field, rows * vdim, cols * vdim)
-            for i in range(rows):
-                for j in range(cols):
-                    block = Matrix.zero(field, vdim, vdim)
-                    for exps, c in self.action[a.name][i][j].items():
-                        term = Matrix.identity(field, vdim).scale(c)
-                        for t_mat, e in zip(t_matrices, exps):
-                            for _ in range(e):
-                                term = term @ t_mat
-                        block = block + term
-                    for r in range(vdim):
-                        for s in range(vdim):
-                            big[i * vdim + r, j * vdim + s] = block[r, s]
-            action[a.name] = big
+            total = Matrix.zero(field, self.rank[a.target] * vdim, self.rank[a.source] * vdim)
+            for exps, c in self.coefficients(a.name).items():
+                power = Matrix.identity(field, vdim)
+                for t_mat, e in zip(t_matrices, exps):
+                    for _ in range(e):
+                        power = power @ t_mat
+                total = total + c.kron(power)
+            action[a.name] = total
         dims = {v: self.rank[v] * vdim for v in self.algebra.quiver.vertices}
         return Module(self.algebra, dims, action)
+
+
+def _poly_rows(coeffs: dict):
+    """{exponents: Matrix} back to rows of polynomials; None (the zero
+    action) when there are no terms."""
+    if not coeffs:
+        return None
+    shape = next(iter(coeffs.values()))
+    return [[{e: c[i, j] for e, c in coeffs.items()} for j in range(shape.cols)]
+            for i in range(shape.rows)]
 
 
 def constant_lattice(module: Module, d: int = 1) -> Lattice:
@@ -252,43 +257,23 @@ def tensor_lattice(product_algebra: BasicAlgebra, left: Lattice, right: Lattice)
     if product_algebra.tensor_of is None:
         raise LatticeError("target algebra is not a tensor product")
     field = product_algebra.field
-    d = left.d + right.d
-    rank = {}
-    for x in left.algebra.quiver.vertices:
-        for y in right.algebra.quiver.vertices:
-            rank[f"{x}.{y}"] = left.rank[x] * right.rank[y]
+    eye_l = {x: Matrix.identity(field, r) for x, r in left.rank.items()}
+    eye_r = {y: Matrix.identity(field, r) for y, r in right.rank.items()}
+    pad_l, pad_r = (0,) * right.d, (0,) * left.d
+    rank = {f"{x}.{y}": left.rank[x] * right.rank[y]
+            for x in left.rank for y in right.rank}
     action = {}
-    zero = poly_constant(field, 0, d)
-
-    def lift_left(p):
-        return {exps + (0,) * right.d: c for exps, c in p.items()}
-
-    def lift_right(p):
-        return {(0,) * left.d + exps: c for exps, c in p.items()}
-
     for a in left.algebra.quiver.arrows:
-        for y in right.algebra.quiver.vertices:
-            rows = left.rank[a.target] * right.rank[y]
-            cols = left.rank[a.source] * right.rank[y]
-            mat = [[zero for _ in range(cols)] for _ in range(rows)]
-            for i in range(left.rank[a.target]):
-                for j in range(left.rank[a.source]):
-                    p = lift_left(left.action[a.name][i][j])
-                    for s in range(right.rank[y]):
-                        mat[i * right.rank[y] + s][j * right.rank[y] + s] = dict(p)
-            action[f"{a.name}.{y}"] = mat
-    for x in left.algebra.quiver.vertices:
-        for b in right.algebra.quiver.arrows:
-            rows = left.rank[x] * right.rank[b.target]
-            cols = left.rank[x] * right.rank[b.source]
-            mat = [[zero for _ in range(cols)] for _ in range(rows)]
-            for s in range(right.rank[b.target]):
-                for t in range(right.rank[b.source]):
-                    p = lift_right(right.action[b.name][s][t])
-                    for i in range(left.rank[x]):
-                        mat[i * right.rank[b.target] + s][i * right.rank[b.source] + t] = dict(p)
-            action[f"{x}.{b.name}"] = mat
-    return Lattice(product_algebra, d, rank, action)
+        coeffs = left.coefficients(a.name)
+        for y, eye in eye_r.items():
+            action[f"{a.name}.{y}"] = _poly_rows(
+                {e + pad_l: c.kron(eye) for e, c in coeffs.items()})
+    for b in right.algebra.quiver.arrows:
+        coeffs = right.coefficients(b.name)
+        for x, eye in eye_l.items():
+            action[f"{x}.{b.name}"] = _poly_rows(
+                {pad_r + e: eye.kron(c) for e, c in coeffs.items()})
+    return Lattice(product_algebra, left.d + right.d, rank, action)
 
 
 # -- extension classes -----------------------------------------------------------------
@@ -342,18 +327,9 @@ def tensor_sequence(lat: Lattice, alpha) -> ExtensionClass:
     s_ts, mid_ts, (incl_vec, proj_vec) = eps_alpha(field, alpha)
     ends = lat.tensor_with_t_module(s_ts)
     middle = lat.tensor_with_t_module(mid_ts)
-    incl_comp, proj_comp = {}, {}
-    for v in lat.algebra.quiver.vertices:
-        r = lat.rank[v]
-        inc = Matrix.zero(field, 2 * r, r)
-        prj = Matrix.zero(field, r, 2 * r)
-        for i in range(r):
-            inc[2 * i + 1, i] = field.one()
-            prj[i, 2 * i] = field.one()
-        incl_comp[v] = inc
-        proj_comp[v] = prj
-    incl = ModuleMap(ends, middle, incl_comp)
-    proj = ModuleMap(middle, ends, proj_comp)
+    eye = {v: Matrix.identity(field, r) for v, r in lat.rank.items()}
+    incl = ModuleMap(ends, middle, {v: e.kron(incl_vec) for v, e in eye.items()})
+    proj = ModuleMap(middle, ends, {v: e.kron(proj_vec) for v, e in eye.items()})
     cls = ExtensionClass(1, ends, [middle], ends, [incl, proj])
     if not cls.verify_exact():
         raise LatticeError("tensored sequence failed exactness")
@@ -419,129 +395,58 @@ def ext_nonzero(cls: ExtensionClass, via: str = "auto") -> bool:
 # -- external products ----------------------------------------------------------------
 
 def tensor_module(product_algebra: BasicAlgebra, m: Module, n: Module) -> Module:
-    """m (x) n over the tensor algebra (fiber basis ordered (m, n))."""
+    """m (x) n over the tensor algebra (fiber basis ordered (m, n)): arrow
+    a.y acts by m_a (x) I and arrow x.b by I (x) n_b."""
     field = product_algebra.field
-    dims = {}
-    for x in m.algebra.quiver.vertices:
-        for y in n.algebra.quiver.vertices:
-            dims[f"{x}.{y}"] = m.dims[x] * n.dims[y]
-    action = {}
-    for a in m.algebra.quiver.arrows:
-        for y in n.algebra.quiver.vertices:
-            act = m.action[a.name]
-            big = Matrix.zero(field, act.rows * n.dims[y], act.cols * n.dims[y])
-            for i in range(act.rows):
-                for j in range(act.cols):
-                    if act[i, j] != field.zero():
-                        for s in range(n.dims[y]):
-                            big[i * n.dims[y] + s, j * n.dims[y] + s] = act[i, j]
-            action[f"{a.name}.{y}"] = big
-    for x in m.algebra.quiver.vertices:
-        for b in n.algebra.quiver.arrows:
-            act = n.action[b.name]
-            big = Matrix.zero(field, m.dims[x] * act.rows, m.dims[x] * act.cols)
-            for i in range(m.dims[x]):
-                for s in range(act.rows):
-                    for t in range(act.cols):
-                        if act[s, t] != field.zero():
-                            big[i * act.rows + s, i * act.cols + t] = act[s, t]
-            action[f"{x}.{b.name}"] = big
+    eye_m = {x: Matrix.identity(field, d) for x, d in m.dims.items()}
+    eye_n = {y: Matrix.identity(field, d) for y, d in n.dims.items()}
+    dims = {f"{x}.{y}": m.dims[x] * n.dims[y] for x in m.dims for y in n.dims}
+    action = {f"{a.name}.{y}": m.action[a.name].kron(eye)
+              for a in m.algebra.quiver.arrows for y, eye in eye_n.items()}
+    action.update({f"{x}.{b.name}": eye.kron(n.action[b.name])
+                   for b in n.algebra.quiver.arrows for x, eye in eye_m.items()})
     return Module(product_algebra, dims, action)
 
 
-def tensor_map_left(product_algebra, f: ModuleMap, n: Module) -> ModuleMap:
-    """f (x) id_n."""
-    src = tensor_module(product_algebra, f.source, n)
-    tgt = tensor_module(product_algebra, f.target, n)
-    field = product_algebra.field
-    comps = {}
-    for x in f.source.algebra.quiver.vertices:
-        for y in n.algebra.quiver.vertices:
-            block = f.components[x]
-            big = Matrix.zero(field, block.rows * n.dims[y], block.cols * n.dims[y])
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    if block[i, j] != field.zero():
-                        for s in range(n.dims[y]):
-                            big[i * n.dims[y] + s, j * n.dims[y] + s] = block[i, j]
-            comps[f"{x}.{y}"] = big
-    return ModuleMap(src, tgt, comps, check=False)
-
-
-def tensor_map_right(product_algebra, m: Module, g: ModuleMap) -> ModuleMap:
-    """id_m (x) g."""
-    src = tensor_module(product_algebra, m, g.source)
-    tgt = tensor_module(product_algebra, m, g.target)
-    field = product_algebra.field
-    comps = {}
-    for x in m.algebra.quiver.vertices:
-        for y in g.source.algebra.quiver.vertices:
-            block = g.components[y]
-            big = Matrix.zero(field, m.dims[x] * block.rows, m.dims[x] * block.cols)
-            for i in range(m.dims[x]):
-                for s in range(block.rows):
-                    for t in range(block.cols):
-                        if block[s, t] != field.zero():
-                            big[i * block.rows + s, i * block.cols + t] = block[s, t]
-            comps[f"{x}.{y}"] = big
-    return ModuleMap(src, tgt, comps, check=False)
+def tensor_map(source: Module, target: Module, f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """f (x) g from source = f.source (x) g.source to target = f.target (x)
+    g.target, both built by the caller; the component at x.y is f_x (x) g_y."""
+    comps = {f"{x}.{y}": fx.kron(gy)
+             for x, fx in f.components.items() for y, gy in g.components.items()}
+    return ModuleMap(source, target, comps, check=False)
 
 
 def external_product(product_algebra: BasicAlgebra, cls_a: ExtensionClass,
                      cls_b: ExtensionClass, order: str = "left") -> ExtensionClass:
     """Splice of (cls_a (x) right_b) with (left_a (x) cls_b) into a class of
-    degree d_a + d_b over the tensor algebra.
+    degree d_a + d_b over the tensor algebra; the junction map is
+    maps_a[0] (x) maps_b[-1].
 
     order="right" uses the mirror splice (cls_a (x) left_b after
-    right_a (x) cls_b); the two are cohomologous up to sign.
+    right_a (x) cls_b, joined by maps_a[-1] (x) maps_b[0]); the two are
+    cohomologous up to sign.  A degree-0 cls_b (no maps) counts as its
+    identity map.
     """
-    if cls_b.degree == 0:
-        mids = [tensor_module(product_algebra, t, cls_b.right) for t in cls_a.mids]
-        maps = [tensor_map_left(product_algebra, f, cls_b.right) for f in cls_a.maps]
-        out = ExtensionClass(cls_a.degree,
-                             tensor_module(product_algebra, cls_a.left, cls_b.right),
-                             mids,
-                             tensor_module(product_algebra, cls_a.right, cls_b.right),
-                             maps)
-        out.verify_exact()
-        return out
+    chain_a = [cls_a.left] + cls_a.mids + [cls_a.right]
+    chain_b = [cls_b.left] + cls_b.mids + [cls_b.right]
+    maps_a = cls_a.maps
+    maps_b = cls_b.maps or [identity_map(cls_b.right)]
     if order == "left":
-        # 0 -> A (x) B_left chain ... -> A_left (x) B_right -> A mids (x) B_right ...
-        left_part_maps = [tensor_map_right(product_algebra, cls_a.left, g)
-                          for g in cls_b.maps[:-1]]
-        junction_inner = tensor_map_right(product_algebra, cls_a.left, cls_b.maps[-1])
-        junction_outer = tensor_map_left(product_algebra, cls_a.maps[0], cls_b.right)
-        right_part_maps = [tensor_map_left(product_algebra, f, cls_b.right)
-                           for f in cls_a.maps[1:]]
-        mids = ([tensor_module(product_algebra, cls_a.left, e) for e in cls_b.mids]
-                + [tensor_module(product_algebra, e, cls_b.right) for e in cls_a.mids])
-        maps = (left_part_maps
-                + [junction_inner.then(junction_outer)]
-                + right_part_maps)
-        out = ExtensionClass(
-            cls_a.degree + cls_b.degree,
-            tensor_module(product_algebra, cls_a.left, cls_b.left),
-            mids,
-            tensor_module(product_algebra, cls_a.right, cls_b.right),
-            maps)
+        id_a, id_b = identity_map(cls_a.left), identity_map(cls_b.right)
+        pairs = ([(cls_a.left, y) for y in chain_b[:-1]]
+                 + [(x, cls_b.right) for x in chain_a[1:]])
+        factors = ([(id_a, g) for g in maps_b[:-1]] + [(maps_a[0], maps_b[-1])]
+                   + [(f, id_b) for f in maps_a[1:]])
     else:
-        left_part_maps = [tensor_map_left(product_algebra, f, cls_b.left)
-                          for f in cls_a.maps[:-1]]
-        junction_inner = tensor_map_left(product_algebra, cls_a.maps[-1], cls_b.left)
-        junction_outer = tensor_map_right(product_algebra, cls_a.right, cls_b.maps[0])
-        right_part_maps = [tensor_map_right(product_algebra, cls_a.right, g)
-                           for g in cls_b.maps[1:]]
-        mids = ([tensor_module(product_algebra, e, cls_b.left) for e in cls_a.mids]
-                + [tensor_module(product_algebra, cls_a.right, e) for e in cls_b.mids])
-        maps = (left_part_maps
-                + [junction_inner.then(junction_outer)]
-                + right_part_maps)
-        out = ExtensionClass(
-            cls_a.degree + cls_b.degree,
-            tensor_module(product_algebra, cls_a.left, cls_b.left),
-            mids,
-            tensor_module(product_algebra, cls_a.right, cls_b.right),
-            maps)
+        id_a, id_b = identity_map(cls_a.right), identity_map(cls_b.left)
+        pairs = ([(x, cls_b.left) for x in chain_a[:-1]]
+                 + [(cls_a.right, y) for y in chain_b[1:]])
+        factors = ([(f, id_b) for f in maps_a[:-1]] + [(maps_a[-1], maps_b[0])]
+                   + [(id_a, g) for g in maps_b[1:]])
+    chain = [tensor_module(product_algebra, x, y) for x, y in pairs]
+    maps = [tensor_map(src, tgt, f, g)
+            for src, tgt, (f, g) in zip(chain, chain[1:], factors)]
+    out = ExtensionClass(cls_a.degree + cls_b.degree, chain[0], chain[1:-1], chain[-1], maps)
     if not out.verify_exact():
         raise LatticeError("external product failed exactness")
     return out

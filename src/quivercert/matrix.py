@@ -164,6 +164,19 @@ class Matrix:
                         out[i * k + j] = add(out[i * k + j], mul(c, other.entries[t * k + j]))
         return Matrix(self.field, n, k, out)
 
+    def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product: block (i, j) is self[i, j] * other."""
+        self._check_same(other)
+        mul = self.field.mul
+        entries = []
+        for i in range(self.rows):
+            row = self.row(i)
+            for s in range(other.rows):
+                other_row = other.row(s)
+                for a in row:
+                    entries.extend(mul(a, b) for b in other_row)
+        return Matrix(self.field, self.rows * other.rows, self.cols * other.cols, entries)
+
     def transpose(self) -> "Matrix":
         out = [self.field.zero()] * (self.rows * self.cols)
         for i in range(self.rows):

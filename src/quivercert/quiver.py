@@ -8,7 +8,7 @@ oriented cycles and all maximal paths share one length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class NotTiered(ValueError):

@@ -15,8 +15,7 @@ from .algebra import BasicAlgebra
 from .decompose import EndAlgebra, Undecided, decompose, is_isomorphic
 from .matrix import Matrix
 from .module import (
-    Module, ModuleMap, hom_basis, injective, projective, radical, socle_series,
-    submodule,
+    Module, hom_basis, injective, projective, radical, socle_series,
 )
 from .quiver import NotTiered, nicely_tiered_check
 

@@ -16,17 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .algebra import BasicAlgebra, Relation, build_algebra, trivial_path
+from .algebra import BasicAlgebra, Relation, build_algebra
 from .approx import (
-    AddCategory, injectives, is_divisible, is_torsionless, projectives,
-    right_add_approximation,
+    injectives, is_divisible, is_torsionless, projectives, right_add_approximation,
 )
 from .decompose import decompose, is_isomorphic
 from .functors import gamma, is_injective_module, is_projective_module
 from .matrix import Matrix
 from .module import (
-    Module, direct_sum, dual, hom_basis, projective, quotient, radical, simple,
-    socle, spanned_submodule, submodule, top,
+    Module, direct_sum, dual, projective, radical, simple, socle, spanned_submodule,
+    top,
 )
 from .quiver import Quiver
 
@@ -169,16 +168,8 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
         for s in range(samples_per_round):
             t = rng.randrange(1, bound + 1)
             chosen = [current[rng.randrange(len(current))] for _ in range(t)]
-            big = direct_sum(chosen)[0] if chosen else None
-            gens = {}
-            for _ in range(rng.randrange(1, 3)):
-                v = algebra.quiver.vertices[rng.randrange(len(algebra.quiver.vertices))]
-                if big.dims[v] == 0:
-                    continue
-                col = Matrix.zero(algebra.field, big.dims[v], 1)
-                for r in range(big.dims[v]):
-                    col[r, 0] = _random_scalar(algebra.field, rng)
-                gens[v] = Matrix.hstack([gens[v], col]) if v in gens else col
+            big = direct_sum(chosen)[0]
+            gens = _random_generators(big, rng, 2)
             if not gens:
                 continue
             sub, _ = spanned_submodule(big, gens)
@@ -194,6 +185,22 @@ def _random_scalar(field, rng):
     if field.is_prime_field:
         return field.from_int(rng.randrange(field.p))
     return field.from_int(rng.randrange(-3, 4))
+
+
+def _random_generators(big: Module, rng: Random, max_count: int) -> dict:
+    """Random generator columns of big at 1..max_count random vertices;
+    a vertex with a zero fiber draws no column."""
+    verts = big.algebra.quiver.vertices
+    gens = {}
+    for _ in range(rng.randrange(1, max_count + 1)):
+        v = verts[rng.randrange(len(verts))]
+        if big.dims[v] == 0:
+            continue
+        col = Matrix.zero(big.field, big.dims[v], 1)
+        for r in range(big.dims[v]):
+            col[r, 0] = _random_scalar(big.field, rng)
+        gens[v] = Matrix.hstack([gens[v], col]) if v in gens else col
+    return gens
 
 
 def enumerate_torsionless(algebra: BasicAlgebra, strategy: str = "auto",
@@ -287,15 +294,7 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
         else:
             parts = list(projectives(algebra))  # regular module: full coverage
         big = direct_sum(parts)[0]
-        gens = {}
-        for _ in range(rng.randrange(1, 4)):
-            v = verts[rng.randrange(len(verts))]
-            if big.dims[v] == 0:
-                continue
-            col = Matrix.zero(algebra.field, big.dims[v], 1)
-            for r in range(big.dims[v]):
-                col[r, 0] = _random_scalar(algebra.field, rng)
-            gens[v] = Matrix.hstack([gens[v], col]) if v in gens else col
+        gens = _random_generators(big, rng, 3)
         if not gens:
             continue
         sub, _ = spanned_submodule(big, gens)

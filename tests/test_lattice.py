@@ -6,10 +6,10 @@ from quivercert.decompose import is_indecomposable, is_isomorphic
 from quivercert.lattice import (
     ExtensionClass, LatticeError, constant_lattice, eps_alpha, ext_nonzero,
     external_product, kronecker_family, kunneth_witness, odim_witness,
-    rational_points, scale_class, tensor_lattice, tensor_module,
+    rational_points, scale_class, tensor_lattice, tensor_map, tensor_module,
     tensor_sequence, yoneda_cocycle, cocycle_is_coboundary,
 )
-from quivercert.module import Module, projective, simple, zero_map
+from quivercert.module import Module, identity_map, projective, simple, zero_map
 
 
 def test_kronecker_family_specializations():
@@ -240,3 +240,63 @@ def test_lattice_rejects_bad_relations():
         # commutativity fails if one diagonal leg carries T
         action["a.1"] = [[poly_from_terms(field, [("1", (1,))], 1)]]
         Lattice(alg, 1, rank, action)
+
+
+def test_tensor_map_is_composite_of_one_sided_maps():
+    field = GF(3)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(kron)
+    f = tensor_sequence(lat, 1).maps[0]
+    g = tensor_sequence(lat, 2).maps[1]
+    src = tensor_module(kk, f.source, g.source)
+    mid = tensor_module(kk, f.target, g.source)
+    tgt = tensor_module(kk, f.target, g.target)
+    f_id = tensor_map(src, mid, f, identity_map(g.source))
+    id_g = tensor_map(mid, tgt, identity_map(f.target), g)
+    both = tensor_map(src, tgt, f, g)
+    assert f_id.intertwines() and id_g.intertwines() and both.intertwines()
+    assert both.components == f_id.then(id_g).components
+
+
+def _assert_maps_run_along_chain(prod):
+    chain = [prod.left] + prod.mids + [prod.right]
+    assert len(prod.maps) == len(chain) - 1 == prod.degree + 1
+    for k, f in enumerate(prod.maps):
+        assert f.source is chain[k]
+        assert f.target is chain[k + 1]
+        assert f.intertwines()
+
+
+@pytest.mark.parametrize("order", ["left", "right"])
+def test_external_product_maps_run_between_its_own_modules(order):
+    field = GF(3)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(kron)
+    prod = external_product(kk, tensor_sequence(lat, 0), tensor_sequence(lat, 2), order=order)
+    _assert_maps_run_along_chain(prod)
+    assert prod.exact
+
+
+def test_external_product_degree_zero_maps_run_between_its_own_modules():
+    field = GF(2)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(kron)
+    other = lat.specialize([0])
+    prod = external_product(kk, tensor_sequence(lat, 1), ExtensionClass(0, other, [], other, []))
+    _assert_maps_run_along_chain(prod)
+    assert ext_nonzero(prod)
+
+
+def test_coefficients_rebuild_the_action():
+    field = GF(5)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(presets.kronecker(field))
+    prod = tensor_lattice(kk, lat, lat)
+    for a in kk.quiver.arrows:
+        coeffs = prod.coefficients(a.name)
+        for i, row in enumerate(prod.action[a.name]):
+            for j, poly in enumerate(row):
+                assert poly == {e: c[i, j] for e, c in coeffs.items() if c[i, j] != 0}

@@ -162,6 +162,30 @@ def test_gf_kernels_match_independent_checks():
             assert (m @ other).entries == naive
 
 
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_kron_matches_definition(field):
+    rng = random.Random(7)
+    shapes = [(2, 3, 3, 2), (1, 1, 4, 2), (0, 2, 3, 1), (2, 0, 2, 3), (3, 2, 0, 0)]
+    for r1, c1, r2, c2 in shapes:
+        a = random_matrix(field, r1, c1, rng)
+        b = random_matrix(field, r2, c2, rng)
+        k = a.kron(b)
+        assert (k.rows, k.cols) == (r1 * r2, c1 * c2)
+        for i in range(k.rows):
+            for j in range(k.cols):
+                expect = field.mul(a[i // r2, j // c2], b[i % r2, j % c2])
+                assert k[i, j] == expect
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_kron_mixed_product_rule(field):
+    rng = random.Random(11)
+    for _ in range(10):
+        a, c = random_matrix(field, 2, 3, rng), random_matrix(field, 3, 2, rng)
+        b, d = random_matrix(field, 1, 2, rng), random_matrix(field, 2, 3, rng)
+        assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
+
+
 def test_scalar_parse_format():
     assert QQ.parse("-7/2") == Fraction(-7, 2)
     assert QQ.format(Fraction(-7, 2)) == "-7/2"
