@@ -17,7 +17,8 @@ from .decompose import EndAlgebra, decompose, is_isomorphic
 from .matrix import Matrix
 from .module import (
     Module, ModuleMap, direct_sum, dual, hom_basis, in_span,
-    kernel_of_map, map_vector, projective, submodule, zero_map, zero_module,
+    kernel_of_map, map_from_coordinates, map_vector, projective, submodule,
+    zero_map, zero_module,
 )
 from .functors import NotProjective, is_projective_module
 
@@ -109,7 +110,8 @@ class AddCategory:
             else:
                 end = EndAlgebra(self.summands[i], self.hom(i, i))
                 rad = end.radical_coords()
-                self._rad[key] = [end.element_map(rad.col(c)) for c in range(rad.cols)]
+                self._rad[key] = [map_from_coordinates(rad.col(c), end.basis)
+                                  for c in range(rad.cols)]
         return self._rad[key]
 
 

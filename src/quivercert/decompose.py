@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from random import Random
 
 from . import upoly
-from .matrix import Matrix, NoSolution
+from .matrix import Matrix
 from .module import (
-    Module, ModuleMap, direct_sum, hom_basis, identity_map, submodule, zero_map,
+    Module, ModuleMap, direct_sum, hom_basis, identity_map, map_coordinates,
+    map_from_coordinates, map_vector, random_combination, submodule, zero_map,
 )
 
 
@@ -28,97 +29,56 @@ class Undecided(RuntimeError):
 
 
 class EndAlgebra:
-    """End(M) with basis, coordinates, radical and semisimple quotient."""
+    """End(M) as a Hom basis with its radical; elements are coordinate
+    vectors on the basis (`map_coordinates` / `map_from_coordinates`)."""
 
     def __init__(self, module: Module, basis=None):
         self.module = module
         self.field = module.field
         self.basis = basis if basis is not None else hom_basis(module, module)
-        self.totals = [f.total_matrix() for f in self.basis]
         self.dim = len(self.basis)
-        d = module.total_dim()
-        cols = [Matrix(self.field, d * d, 1, t.entries) for t in self.totals]
-        self._coord_matrix = Matrix.hstack(cols) if cols else Matrix.zero(self.field, d * d, 0)
         self._rad_coords = None
 
-    def coords_of_total(self, total: Matrix):
-        vec = Matrix(self.field, total.rows * total.cols, 1, total.entries)
-        sol = self._coord_matrix.solve(vec)
-        return [sol[i, 0] for i in range(self.dim)]
-
-    def element_total(self, coords) -> Matrix:
-        d = self.module.total_dim()
-        out = Matrix.zero(self.field, d, d)
-        for c, t in zip(coords, self.totals):
-            if c != self.field.zero():
-                out = out + t.scale(c)
-        return out
-
-    def element_map(self, coords) -> ModuleMap:
-        out = zero_map(self.module, self.module)
-        for c, f in zip(coords, self.basis):
-            if c != self.field.zero():
-                out = out + f.scale(c)
-        return out
-
-    # -- radical ---------------------------------------------------------
     def radical_coords(self) -> Matrix:
-        """Columns = basis of rad End(M) in End-coordinates."""
+        """Columns = basis of rad End(M) in End-coordinates.
+
+        The kernel of the trace form Tr(xy) is the radical over Q; over
+        GF(p) it is the first stage of the Cohen-Ivanyos-Wales chain, cut
+        down by c_k(xy) = 0 for k = p, p^2, ... <= dim M, each condition
+        linear on the previous stage.
+        """
         if self._rad_coords is None:
-            if self.dim == 0:
-                self._rad_coords = Matrix.zero(self.field, 0, 0)
-            elif self.field.is_prime_field:
-                self._rad_coords = self._radical_char_p()
-            else:
-                self._rad_coords = self._radical_char_zero()
+            self._rad_coords = self._radical()
         return self._rad_coords
 
-    def _trace(self, m: Matrix):
-        t = self.field.zero()
-        for i in range(m.rows):
-            t = self.field.add(t, m[i, i])
-        return t
-
-    def _radical_char_zero(self) -> Matrix:
-        n = self.dim
-        gram = Matrix.zero(self.field, n, n)
-        for i in range(n):
-            for j in range(i, n):
-                v = self._trace(self.totals[i] @ self.totals[j])
-                gram[i, j] = v
-                gram[j, i] = v
-        return gram.kernel_basis()
-
-    def _radical_char_p(self) -> Matrix:
-        field = self.field
-        p = field.p
-        d = max(self.module.total_dim(), 1)
-        # current candidate subspace, columns in End coordinates
-        current = Matrix.identity(field, self.dim)
-        exp = 1
-        while exp <= d:
+    def _radical(self) -> Matrix:
+        field, n = self.field, self.dim
+        if n == 0:
+            return Matrix.zero(field, 0, 0)
+        # Gram of Tr(xy) = sum_v sum_ij x_v[i, j] y_v[j, i]: rows are map
+        # vectors, columns the map vectors of the component-wise transposes
+        verts = self.module.algebra.quiver.vertices
+        vecs = [map_vector(b) for b in self.basis]
+        flipped = [[e for v in verts for e in b.components[v].transpose().entries]
+                   for b in self.basis]
+        size = len(vecs[0])
+        gram = (Matrix(field, n, size, [e for vec in vecs for e in vec])
+                @ Matrix(field, size, n, [e for row in zip(*flipped) for e in row]))
+        current = gram.kernel_basis()
+        if not field.is_prime_field:
+            return current
+        exp, d = field.p, self.module.total_dim()
+        while exp <= d and current.cols:
             m = current.cols
-            if m == 0:
-                break
-            mats = [self.element_total(current.col(c)) for c in range(m)]
-            rows = []
-            for y in mats:
-                row = []
-                for x in mats:
-                    if exp == 1:
-                        # c_1 is the trace (up to sign): avoid the charpoly
-                        t = field.zero()
-                        for i in range(x.rows):
-                            for j in range(x.cols):
-                                t = field.add(t, field.mul(x[i, j], y[j, i]))
-                        row.append(t)
-                    else:
-                        row.append(upoly.charpoly_coefficient(x @ y, exp))
-                rows.append(row)
-            con = Matrix(field, m, m, [e for row in rows for e in row])
-            kern = con.kernel_basis()
-            current = current @ kern
-            exp *= p
+            totals = [map_from_coordinates(current.col(c), self.basis).total_matrix()
+                      for c in range(m)]
+            con = Matrix.zero(field, m, m)
+            for i in range(m):
+                for j in range(i, m):
+                    con[i, j] = con[j, i] = upoly.charpoly_coefficient(
+                        totals[i] @ totals[j], exp)
+            current = current @ con.kernel_basis()
+            exp *= field.p
         return current
 
     # -- semisimple quotient ------------------------------------------------
@@ -153,8 +113,7 @@ class QuotientAlgebra:
         self.projector = projector  # (s x h): End coords -> S coords
         self.dim = len(comp_indices)
         self._table = {}
-        self._one = self.project(end.coords_of_total(
-            Matrix.identity(self.field, end.module.total_dim())))
+        self._one = self.project(map_coordinates(identity_map(end.module), end.basis))
 
     def project(self, end_coords):
         col = Matrix.column(self.field, list(end_coords))
@@ -187,10 +146,9 @@ class QuotientAlgebra:
     def _basis_product(self, i, j):
         key = (i, j)
         if key not in self._table:
-            ti = self.end.totals[self.comp[i]]
-            tj = self.end.totals[self.comp[j]]
-            coords = self.end.coords_of_total(ti @ tj)
-            self._table[key] = self.project(coords)
+            basis = self.end.basis
+            prod = basis[self.comp[j]].then(basis[self.comp[i]])
+            self._table[key] = self.project(map_coordinates(prod, basis))
         return self._table[key]
 
     def is_commutative(self) -> bool:
@@ -341,15 +299,6 @@ def _split_along_poly(m: Module, phi: ModuleMap, factors):
     return pieces
 
 
-def _random_endo(end: EndAlgebra, rng: Random) -> ModuleMap:
-    field = end.field
-    if field.is_prime_field:
-        coords = [field.from_int(rng.randrange(field.p)) for _ in range(end.dim)]
-    else:
-        coords = [field.from_int(rng.randrange(-4, 5)) for _ in range(end.dim)]
-    return end.element_map(coords)
-
-
 def _idempotent_in_quotient(s: QuotientAlgebra):
     """A nontrivial idempotent of the semisimple quotient, or None."""
     field = s.field
@@ -417,8 +366,7 @@ def _crt_idempotent(s: QuotientAlgebra, x, factors):
 
 
 def _lift_idempotent(end: EndAlgebra, s: QuotientAlgebra, e_bar) -> ModuleMap:
-    coords = s.lift(e_bar)
-    e = end.element_map(coords)
+    e = map_from_coordinates(s.lift(e_bar), end.basis)
     for _ in range(32):
         sq = e.then(e)
         if sq.components == e.components:
@@ -452,7 +400,7 @@ def split_once(m: Module, rng: Random, end: EndAlgebra | None = None):
     trials = max(8, 20 * end.dim)
     field = m.field
     for _ in range(trials):
-        phi = _random_endo(end, rng)
+        phi = random_combination(end.basis, rng, 4)
         mp = upoly.minpoly_matrix(phi.total_matrix())
         facs = upoly.factor_poly(field, mp)
         if len(facs) >= 2:
@@ -540,26 +488,17 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0,
         if f.is_isomorphism():
             return True, f
     if assume_indecomposable:
+        # End(m) is local, so g f lies outside its radical exactly when
+        # g f is invertible; then f is an isomorphism
         back = hom_basis(n, m)
-        end = EndAlgebra(m)
-        checker = end.radical_coords()
         for f in fwd:
             for g in back:
-                prod = f.then(g)  # m -> m
-                coords = Matrix.column(m.field, end.coords_of_total(prod.total_matrix()))
-                try:
-                    checker.solve(coords)
-                except NoSolution:
-                    return True, f  # g f invertible, so f is an isomorphism
+                if f.then(g).is_isomorphism():
+                    return True, f
         return False, None
     rng = Random(seed)
     for _ in range(16):
-        coeffs = ([m.field.from_int(rng.randrange(m.field.p)) for _ in fwd]
-                  if m.field.is_prime_field
-                  else [m.field.from_int(rng.randrange(-4, 5)) for _ in fwd])
-        candidate = zero_map(m, n)
-        for c, f in zip(coeffs, fwd):
-            candidate = candidate + f.scale(c)
+        candidate = random_combination(fwd, rng, 4)
         if candidate.is_isomorphism():
             return True, candidate
     dm = decompose(m, seed)

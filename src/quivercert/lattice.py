@@ -424,12 +424,12 @@ def external_product(product_algebra: BasicAlgebra, cls_a: ExtensionClass,
 
     order="right" uses the mirror splice (cls_a (x) left_b after
     right_a (x) cls_b, joined by maps_a[-1] (x) maps_b[0]); the two are
-    cohomologous up to sign.  A degree-0 cls_b (no maps) counts as its
-    identity map.
+    cohomologous up to sign.  A degree-0 class (no maps) on either side
+    counts as its identity map.
     """
     chain_a = [cls_a.left] + cls_a.mids + [cls_a.right]
     chain_b = [cls_b.left] + cls_b.mids + [cls_b.right]
-    maps_a = cls_a.maps
+    maps_a = cls_a.maps or [identity_map(cls_a.left)]
     maps_b = cls_b.maps or [identity_map(cls_b.right)]
     if order == "left":
         id_a, id_b = identity_map(cls_a.left), identity_map(cls_b.right)

@@ -370,6 +370,17 @@ def map_from_coordinates(coords, basis: list[ModuleMap]) -> ModuleMap:
     return out
 
 
+def random_combination(basis: list[ModuleMap], rng, bound: int) -> ModuleMap:
+    """A combination of a nonempty basis with coefficients drawn from
+    `rng`: uniform over GF(p), integers in [-bound, bound] over Q."""
+    field = basis[0].source.field
+    if field.is_prime_field:
+        coords = [field.from_int(rng.randrange(field.p)) for _ in basis]
+    else:
+        coords = [field.from_int(rng.randrange(-bound, bound + 1)) for _ in basis]
+    return map_from_coordinates(coords, basis)
+
+
 # -- sub and quotient structures ----------------------------------------------
 
 def submodule(m: Module, subspaces, check: bool = True):

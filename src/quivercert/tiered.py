@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from random import Random
 
 from .algebra import BasicAlgebra
-from .decompose import EndAlgebra, Undecided, decompose, is_isomorphic
+from .decompose import Undecided, decompose, is_isomorphic
 from .matrix import Matrix
 from .module import (
-    Module, hom_basis, injective, projective, radical, socle_series,
+    Module, hom_basis, hom_dim, injective, map_from_coordinates, projective,
+    radical, random_combination, socle_series,
 )
 from .quiver import NotTiered, nicely_tiered_check
 
@@ -115,22 +116,11 @@ def p1_check(algebra: BasicAlgebra):
         if len(_loewy_dims(p)) < 3:
             continue
         tp, _ = socle_series(p, 2)
-        end = EndAlgebra(tp)
-        if end.dim != 1:
-            witnesses.append({"vertex": x, "end_dim": end.dim,
+        end_dim = hom_dim(tp, tp)
+        if end_dim != 1:
+            witnesses.append({"vertex": x, "end_dim": end_dim,
                               "dims": list(tp.dim_vector())})
     return not witnesses, witnesses
-
-
-def _injective_combination(maps, rng: Random, field):
-    coeffs = ([field.from_int(rng.randrange(field.p)) for _ in maps]
-              if field.is_prime_field
-              else [field.from_int(rng.randrange(-8, 9)) for _ in maps])
-    total = None
-    for c, f in zip(coeffs, maps):
-        part = f.scale(c)
-        total = part if total is None else total + part
-    return total
 
 
 def find_embedding(p: Module, q: Module, seed: int = 0):
@@ -148,19 +138,15 @@ def find_embedding(p: Module, q: Module, seed: int = 0):
     field = p.field
     rng = Random(seed)
     for _ in range(P2_RANDOM_TRIALS):
-        cand = _injective_combination(maps, rng, field)
-        if cand is not None and cand.is_injective():
+        cand = random_combination(maps, rng, 8)
+        if cand.is_injective():
             return cand
     if field.is_prime_field and field.p ** len(maps) <= P2_EXHAUSTIVE_LIMIT:
         from itertools import product
         for coeffs in product(range(field.p), repeat=len(maps)):
-            total = None
-            for c, f in zip(coeffs, maps):
-                if c:
-                    part = f.scale(field.from_int(c))
-                    total = part if total is None else total + part
-            if total is not None and total.is_injective():
-                return total
+            cand = map_from_coordinates(coeffs, maps)
+            if cand.is_injective():
+                return cand
         return None  # exhaustive: certified absent
     raise Undecided("embedding search exhausted without certificate")
 

@@ -14,8 +14,10 @@ from .matrix import Matrix
 
 
 def normalize(field: Field, coeffs) -> list:
-    out = [field.element(c) for c in coeffs]
-    while out and out[-1] == field.zero():
+    """Drop trailing zeros; the coefficients must already be field elements."""
+    out = list(coeffs)
+    zero = field.zero()
+    while out and out[-1] == zero:
         out.pop()
     return out
 
@@ -237,9 +239,10 @@ def _from_sympy_scalar(field: Field, c):
 
 
 def factor_poly(field: Field, coeffs) -> list[tuple[list, int]]:
-    """Monic irreducible factors with multiplicities."""
+    """Monic irreducible factors with multiplicities; the coefficients
+    may be ints, Fractions or decimal strings."""
     import warnings
-    coeffs = normalize(field, coeffs)
+    coeffs = normalize(field, [field.element(c) for c in coeffs])
     if degree(coeffs) < 1:
         return []
     expr = _to_sympy(field, coeffs)
@@ -261,5 +264,6 @@ def factor_poly(field: Field, coeffs) -> list[tuple[list, int]]:
 
 
 def is_irreducible(field: Field, coeffs) -> bool:
+    coeffs = normalize(field, [field.element(c) for c in coeffs])
     facs = factor_poly(field, coeffs)
-    return len(facs) == 1 and facs[0][1] == 1 and degree(facs[0][0]) == degree(normalize(field, coeffs))
+    return len(facs) == 1 and facs[0][1] == 1 and degree(facs[0][0]) == degree(coeffs)

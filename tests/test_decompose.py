@@ -1,13 +1,20 @@
-import random
+import pytest
 
 from quivercert import GF, QQ, Matrix
-from quivercert import presets
+from quivercert import decompose as decompose_module
+from quivercert import presets, upoly
 from quivercert.decompose import (
     EndAlgebra, decompose, is_indecomposable, is_isomorphic,
 )
 from quivercert.module import (
-    Module, direct_sum, projective, regular_module, simple, socle_series,
+    Module, direct_sum, injective, projective, regular_module, simple,
+    socle_series,
 )
+
+PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
+           "kronecker_tensor_a2", "kronecker_squared", "full_commutative_square",
+           "ex84_left", "ex84_middle", "ex84_right", "one_vertex")
+FIELDS = (GF(2), GF(3), GF(5), QQ)
 
 
 def kronecker_module(alg, alpha):
@@ -161,3 +168,99 @@ def test_is_isomorphic_general_via_decompose():
     n = direct_sum([s3, p2])[0]
     ok, w = is_isomorphic(m, n, seed=3)
     assert ok and w.is_isomorphism()
+
+
+def reference_radical(end: EndAlgebra) -> Matrix:
+    """rad End(M) computed on total d x d matrices: the kernel of the trace
+    Gram over Q; over GF(p) the Cohen-Ivanyos-Wales chain, one scalar
+    condition per ordered pair, trace first, then c_k for k = p, p^2, ..."""
+    field, n = end.field, end.dim
+    d = max(end.module.total_dim(), 1)
+    if n == 0:
+        return Matrix.zero(field, 0, 0)
+    totals = [f.total_matrix() for f in end.basis]
+
+    def trace(m):
+        out = field.zero()
+        for i in range(m.rows):
+            out = field.add(out, m[i, i])
+        return out
+
+    def element(coords):
+        out = Matrix.zero(field, d, d)
+        for c, t in zip(coords, totals):
+            out = out + t.scale(c)
+        return out
+
+    if not field.is_prime_field:
+        gram = Matrix(field, n, n, [trace(x @ y) for x in totals for y in totals])
+        return gram.kernel_basis()
+    current = Matrix.identity(field, n)
+    exp = 1
+    while exp <= d and current.cols:
+        mats = [element(current.col(c)) for c in range(current.cols)]
+        con = Matrix(field, len(mats), len(mats),
+                     [trace(x @ y) if exp == 1 else upoly.charpoly_coefficient(x @ y, exp)
+                      for y in mats for x in mats])
+        current = current @ con.kernel_basis()
+        exp *= field.p
+    return current
+
+
+def _preset_modules(alg):
+    verts = alg.quiver.vertices
+    return ([projective(alg, x) for x in verts] + [injective(alg, x) for x in verts]
+            + [regular_module(alg)[0]])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", PRESETS)
+def test_radical_matches_total_matrix_reference(name, field):
+    alg = getattr(presets, name)(field)
+    for m in _preset_modules(alg):
+        end = EndAlgebra(m)
+        assert end.radical_coords() == reference_radical(end), m
+
+
+def test_radical_matches_reference_on_local_and_matrix_algebras():
+    for field in FIELDS:
+        for power in (2, 3, 5):
+            reg = regular_module(presets.truncated_polynomial(field, power))[0]
+            end = EndAlgebra(reg)
+            assert end.radical_coords() == reference_radical(end)
+        s2 = simple(presets.a3_rad_square(field), "2")
+        end = EndAlgebra(direct_sum([s2, s2, s2])[0])
+        assert end.radical_coords() == reference_radical(end)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_indecomposable_isomorphism_always_carries_an_isomorphism(field, monkeypatch):
+    # End(m) is local, so the test needs no End algebra and no radical
+    def forbidden(*args, **kwargs):
+        raise AssertionError("EndAlgebra built")
+
+    monkeypatch.setattr(decompose_module, "EndAlgebra", forbidden)
+    modules = []
+    for name in ("a3_rad_square", "kronecker", "commutative_square_plus", "local_xy"):
+        alg = getattr(presets, name)(field)
+        for x in alg.quiver.vertices:
+            modules += [projective(alg, x), injective(alg, x), simple(alg, x)]
+    for m in modules:
+        for n in modules:
+            if m.algebra is not n.algebra:
+                continue
+            ok, witness = is_isomorphic(m, n, assume_indecomposable=True)
+            if ok:
+                assert witness.is_isomorphism()
+                assert witness.source is m and witness.target is n
+            assert ok == is_isomorphic(n, m, assume_indecomposable=True)[0]
+
+
+def test_indecomposable_isomorphism_rejects_a_decomposable_idempotent():
+    # End(S1 + S2) = k x k: the idempotent e1 lies outside the radical but
+    # is not invertible, so it must not be returned as a witness
+    alg = presets.a3_rad_square(GF(2))
+    m = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
+    n = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
+    ok, witness = is_isomorphic(m, n, assume_indecomposable=True)
+    assert not ok or witness.is_isomorphism()

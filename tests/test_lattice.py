@@ -290,6 +290,24 @@ def test_external_product_degree_zero_maps_run_between_its_own_modules():
     assert ext_nonzero(prod)
 
 
+@pytest.mark.parametrize("order", ["left", "right"])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_external_product_degree_zero_on_either_side(order, zero_first):
+    field = GF(2)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(kron)
+    other = lat.specialize([0])
+    trivial = ExtensionClass(0, other, [], other, [])
+    cls = tensor_sequence(lat, 1)
+    factors = (trivial, cls) if zero_first else (cls, trivial)
+    prod = external_product(kk, *factors, order=order)
+    assert prod.degree == 1
+    _assert_maps_run_along_chain(prod)
+    assert prod.exact
+    assert ext_nonzero(prod)
+
+
 def test_coefficients_rebuild_the_action():
     field = GF(5)
     kk = presets.kronecker_squared(field)

@@ -1,0 +1,56 @@
+"""The benchmark tracer (`qcbench/tracer.py`) wraps named functions and
+methods of `quivercert`; this checks that every name it targets still
+exists and that one traced decomposition records spans and restores every
+original.  The tracer file is only read, never changed."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from quivercert import GF, presets
+from quivercert import decompose as decompose_module
+from quivercert.module import direct_sum, projective, simple
+
+TRACER = Path(__file__).resolve().parents[1] / "qcbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("qcbench_tracer_contract", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses look their module up here
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves():
+    tracer = _load_tracer()
+    for target in tracer.TARGETS:
+        owner = importlib.import_module(target.module)
+        *cls_path, attr = target.qualname.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), f"{target.module}.{target.qualname}"
+
+
+def test_traced_decompose_records_spans_and_restores():
+    tracer = _load_tracer()
+    originals = {
+        "decompose": decompose_module.decompose,
+        "radical_coords": vars(decompose_module.EndAlgebra)["radical_coords"],
+    }
+    alg = presets.a3_rad_square(GF(3))
+    m = direct_sum([projective(alg, "2"), simple(alg, "3"), simple(alg, "3")])[0]
+    t = tracer.Tracer()
+    with t:
+        assert decompose_module.decompose.qcbench_traced
+        dec = decompose_module.decompose(m, seed=1)
+    assert dec.witness.is_isomorphism()
+    metrics = t.layer_metrics()
+    assert metrics["decompose.decompose.calls"][0] == 1
+    assert metrics["decompose.end_radical.calls"][0] >= 1
+    assert metrics["decompose.end_radical.distinct_ratio"][0] > 0
+    for owner, attr, original in t.patches:
+        assert vars(owner)[attr] is original
+    assert decompose_module.decompose is originals["decompose"]
+    assert vars(decompose_module.EndAlgebra)["radical_coords"] is originals["radical_coords"]

@@ -105,3 +105,13 @@ def test_poly_division_round_trip():
         quo, rem = upoly.divmod_poly(f3, p, q)
         back = upoly.add(f3, upoly.mul(f3, quo, q), rem)
         assert back == p
+
+
+def test_factor_entry_points_coerce_raw_coefficients():
+    f5 = GF(5)
+    # x^2 - 1 = (x + 1)(x + 4) over F5, given with a raw negative int
+    assert upoly.factor_poly(f5, [-1, 0, 1]) == [([1, 1], 1), ([4, 1], 1)]
+    # 5 vanishes in F5, so this is the constant 1, which is not irreducible
+    assert not upoly.is_irreducible(f5, [1, 0, 5])
+    assert upoly.is_irreducible(QQ, ["1", 0, 1])
+
