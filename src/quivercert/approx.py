@@ -92,6 +92,7 @@ class AddCategory:
         if summands:
             self.algebra = summands[0].algebra
         self._homs = {}
+        self._rad_coords = {}
         self._rad = {}
 
     def hom(self, i: int, j: int) -> list[ModuleMap]:
@@ -100,17 +101,23 @@ class AddCategory:
             self._homs[key] = hom_basis(self.summands[i], self.summands[j])
         return self._homs[key]
 
+    def radical_coords(self, i: int) -> Matrix:
+        """Columns = basis of rad End(M_i) in coordinates on hom(i, i)."""
+        if i not in self._rad_coords:
+            end = EndAlgebra(self.summands[i], self.hom(i, i))
+            self._rad_coords[i] = end.radical_coords()
+        return self._rad_coords[i]
+
     def radical_maps(self, i: int, j: int) -> list[ModuleMap]:
         """Basis of rad(M_i, M_j): all maps when i != j, the
-        non-invertible endomorphisms when i == j."""
+        non-invertible endomorphisms (`radical_coords(i)`) when i == j."""
         key = (i, j)
         if key not in self._rad:
             if i != j:
                 self._rad[key] = self.hom(i, j)
             else:
-                end = EndAlgebra(self.summands[i], self.hom(i, i))
-                rad = end.radical_coords()
-                self._rad[key] = [map_from_coordinates(rad.col(c), end.basis)
+                rad = self.radical_coords(i)
+                self._rad[key] = [map_from_coordinates(rad.col(c), self.hom(i, i))
                                   for c in range(rad.cols)]
         return self._rad[key]
 

@@ -5,6 +5,16 @@ sums of representables Hom(-, M_i) together with coordinate subspaces,
 the radical consists of the non-isomorphisms (exact by Krull-Schmidt),
 and projective dimensions of the simple functors come from iterated
 minimal covers.  Gamma is never realized as a path-algebra quotient.
+
+Gamma's composition is stored as a tensor on the Hom bases: for each
+triple (i, j, c), `CatAlgebra.compose_into` gives one matrix T_k per
+basis map h_k of Hom(M_i, M_j), the matrix of g -> h_k.then(g):
+Hom(M_j, M_c) -> Hom(M_i, M_c), from one multi-column solve; the
+CatAlgebra caches it (`composition`).  A radical endomorphism of M_i
+with coordinates R[:, m] on Hom(M_i, M_i) acts by sum_k R[k, m] T_k
+(`radical_action`).  On a sum of representables over `parts`, a map
+acts block-diagonally, one block per part; the syzygy steps apply each
+block to its own row slice and stack the results.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 from .approx import AddCategory, injectives, projectives
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix, NoSolution, complement_basis
-from .module import Module, ModuleMap, hom_basis, in_span, map_coordinates
+from .module import Module, ModuleMap, coordinates_matrix, hom_basis, in_span
 from .torsfin import IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
 
@@ -47,6 +57,8 @@ class CatAlgebra:
                         raise DuplicateObject(
                             f"objects {i} and {j} are isomorphic")
         self._cat = AddCategory(self.objects)
+        self._compose = {}
+        self._rad_action = {}
 
     def __len__(self):
         return len(self.objects)
@@ -61,17 +73,46 @@ class CatAlgebra:
         n = len(self.objects)
         return sum(len(self.hom(i, j)) for i in range(n) for j in range(n))
 
-    def compose_into(self, r: ModuleMap, i: int, j: int, c: int) -> Matrix:
-        """Matrix of g -> r.then(g): Hom(M_j, M_c) -> Hom(M_i, M_c) for a
-        map r: M_i -> M_j."""
-        src_basis = self.hom(j, c)
-        tgt_basis = self.hom(i, c)
-        mat = Matrix.zero(self.field, len(tgt_basis), len(src_basis))
-        for t, g in enumerate(src_basis):
-            coords = map_coordinates(r.then(g), tgt_basis)
-            for s, val in enumerate(coords):
-                mat[s, t] = val
-        return mat
+    def composition(self, i: int, j: int, c: int) -> list[Matrix]:
+        """The cached `compose_into(i, j, c)`."""
+        key = (i, j, c)
+        if key not in self._compose:
+            self._compose[key] = self.compose_into(i, j, c)
+        return self._compose[key]
+
+    def compose_into(self, i: int, j: int, c: int) -> list[Matrix]:
+        """One matrix T_k per basis map h_k of Hom(M_i, M_j): the matrix of
+        g -> h_k.then(g): Hom(M_j, M_c) -> Hom(M_i, M_c) on the Hom bases.
+        Every product is solved against the Hom(M_i, M_c) basis at once."""
+        left, right, target = self.hom(i, j), self.hom(j, c), self.hom(i, c)
+        width = len(right)
+        if not left or not right:
+            return [Matrix.zero(self.field, len(target), width) for _ in left]
+        coords = coordinates_matrix([h.then(g) for h in left for g in right], target)
+        return [coords.submatrix(range(coords.rows), range(k * width, (k + 1) * width))
+                for k in range(len(left))]
+
+    def radical_action(self, i: int, j: int, c: int) -> list[Matrix]:
+        """`composition(i, j, c)` restricted to the basis of rad(M_i, M_j)
+        that `radical_maps(i, j)` returns: the same matrices when i != j,
+        and sum_k R[k, m] T_k for the m-th radical endomorphism when i == j
+        (R = the radical's coordinates on hom(i, i))."""
+        if i != j:
+            return self.composition(i, j, c)
+        key = (i, c)
+        if key not in self._rad_action:
+            tensor = self.composition(i, i, c)
+            rad = self._cat.radical_coords(i)
+            zero = self.field.zero()
+            acts = []
+            for m in range(rad.cols):
+                act = Matrix.zero(self.field, tensor[0].rows, tensor[0].cols)
+                for k, block in enumerate(tensor):
+                    if rad[k, m] != zero:
+                        act = act + block.scale(rad[k, m])
+                acts.append(act)
+            self._rad_action[key] = acts
+        return self._rad_action[key]
 
 
 @dataclass
@@ -95,13 +136,15 @@ def _ambient_dim(cat: CatAlgebra, parts, i: int) -> int:
     return sum(len(cat.hom(i, c)) for c in parts)
 
 
-def _ambient_action(cat: CatAlgebra, parts, r: ModuleMap, i: int, j: int) -> Matrix:
-    """F(r): F(j) -> F(i) for the sum of representables over parts, where
-    r: M_i -> M_j."""
-    blocks = [cat.compose_into(r, i, j, c) for c in parts]
-    if not blocks:
-        return Matrix.zero(cat.field, 0, 0)
-    return Matrix.block_diag(cat.field, blocks)
+def _block_apply(blocks: list[Matrix], vecs: Matrix) -> Matrix:
+    """The block-diagonal matrix of `blocks` times `vecs`: each block acts
+    on its own slice of rows."""
+    out, start, width = [], 0, vecs.cols
+    for block in blocks:
+        rows = vecs.entries[start * width:(start + block.cols) * width]
+        out.append(block @ Matrix(vecs.field, block.cols, width, rows))
+        start += block.cols
+    return Matrix.vstack(out)
 
 
 def full_subfunctor(cat: CatAlgebra, parts) -> SubFunctor:
@@ -122,13 +165,11 @@ def radical_subspaces(cat: CatAlgebra, sub: SubFunctor) -> list[Matrix]:
             continue
         images = []
         for j in range(n):
-            rads = cat.radical_maps(i, j)
             if sub.dim_at(j) == 0:
                 continue
-            for r_idx, r in enumerate(rads):
-                act = _ambient_action(cat, sub.parts, r, i, j)
-                mapped = act @ sub.spaces[j]
-                images.append(mapped)
+            acts = [cat.radical_action(i, j, c) for c in sub.parts]
+            for r_idx in range(len(acts[0])):
+                images.append(_block_apply([a[r_idx] for a in acts], sub.spaces[j]))
         if not images:
             out.append(Matrix.zero(cat.field, k_i, 0))
             continue
@@ -163,11 +204,9 @@ def cover_of_subfunctor(cat: CatAlgebra, sub: SubFunctor):
     for j in range(n):
         cols = []
         for (i, vec) in generators:
+            tensors = [cat.composition(j, i, c) for c in sub.parts]
             for h_idx in range(len(cat.hom(j, i))):
-                h = cat.hom(j, i)[h_idx]
-                act = _ambient_action(cat, sub.parts, h, j, i)
-                ambient_img = act @ vec
-                cols.append(ambient_img)
+                cols.append(_block_apply([t[h_idx] for t in tensors], vec))
         if cols:
             stacked = Matrix.hstack(cols)
             try:

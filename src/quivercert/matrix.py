@@ -200,13 +200,14 @@ class Matrix:
     def hstack(mats) -> "Matrix":
         mats = list(mats)
         field, rows = mats[0].field, mats[0].rows
+        for m in mats:
+            if m.rows != rows or m.field != field:
+                raise ValueError("hstack mismatch")
         total = sum(m.cols for m in mats)
         entries = []
         for i in range(rows):
             for m in mats:
-                if m.rows != rows or m.field != field:
-                    raise ValueError("hstack mismatch")
-                entries.extend(m.row(i))
+                entries.extend(m.entries[i * m.cols:(i + 1) * m.cols])
         return Matrix(field, rows, total, entries)
 
     @staticmethod
@@ -295,11 +296,11 @@ class Matrix:
         reduced, pivots, _ = aug.rref()
         if any(c >= self.cols for c in pivots):
             raise NoSolution()
-        F = self.field
-        out = Matrix.zero(F, self.cols, b.cols)
+        out = Matrix.zero(self.field, self.cols, b.cols)
+        width, k = aug.cols, b.cols
         for r, pc in enumerate(pivots):
-            for j in range(b.cols):
-                out[pc, j] = reduced[r, self.cols + j]
+            start = r * width + self.cols
+            out.entries[pc * k:(pc + 1) * k] = reduced.entries[start:start + k]
         return out
 
     def inverse(self) -> "Matrix":

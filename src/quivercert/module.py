@@ -338,19 +338,28 @@ def map_vector(f: ModuleMap) -> list:
     return [e for v in f.source.algebra.quiver.vertices for e in f.components[v].entries]
 
 
-def map_coordinates(f: ModuleMap, family: list[ModuleMap]) -> list:
-    """Coordinates c with f = sum c_k family[k]; raises NoSolution when f
-    is outside the span.  The family may be dependent (free coordinates
-    are 0) or empty (then f must be zero)."""
+def coordinates_matrix(maps: list[ModuleMap], family: list[ModuleMap]) -> Matrix:
+    """Column t holds the coordinates c with maps[t] = sum c_k family[k],
+    all from one solve; raises NoSolution when some map is outside the
+    span.  `maps` is nonempty; the family may be dependent (free
+    coordinates are 0) or empty (then every map must be zero)."""
+    field = maps[0].source.field
     if not family:
-        if f.is_zero():
-            return []
+        if all(f.is_zero() for f in maps):
+            return Matrix.zero(field, 0, len(maps))
         raise NoSolution()
-    target = map_vector(f)
+    targets = [map_vector(f) for f in maps]
     cols = [map_vector(g) for g in family]
-    field, rows = f.source.field, len(target)
+    rows = len(targets[0])
     mat = Matrix(field, rows, len(cols), [col[r] for r in range(rows) for col in cols])
-    return mat.solve(Matrix(field, rows, 1, target)).col(0)
+    rhs = Matrix(field, rows, len(targets), [vec[r] for r in range(rows) for vec in targets])
+    return mat.solve(rhs)
+
+
+def map_coordinates(f: ModuleMap, family: list[ModuleMap]) -> list:
+    """Coordinates c with f = sum c_k family[k]: the one-map case of
+    `coordinates_matrix`."""
+    return coordinates_matrix([f], family).col(0)
 
 
 def in_span(f: ModuleMap, family: list[ModuleMap]) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .algebra import BasicAlgebra
-from .decompose import Undecided, decompose, is_isomorphic
+from .decompose import Undecided, decompose, is_indecomposable, is_isomorphic
 from .matrix import Matrix
 from .module import (
     Module, hom_basis, hom_dim, injective, map_from_coordinates, projective,
@@ -70,10 +70,16 @@ def truncations(algebra: BasicAlgebra) -> list[Truncation]:
     tagged with their layer indices."""
     require_nicely_tiered(algebra)
     entries: list[Truncation] = []
+    indecomposable: list = []  # per entry: is_indecomposable, computed on demand
 
     def absorb(module: Module, p_idx, q_idx):
-        for e in entries:
-            ok, _ = is_isomorphic(e.module, module, assume_indecomposable=True)
+        for k, e in enumerate(entries):
+            if e.module.dim_vector() != module.dim_vector():
+                continue
+            if indecomposable[k] is None:
+                indecomposable[k] = is_indecomposable(e.module)
+            # the local-ring test is complete only when End(e.module) is local
+            ok, _ = is_isomorphic(e.module, module, assume_indecomposable=indecomposable[k])
             if ok:
                 if p_idx:
                     e.p_indices.append(p_idx)
@@ -82,6 +88,7 @@ def truncations(algebra: BasicAlgebra) -> list[Truncation]:
                 return
         entries.append(Truncation(module, [p_idx] if p_idx else [],
                                   [q_idx] if q_idx else []))
+        indecomposable.append(None)
 
     for x in algebra.quiver.vertices:
         p = projective(algebra, x)

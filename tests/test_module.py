@@ -5,8 +5,8 @@ import pytest
 from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import presets
 from quivercert.module import (
-    ModuleError, ModuleMap, direct_sum, dual, dual_map, hom_basis, hom_dim,
-    identity_map, image_of_map, in_span, injective, kernel_of_map, map_coordinates,
+    ModuleError, ModuleMap, coordinates_matrix, direct_sum, dual, dual_map,
+    hom_basis, hom_dim, identity_map, image_of_map, in_span, injective, kernel_of_map, map_coordinates,
     map_from_coordinates, map_vector, projective, quotient, radical,
     regular_module, simple, socle, socle_layers, socle_series,
     spanned_submodule, submodule, top, zero_map, zero_module,
@@ -247,6 +247,24 @@ def test_map_coordinates_empty_family():
     with pytest.raises(NoSolution):
         map_coordinates(g, [])
     assert not in_span(g, [])
+
+
+def test_coordinates_matrix_columns_are_map_coordinates():
+    for field in (GF(5), QQ):
+        g1, g2 = _kronecker_arrow_maps(field)
+        zero = zero_map(g1.source, g1.target)
+        family = [g1, g2, g1 + g2]
+        maps = [g1.scale(2) + g2, zero, g2, g1 - g2.scale(3)]
+        coords = coordinates_matrix(maps, family)
+        assert (coords.rows, coords.cols) == (len(family), len(maps))
+        for t, f in enumerate(maps):
+            assert coords.col(t) == map_coordinates(f, family)
+        empty = coordinates_matrix([zero, zero], [])
+        assert (empty.rows, empty.cols) == (0, 2)
+        with pytest.raises(NoSolution):
+            coordinates_matrix([zero, g1], [])
+        with pytest.raises(NoSolution):
+            coordinates_matrix([g1, g1 + g2], [g1])
 
 
 def test_map_coordinates_outside_span_raises():

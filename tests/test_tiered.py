@@ -4,7 +4,10 @@ from quivercert import GF, QQ
 from quivercert import presets
 from quivercert.decompose import is_isomorphic
 from quivercert.endcat import CatAlgebra, global_dimension, layering_check
-from quivercert.module import projective, radical, simple, socle_series
+from quivercert.decompose import is_indecomposable
+from quivercert.module import (
+    injective, projective, radical, simple, socle_layers, socle_series,
+)
 from quivercert.tiered import (
     LayeringViolation, NotNicelyTiered, NotTensorOfBipartite, Truncation,
     build_layering, coefficient_quiver, find_embedding, p1_check, p2_check,
@@ -111,6 +114,19 @@ def test_build_layering_kk():
     assert cert["bound"] == 4
 
 
+def test_layering_bound_equals_global_dimension_kk():
+    # E2 at n = 2: the layering certifies gl.dim End <= 4, and the
+    # independent syzygy computation gives exactly 4
+    alg = presets.kronecker_squared(GF(2))
+    layering = build_layering(alg)
+    cat = CatAlgebra(layering.objects, verify=False)
+    cert = layering_check(cat, layering.layers, layering.alpha)
+    value, pds, _ = global_dimension(cat)
+    assert cert["pass"]
+    assert cert["bound"] == value == 4
+    assert None not in pds
+
+
 def test_layering_a2_display():
     alg = presets.a2(QQ)
     layering = build_layering(alg)
@@ -165,3 +181,28 @@ def test_not_nicely_tiered_error():
     alg = presets.local_xy(GF(3))
     with pytest.raises(NotNicelyTiered):
         truncations(alg)
+
+
+@pytest.mark.parametrize("maker, count, decomposable", [
+    (presets.ex84_left, 13, [(0, 1, 1, 1, 1)]),
+    (presets.ex84_middle, 17, []),
+    (presets.ex84_right, 9, []),
+    (presets.kronecker_squared, 12, []),
+])
+def test_truncations_are_pairwise_non_isomorphic(maker, count, decomposable):
+    # the local-ring isomorphism test is complete only for indecomposables,
+    # and ex84_left has a decomposable truncation
+    alg = maker(GF(2))
+    trunc = truncations(alg)
+    assert len(trunc) == count
+    assert [e.module.dim_vector() for e in trunc
+            if not is_indecomposable(e.module)] == decomposable
+    for a in range(len(trunc)):
+        for b in range(a + 1, len(trunc)):
+            assert not is_isomorphic(trunc[a].module, trunc[b].module)[0]
+    # every tP (t >= 2) and tQ (t >= 1) is isomorphic to exactly one entry
+    for x in alg.quiver.vertices:
+        for m, first in ((projective(alg, x), 2), (injective(alg, x), 1)):
+            for t in range(first, len(socle_layers(m)) + 1):
+                tm, _ = socle_series(m, t)
+                assert sum(is_isomorphic(e.module, tm)[0] for e in trunc) == 1

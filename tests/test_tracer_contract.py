@@ -1,15 +1,18 @@
 """The benchmark tracer (`qcbench/tracer.py`) wraps named functions and
 methods of `quivercert`; this checks that every name it targets still
-exists and that one traced decomposition records spans and restores every
-original.  The tracer file is only read, never changed."""
+exists, that one traced decomposition records spans and restores every
+original, and that a traced gl.dim computes Gamma's composition tensor
+once per triple of objects.  The tracer file is only read, never
+changed."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from quivercert import GF, presets
+from quivercert import GF, endcat, presets
 from quivercert import decompose as decompose_module
+from quivercert.tiered import build_layering
 from quivercert.module import direct_sum, projective, simple
 
 TRACER = Path(__file__).resolve().parents[1] / "qcbench" / "tracer.py"
@@ -54,3 +57,20 @@ def test_traced_decompose_records_spans_and_restores():
         assert vars(owner)[attr] is original
     assert decompose_module.decompose is originals["decompose"]
     assert vars(decompose_module.EndAlgebra)["radical_coords"] is originals["radical_coords"]
+
+
+def test_traced_global_dimension_composes_once_per_triple():
+    tracer = _load_tracer()
+    original = vars(endcat.CatAlgebra)["compose_into"]
+    cat = endcat.CatAlgebra(build_layering(presets.kronecker_squared(GF(2))).objects,
+                            verify=False)
+    t = tracer.Tracer()
+    with t:
+        assert endcat.CatAlgebra.compose_into.qcbench_traced
+        value, _, _ = endcat.global_dimension(cat)
+    assert value == 4
+    calls = t.layer_metrics()["endcat.compose_into.calls"][0]
+    assert 0 < calls <= len(cat) ** 3
+    for owner, attr, original_obj in t.patches:
+        assert vars(owner)[attr] is original_obj
+    assert vars(endcat.CatAlgebra)["compose_into"] is original
