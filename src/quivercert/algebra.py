@@ -185,9 +185,6 @@ class BasicAlgebra:
                         out[k] = v
         return out
 
-    def radical_indices(self):
-        return [i for i, p in enumerate(self.basis_paths) if len(p) > 0]
-
     def is_semisimple(self) -> bool:
         return self.loewy_length <= 1
 

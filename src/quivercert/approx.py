@@ -153,18 +153,18 @@ def right_add_approximation(summands: list[Module], x: Module,
     algebra = x.algebra
     field = x.field
     cat = cat or AddCategory(summands)
+    homs_into_x = [hom_basis(m_j, x) for m_j in summands]
     reps_per_summand = []
-    for i, m_i in enumerate(summands):
-        candidates = hom_basis(m_i, x)
+    for i in range(len(summands)):
         through_radical = []
-        for j in range(len(summands)):
+        for j, homs in enumerate(homs_into_x):
             rads = cat.radical_maps(i, j)
             if not rads:
                 continue
-            for h in hom_basis(summands[j], x):
+            for h in homs:
                 for r in rads:
                     through_radical.append(r.then(h))
-        reps_per_summand.append(_cover_representatives(field, candidates, through_radical))
+        reps_per_summand.append(_cover_representatives(field, homs_into_x[i], through_radical))
     parts, maps = [], []
     multiplicities = []
     for m_i, reps in zip(summands, reps_per_summand):

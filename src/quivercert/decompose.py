@@ -46,9 +46,23 @@ class EndAlgebra:
         GF(p) it is the first stage of the Cohen-Ivanyos-Wales chain, cut
         down by c_k(xy) = 0 for k = p, p^2, ... <= dim M, each condition
         linear on the previous stage.
+
+        The result is cached on the algebra (`_end_radicals`), keyed by
+        the module's dims and action entries and the basis map vectors:
+        content-equal modules with the same basis share one radical, and
+        the cache dies with the algebra.
         """
         if self._rad_coords is None:
-            self._rad_coords = self._radical()
+            m = self.module
+            key = (m.dim_vector(),
+                   tuple(tuple(m.action[a.name].entries) for a in m.algebra.quiver.arrows),
+                   tuple(tuple(map_vector(b)) for b in self.basis))
+            cache = getattr(m.algebra, "_end_radicals", None)
+            if cache is None:
+                cache = m.algebra._end_radicals = {}
+            if key not in cache:
+                cache[key] = self._radical()
+            self._rad_coords = cache[key]
         return self._rad_coords
 
     def _radical(self) -> Matrix:

@@ -69,10 +69,6 @@ class CatAlgebra:
     def radical_maps(self, i: int, j: int) -> list[ModuleMap]:
         return self._cat.radical_maps(i, j)
 
-    def dim_gamma(self) -> int:
-        n = len(self.objects)
-        return sum(len(self.hom(i, j)) for i in range(n) for j in range(n))
-
     def composition(self, i: int, j: int, c: int) -> list[Matrix]:
         """The cached `compose_into(i, j, c)`."""
         key = (i, j, c)

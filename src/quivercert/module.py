@@ -279,12 +279,6 @@ def direct_sum(summands):
     return total, inclusions, projections
 
 
-def direct_power(m: Module, n: int) -> Module:
-    if n == 0:
-        return zero_module(m.algebra)
-    return direct_sum([m] * n)[0]
-
-
 # -- hom spaces ----------------------------------------------------------------
 
 def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
@@ -476,18 +470,6 @@ def image_of_map(f: ModuleMap):
     """Image submodule of the target with inclusion."""
     spaces = {v: f.components[v].column_space_basis() for v in f.components}
     return submodule(f.target, spaces, check=False)
-
-
-def restrict_to_image(f: ModuleMap):
-    """Factor f as (source ->> image, image -> target)."""
-    img, incl = image_of_map(f)
-    corners = {}
-    for v in f.components:
-        try:
-            corners[v] = incl.components[v].solve(f.components[v])
-        except NoSolution:  # pragma: no cover - image computed from f
-            raise ModuleError("image factorization failed")
-    return ModuleMap(f.source, img, corners, check=False), incl
 
 
 # -- radical / socle machinery ---------------------------------------------------

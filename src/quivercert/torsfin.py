@@ -18,7 +18,8 @@ from random import Random
 
 from .algebra import BasicAlgebra, Relation, build_algebra
 from .approx import (
-    injectives, is_divisible, is_torsionless, projectives, right_add_approximation,
+    AddCategory, injectives, is_divisible, is_torsionless, projectives,
+    right_add_approximation,
 )
 from .decompose import decompose, is_isomorphic
 from .functors import gamma, is_injective_module, is_projective_module
@@ -75,8 +76,12 @@ class ClassList:
         self._by_dim: dict[tuple, list[int]] = {}
         self._hashes: set[str] = set()
 
+    def lists_content(self, m: Module) -> bool:
+        """Is a module with m's content hash already listed?"""
+        return m.content_hash() in self._hashes
+
     def contains(self, m: Module) -> bool:
-        if m.content_hash() in self._hashes:
+        if self.lists_content(m):
             return True
         for idx in self._by_dim.get(m.dim_vector(), []):
             ok, _ = is_isomorphic(self.members[idx], m, assume_indecomposable=True)
@@ -138,6 +143,9 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
             return False
         dec = decompose(module, derived_seed)
         for part in dec.parts:
+            # a listed content hash is refused by `classes.add` anyway
+            if classes.lists_content(part):
+                continue
             if is_torsionless(part) and classes.add(part):
                 added = True
         return added
@@ -159,8 +167,9 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
         added = False
         # kernels of approximations of the simples by the current list
         current = classes.sorted_members()
+        cat = AddCategory(current)
         for x in algebra.quiver.vertices:
-            res = right_add_approximation(current, simple(algebra, x))
+            res = right_add_approximation(current, simple(algebra, x), cat=cat)
             if absorb(res.kernel, seed + round_no):
                 added = True
         # seeded random submodules of sums of current members

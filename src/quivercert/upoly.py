@@ -2,13 +2,16 @@
 
 Polynomials are lists of field elements in ascending degree with no
 trailing zeros ([] is the zero polynomial).  Factorization is delegated
-to sympy (exact, over QQ and GF(p)); everything else is local.
+to sympy (exact, over QQ and GF(p)); everything else is local.  The
+characteristic polynomial over GF(p) runs on plain ints mod p in
+`_gfpure.charpoly_mod`; the `Field`-element recurrence below serves Q.
 """
 
 from __future__ import annotations
 
 import sympy
 
+from ._gfpure import charpoly_mod
 from .fields import Field
 from .matrix import Matrix
 
@@ -143,12 +146,14 @@ def charpoly(m: Matrix) -> list:
     """det(lambda I - m), ascending coefficients, leading 1.
 
     Hessenberg reduction by similarity, then the standard recurrence;
-    works over any exact field.
+    GF(p) runs it on ints in `charpoly_mod`.
     """
     field = m.field
     n = m.rows
     if n != m.cols:
         raise ValueError("charpoly of non-square matrix")
+    if field.is_prime_field:
+        return charpoly_mod(m.entries, n, field.p)
     if n == 0:
         return [field.one()]
     h = [[m[i, j] for j in range(n)] for i in range(n)]

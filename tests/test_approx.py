@@ -1,6 +1,7 @@
 import pytest
 
 from quivercert import GF, QQ, Matrix
+from quivercert import approx as approx_module
 from quivercert import presets
 from quivercert.approx import (
     AddCategory, factors_through, in_add, injectives, is_divisible,
@@ -311,3 +312,23 @@ def test_thm41_pullback_construction_on_s3():
     full = torsionless + divisible
     res_full = right_add_approximation(full, x)
     assert in_add(torsionless, res_full.kernel)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_right_approximation_solves_each_hom_into_x_once(field, monkeypatch):
+    # local_xy's projective and injective have radical maps between every
+    # pair, so each Hom(M_j, X) is needed for every i
+    alg = presets.local_xy(field)
+    summands = [projective(alg, "*"), injective(alg, "*")]
+    x = direct_sum([simple(alg, "*"), injective(alg, "*")])[0]
+    into_x = []
+
+    def counting(m, n):
+        if n is x:
+            into_x.append(m)
+        return hom_basis(m, n)
+
+    monkeypatch.setattr(approx_module, "hom_basis", counting)
+    res = right_add_approximation(summands, x)
+    assert len(into_x) == len(summands)
+    assert res.approximation.is_surjective()

@@ -264,3 +264,23 @@ def test_indecomposable_isomorphism_rejects_a_decomposable_idempotent():
     n = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
     ok, witness = is_isomorphic(m, n, assume_indecomposable=True)
     assert not ok or witness.is_isomorphism()
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_content_equal_modules_share_one_cached_radical(field):
+    alg = presets.local_xy(field)
+    first, second = projective(alg, "*"), projective(alg, "*")
+    assert first is not second
+    rad = EndAlgebra(first).radical_coords()
+    assert rad.cols > 0
+    end = EndAlgebra(second)
+    assert end.radical_coords() == rad == reference_radical(end)
+    assert len(alg._end_radicals) == 1
+
+
+def test_a_fresh_algebra_starts_with_an_empty_radical_cache():
+    used = presets.local_xy(GF(3))
+    EndAlgebra(projective(used, "*")).radical_coords()
+    assert used._end_radicals
+    fresh = presets.local_xy(GF(3))
+    assert getattr(fresh, "_end_radicals", {}) == {}

@@ -223,3 +223,14 @@ def test_e1_auslander_generator_gldim_commutative_square_plus():
     generator = auslander_generator(alg, inv, assume_complete=True)
     value, _, _ = global_dimension(CatAlgebra(generator))
     assert value is not None and value <= 3
+
+
+@pytest.mark.parametrize("name", ["local_xy", "full_commutative_square"])
+def test_e1_auslander_generator_gldim_at_most_three_over_gf3(name):
+    from quivercert.endcat import CatAlgebra, auslander_generator, global_dimension
+    alg = getattr(presets, name)(GF(3))
+    inv = enumerate_torsionless(alg)
+    assert gamma_bijection_check(alg, inv, assume_complete=True)["pass"]
+    generator = auslander_generator(alg, inv, assume_complete=True)
+    value, _, _ = global_dimension(CatAlgebra(generator))
+    assert value is not None and value <= 3

@@ -44,6 +44,73 @@ def test_charpoly_matches_laplace():
                 assert upoly.charpoly(m) == laplace_charpoly(field, m)
 
 
+def generic_charpoly(field, m):
+    """The Hessenberg charpoly on `Field` elements, as `upoly.charpoly`
+    computes it for every field but GF(p) (reference for `charpoly_mod`)."""
+    n = m.rows
+    if n == 0:
+        return [field.one()]
+    h = [[m[i, j] for j in range(n)] for i in range(n)]
+    zero = field.zero()
+    for j in range(n - 2):
+        pivot = next((i for i in range(j + 1, n) if h[i][j] != zero), -1)
+        if pivot < 0:
+            continue
+        if pivot != j + 1:
+            h[pivot], h[j + 1] = h[j + 1], h[pivot]
+            for row in h:
+                row[pivot], row[j + 1] = row[j + 1], row[pivot]
+        inv = field.inv(h[j + 1][j])
+        for i in range(j + 2, n):
+            if h[i][j] != zero:
+                f = field.mul(h[i][j], inv)
+                for c in range(n):
+                    h[i][c] = field.sub(h[i][c], field.mul(f, h[j + 1][c]))
+                for r in range(n):
+                    h[r][j + 1] = field.add(h[r][j + 1], field.mul(f, h[r][i]))
+    polys = [[field.one()]]
+    for mm in range(1, n + 1):
+        cur = upoly.mul(field, [field.neg(h[mm - 1][mm - 1]), field.one()], polys[mm - 1])
+        prod = field.one()
+        for i in range(1, mm):
+            prod = field.mul(prod, h[mm - i][mm - i - 1])
+            term = upoly.mul(field, [field.mul(prod, h[mm - i - 1][mm - 1])],
+                             polys[mm - i - 1])
+            cur = upoly.sub(field, cur, term)
+        polys.append(cur)
+    out = polys[n]
+    while len(out) < n + 1:
+        out.append(zero)
+    return out
+
+
+def kernel_test_matrices(field, rng):
+    """Dense, sparse and block upper triangular matrices, n = 0..12.  The
+    sparse ones need pivot swaps in the Hessenberg reduction; the block
+    triangular ones keep zero subdiagonal entries, where the recurrence
+    stops early."""
+    p = field.p
+    for n in range(13):
+        yield random_matrix(field, n, rng)
+        yield Matrix(field, n, n, [rng.randrange(p) if rng.random() < 0.2 else 0
+                                   for _ in range(n * n)])
+        cut = rng.randrange(n + 1)
+        yield Matrix(field, n, n, [0 if i >= cut > j else rng.randrange(p)
+                                   for i in range(n) for j in range(n)])
+
+
+def test_gfp_charpoly_matches_the_generic_recurrence_and_laplace():
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7, 13):
+        field = GF(p)
+        for m in kernel_test_matrices(field, rng):
+            cp = upoly.charpoly(m)
+            assert cp == generic_charpoly(field, m), m
+            assert len(cp) == m.rows + 1 and cp[-1] == 1
+            if m.rows <= 5:
+                assert cp == laplace_charpoly(field, m), m
+
+
 def test_charpoly_of_empty():
     assert upoly.charpoly(Matrix.zero(QQ, 0, 0)) == [QQ.one()]
 
