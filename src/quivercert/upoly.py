@@ -1,18 +1,21 @@
 """Univariate polynomial helpers over the package fields.
 
 Polynomials are lists of field elements in ascending degree with no
-trailing zeros ([] is the zero polynomial).  Factorization is delegated
-to sympy (exact, over QQ and GF(p)); everything else is local.  The
-characteristic polynomial over GF(p) runs on plain ints mod p in
-`_gfpure.charpoly_mod`; the `Field`-element recurrence below serves Q.
+trailing zeros ([] is the zero polynomial).  Everything is local but
+the factorization of rational polynomials of degree >= 4 (and of cubics
+too large for the rational root search), which imports sympy when it
+runs.  The characteristic polynomial over GF(p) runs on plain ints mod p
+in `_gfpure.charpoly_mod`; the `Field`-element recurrence below serves Q.
 """
 
 from __future__ import annotations
 
-import sympy
+import math
+from fractions import Fraction
+from random import Random
 
 from ._gfpure import charpoly_mod
-from .fields import Field
+from .fields import QQ, Field
 from .matrix import Matrix
 
 
@@ -228,42 +231,201 @@ def minpoly_matrix(m: Matrix) -> list:
     return monic(field, result)
 
 
-# -- sympy bridge -------------------------------------------------------------
-
-_X = sympy.Symbol("x")
+# -- factorization ------------------------------------------------------------
 
 
-def _to_sympy(field: Field, coeffs):
-    return sum(sympy.Rational(str(c)) * _X**i for i, c in enumerate(coeffs))
+def _derivative(field, p):
+    return normalize(field, [field.mul(field.from_int(i), c) for i, c in enumerate(p)][1:])
 
 
-def _from_sympy_scalar(field: Field, c):
-    from fractions import Fraction
-    r = sympy.Rational(c)
-    return field.element(Fraction(int(r.p), int(r.q)))
+def _powmod(field, base, n, mod):
+    """base^n reduced modulo mod, by repeated squaring."""
+    out = [field.one()]
+    base = divmod_poly(field, base, mod)[1]
+    while n > 0:
+        if n & 1:
+            out = divmod_poly(field, mul(field, out, base), mod)[1]
+        base = divmod_poly(field, mul(field, base, base), mod)[1]
+        n >>= 1
+    return out
+
+
+def _squarefree_gfp(field, f):
+    """Square-free decomposition of monic f over GF(p): [(g, e)] with f
+    the product of the g^e, every g square-free and monic.
+
+    Yun's gcd steps take the factors whose multiplicity p does not
+    divide; what is left is g(x^p), whose p-th root is g because every
+    GF(p) coefficient is its own p-th root."""
+    p = field.p
+    dg = _derivative(field, f)
+    if not dg:
+        return [(g, e * p) for g, e in _squarefree_gfp(field, f[::p])]
+    out = []
+    c = gcd(field, f, dg)
+    w = divmod_poly(field, f, c)[0]
+    e = 1
+    while degree(w) > 0:
+        y = gcd(field, w, c)
+        fac = divmod_poly(field, w, y)[0]
+        if degree(fac) > 0:
+            out.append((fac, e))
+        w = y
+        c = divmod_poly(field, c, y)[0]
+        e += 1
+    if degree(c) > 0:
+        out.extend((g, k * p) for g, k in _squarefree_gfp(field, c[::p]))
+    return out
+
+
+def _distinct_degree_gfp(field, f):
+    """Distinct-degree factorization of square-free monic f over GF(p):
+    [(g, d)] with g the product of f's irreducible factors of degree d."""
+    x = [field.zero(), field.one()]
+    out = []
+    h = x
+    d = 0
+    while degree(f) >= 2 * (d + 1):
+        d += 1
+        h = _powmod(field, h, field.p, f)  # x^(p^d) mod f
+        g = gcd(field, f, sub(field, h, x))
+        if degree(g) > 0:
+            out.append((g, d))
+            f = divmod_poly(field, f, g)[0]
+            h = divmod_poly(field, h, f)[1]
+    if degree(f) > 0:
+        out.append((f, degree(f)))
+    return out
+
+
+def _equal_degree_gfp(field, f, d, rng):
+    """Cantor-Zassenhaus: the irreducible factors of square-free monic f,
+    all of degree d."""
+    if degree(f) == d:
+        return [f]
+    p = field.p
+    while True:
+        a = normalize(field, [rng.randrange(p) for _ in range(degree(f))])
+        if degree(a) < 1:
+            continue
+        if p == 2:
+            # the trace a + a^2 + ... + a^(2^(d-1)) is 0 or 1 mod each factor
+            b, t = a, a
+            for _ in range(d - 1):
+                t = divmod_poly(field, mul(field, t, t), f)[1]
+                b = add(field, b, t)
+        else:
+            b = sub(field, _powmod(field, a, (p**d - 1) // 2, f), [field.one()])
+        g = gcd(field, f, b)
+        if 0 < degree(g) < degree(f):
+            return (_equal_degree_gfp(field, g, d, rng)
+                    + _equal_degree_gfp(field, divmod_poly(field, f, g)[0], d, rng))
+
+
+def _factor_gfp(field, f):
+    rng = Random(0)
+    out = []
+    for sf, e in _squarefree_gfp(field, f):
+        for g, d in _distinct_degree_gfp(field, sf):
+            out.extend((fac, e) for fac in _equal_degree_gfp(field, g, d, rng))
+    return out
+
+
+def _factor_rational_quadratic(f):
+    """Monic f over Q of degree 1 or 2, by the discriminant."""
+    if degree(f) == 1:
+        return [(f, 1)]
+    c, b, _ = f
+    disc = b * b - 4 * c
+    if disc == 0:
+        return [([b / 2, Fraction(1)], 2)]
+    num, den = disc.numerator, disc.denominator
+    if num < 0 or math.isqrt(num) ** 2 != num or math.isqrt(den) ** 2 != den:
+        return [(f, 1)]
+    root = Fraction(math.isqrt(num), math.isqrt(den))
+    return [([(b - root) / 2, Fraction(1)], 1), ([(b + root) / 2, Fraction(1)], 1)]
+
+
+# A cubic's rational roots are searched for while the integer multiple's
+# constant and leading coefficients are at most this (trial division up to
+# 10^4); larger cubics go to sympy.
+ROOT_SEARCH_MAX = 10**8
+
+
+def _divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _factor_rational_cubic(f):
+    """Monic cubic f over Q: irreducible unless it has a rational root r,
+    and then (x - r) times a quadratic.  By the rational root theorem, r is
+    +-d/e with d dividing the constant and e the leading coefficient of
+    f's integer multiple.  None when those are above ROOT_SEARCH_MAX."""
+    lead = math.lcm(*(c.denominator for c in f))
+    const = (f[0] * lead).numerator
+    if max(abs(const), lead) > ROOT_SEARCH_MAX:
+        return None
+    if const:
+        candidates = (Fraction(sign * d, e) for e in _divisors(lead)
+                      for d in _divisors(abs(const)) for sign in (1, -1))
+    else:
+        candidates = [Fraction(0)]
+    root = next((r for r in candidates if eval_scalar(QQ, f, r) == 0), None)
+    if root is None:
+        return [(f, 1)]
+    linear = [-root, Fraction(1)]
+    out = _factor_rational_quadratic(divmod_poly(QQ, f, linear)[0])
+    for i, (fac, e) in enumerate(out):
+        if fac == linear:
+            out[i] = (fac, e + 1)
+            return out
+    return out + [(linear, 1)]
+
+
+def _factor_sympy(f):
+    """Factorization over Q through sympy (imported only here)."""
+    import sympy
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(f))
+    _, factors = sympy.factor_list(expr, x)
+    out = []
+    for fac, mult in factors:
+        poly = sympy.Poly(fac, x)
+        cs = [Fraction(int(r.p), int(r.q))
+              for r in map(sympy.Rational, reversed(poly.all_coeffs()))]
+        cs = monic(QQ, normalize(QQ, cs))
+        if degree(cs) >= 1:
+            out.append((cs, int(mult)))
+    return out
 
 
 def factor_poly(field: Field, coeffs) -> list[tuple[list, int]]:
     """Monic irreducible factors with multiplicities; the coefficients
-    may be ints, Fractions or decimal strings."""
-    import warnings
+    may be ints, Fractions or decimal strings.
+
+    Three paths, all exact:
+    - GF(p): square-free decomposition, distinct-degree factorization
+      and Cantor-Zassenhaus equal-degree splitting (seeded, so the run
+      repeats);
+    - Q of degree <= 3: the discriminant decides a quadratic, and a
+      cubic splits off a linear factor by the rational root theorem;
+    - Q of degree >= 4, or a cubic too large to search: sympy.
+    Monic factorization is unique, so each path gives what sympy gives,
+    sorted by (degree, [str(c) ...]) as before.
+    """
     coeffs = normalize(field, [field.element(c) for c in coeffs])
     if degree(coeffs) < 1:
         return []
-    expr = _to_sympy(field, coeffs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # sympy modular-integer ordering notice
-        if field.is_prime_field:
-            _, factors = sympy.factor_list(expr, _X, modulus=field.p)
-        else:
-            _, factors = sympy.factor_list(expr, _X)
-    out = []
-    for fac, mult in factors:
-        poly = sympy.Poly(fac, _X)
-        cs = [_from_sympy_scalar(field, c) for c in reversed(poly.all_coeffs())]
-        cs = monic(field, normalize(field, cs))
-        if degree(cs) >= 1:
-            out.append((cs, int(mult)))
+    f = monic(field, coeffs)
+    if field.is_prime_field:
+        out = _factor_gfp(field, f)
+    elif degree(f) <= 2:
+        out = _factor_rational_quadratic(f)
+    else:
+        out = _factor_rational_cubic(f) if degree(f) == 3 else None
+        if out is None:
+            out = _factor_sympy(f)
     out.sort(key=lambda fm: (degree(fm[0]), [str(c) for c in fm[0]]))
     return out
 

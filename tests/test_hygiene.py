@@ -1,7 +1,10 @@
 """Source hygiene: every name a `quivercert` module imports is read somewhere
-in that module (or re-exported through `__all__`)."""
+in that module (or re-exported through `__all__`), and sympy is loaded only
+by the one path that needs it."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,28 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("from os import path, sep\nimport sys\n__all__ = ['sep']\n")
     assert _unused_imports(tree) == ["path (line 1)", "sys (line 2)"]
+
+
+SYMPY_GUARD = """
+import sys
+from quivercert import GF, QQ, presets, upoly
+from quivercert.decompose import decompose
+from quivercert.module import regular_module
+
+calls = []
+factor_poly = upoly.factor_poly
+upoly.factor_poly = lambda *args: calls.append(args) or factor_poly(*args)
+reg, _, _ = regular_module(presets.a3_rad_square(GF(3)))
+assert decompose(reg, seed=0).summand_count() == 3
+assert calls, "decompose did not factor a polynomial"
+assert upoly.factor_poly(QQ, [-2, 1, 1]) == [([-1, 1], 1), ([2, 1], 1)]
+assert upoly.factor_poly(QQ, [-2, 1, -2, 1]) == [([-2, 1], 1), ([1, 0, 1], 1)]
+assert "sympy" not in sys.modules
+assert upoly.factor_poly(QQ, [1, 0, -3, 0, 1]) == [([-1, -1, 1], 1), ([-1, 1, 1], 1)]
+"""
+
+
+def test_sympy_is_imported_only_for_rational_degree_four_and_up():
+    run = subprocess.run([sys.executable, "-c", SYMPY_GUARD], capture_output=True,
+                         text=True, env={"PYTHONPATH": str(SRC.parent)})
+    assert run.returncode == 0, run.stderr

@@ -234,3 +234,15 @@ def test_e1_auslander_generator_gldim_at_most_three_over_gf3(name):
     generator = auslander_generator(alg, inv, assume_complete=True)
     value, _, _ = global_dimension(CatAlgebra(generator))
     assert value is not None and value <= 3
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
+@pytest.mark.parametrize("name", ["ex84_left", "ex84_middle", "ex84_right"])
+def test_e1_auslander_generator_gldim_at_most_three_on_ex84(name, field):
+    from quivercert.endcat import CatAlgebra, auslander_generator, global_dimension
+    alg = getattr(presets, name)(field)
+    inv = enumerate_torsionless(alg)
+    assert gamma_bijection_check(alg, inv, assume_complete=True)["pass"]
+    generator = auslander_generator(alg, inv, assume_complete=True)
+    value, _, _ = global_dimension(CatAlgebra(generator))
+    assert value is not None and value <= 3

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from quivercert import GF, QQ, Matrix
 from quivercert import upoly
 
@@ -182,3 +184,135 @@ def test_factor_entry_points_coerce_raw_coefficients():
     assert not upoly.is_irreducible(f5, [1, 0, 5])
     assert upoly.is_irreducible(QQ, ["1", 0, 1])
 
+
+
+def sympy_factor_list(field, coeffs):
+    """`factor_poly`'s output computed by sympy (the reference)."""
+    import warnings
+    from fractions import Fraction
+
+    import sympy
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sympy modular-integer ordering notice
+        if field.is_prime_field:
+            _, factors = sympy.factor_list(expr, x, modulus=field.p)
+        else:
+            _, factors = sympy.factor_list(expr, x)
+    out = []
+    for fac, mult in factors:
+        cs = [field.element(Fraction(int(r.p), int(r.q)))
+              for r in map(sympy.Rational, reversed(sympy.Poly(fac, x).all_coeffs()))]
+        cs = upoly.monic(field, upoly.normalize(field, cs))
+        if upoly.degree(cs) >= 1:
+            out.append((cs, int(mult)))
+    out.sort(key=lambda fm: (upoly.degree(fm[0]), [str(c) for c in fm[0]]))
+    return out
+
+
+def random_gfp_inputs(p, rng, count):
+    """Random polynomials of degree 1..12 over GF(p): dense ones, products
+    with repeated factors, and (for small p) g(x^p)."""
+    f = GF(p)
+    out = []
+    while len(out) < count:
+        kind = rng.randrange(3 if p <= 5 else 2)
+        if kind == 0:
+            poly = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [rng.randrange(1, p)]
+        elif kind == 1:
+            poly = [1]
+            for _ in range(rng.randint(1, 4)):
+                g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+                poly = upoly.mul(f, poly, upoly.power(f, g, rng.randint(1, 3)))
+        else:
+            g = [rng.randrange(p) for _ in range(12 // p)] + [1]
+            poly = [0] * (p * (len(g) - 1) + 1)
+            poly[::p] = g
+        poly = upoly.normalize(f, poly)
+        if 1 <= upoly.degree(poly) <= 12:
+            out.append(poly)
+    return out
+
+
+def monic_polys(field, d):
+    """Every monic polynomial of degree d over a small GF(p)."""
+    p = field.p
+    for n in range(p ** d):
+        digits = []
+        for _ in range(d):
+            n, r = divmod(n, p)
+            digits.append(r)
+        yield digits + [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 2**31 - 1])
+def test_factor_poly_gfp_matches_sympy_and_multiplies_back(p):
+    field = GF(p)
+    rng = random.Random(p)
+    for poly in random_gfp_inputs(p, rng, 45):
+        facs = upoly.factor_poly(field, poly)
+        assert facs == sympy_factor_list(field, poly)
+        back = [field.one()]
+        for fac, mult in facs:
+            assert fac[-1] == field.one() and mult >= 1
+            back = upoly.mul(field, back, upoly.power(field, fac, mult))
+        assert back == upoly.monic(field, poly)
+        if p <= 5 and upoly.degree(poly) <= 8:
+            # irreducible: no monic divisor of degree <= deg / 2
+            for fac, _ in facs:
+                for d in range(1, upoly.degree(fac) // 2 + 1):
+                    for g in monic_polys(field, d):
+                        assert upoly.divmod_poly(field, fac, g)[1], (fac, g)
+
+
+def test_factor_poly_gfp_pth_power_inputs():
+    # (x + 1)^9 (x^2 + 1)^3 over GF(3): f' = 0, and a p-th power inside Yun's loop
+    f3 = GF(3)
+    poly = upoly.mul(f3, upoly.power(f3, [1, 1], 9), upoly.power(f3, [1, 0, 1], 3))
+    assert upoly.factor_poly(f3, poly) == [([1, 1], 9), ([1, 0, 1], 3)]
+    # (x + 1)^2 (x^2 + x + 1)^4 over GF(2)
+    f2 = GF(2)
+    poly = upoly.mul(f2, upoly.power(f2, [1, 1], 2), upoly.power(f2, [1, 1, 1], 4))
+    assert upoly.factor_poly(f2, poly) == [([1, 1], 2), ([1, 1, 1], 4)]
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    # degree 1, not monic
+    (["3", "2"], [(["3/2", "1"], 1)]),
+    # (x - 3/2)^2, a double root
+    (["9/4", "-3", "1"], [(["-3/2", "1"], 2)]),
+    # 6x^2 - x - 1 = 6 (x - 1/2)(x + 1/3): rational roots with denominators
+    (["-1", "-1", "6"], [(["-1/2", "1"], 1), (["1/3", "1"], 1)]),
+    # x^2 + x + 1: discriminant < 0
+    (["1", "1", "1"], [(["1", "1", "1"], 1)]),
+    # 2x^2 - 4: discriminant 8 > 0, not a square
+    (["-4", "0", "2"], [(["-2", "0", "1"], 1)]),
+    # x^2 - 4/9: square discriminant with a square denominator
+    (["-4/9", "0", "1"], [(["-2/3", "1"], 1), (["2/3", "1"], 1)]),
+    # cubics: (x - 2)(x^2 + 1); (x - 1/2)^2 (x + 3), given times 4; x^3 - 2
+    (["-2", "1", "-2", "1"], [(["-2", "1"], 1), (["1", "0", "1"], 1)]),
+    (["3", "-11", "8", "4"], [(["-1/2", "1"], 2), (["3", "1"], 1)]),
+    (["-2", "0", "0", "1"], [(["-2", "0", "0", "1"], 1)]),
+    # (x - 1/3)^3: a triple root through the cubic's quadratic
+    (["-1/27", "1/3", "-1", "1"], [(["-1/3", "1"], 3)]),
+    # a cubic too large for the root search, and a quartic: the sympy branch
+    (["-1000000007", "0", "0", "1"], [(["-1000000007", "0", "0", "1"], 1)]),
+    (["1", "-2", "-1", "-2", "1"], [(["1", "-3", "1"], 1), (["1", "1", "1"], 1)]),
+])
+def test_factor_poly_rational_cases(coeffs, expected):
+    facs = upoly.factor_poly(QQ, coeffs)
+    assert facs == [([QQ.element(c) for c in fac], m) for fac, m in expected]
+    assert facs == sympy_factor_list(QQ, [QQ.element(c) for c in coeffs])
+
+
+def test_factor_poly_rational_quadratics_and_cubics_match_sympy():
+    rng = random.Random(7)
+    for _ in range(100):
+        a, b, c, d = (QQ.element(rng.randint(-28, 28)) for _ in range(4))
+        r, s, t = (QQ.element(f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}") for _ in range(3))
+        for poly in ([c, b, a or QQ.one()], [d, c, b, a or QQ.one()],
+                     [r * s, -(r + s), QQ.one()],
+                     upoly.mul(QQ, [-t, QQ.one()], [c, b, QQ.one()]),
+                     upoly.mul(QQ, [-t, QQ.one()], [r * s, -(r + s), QQ.one()])):
+            assert upoly.factor_poly(QQ, poly) == sympy_factor_list(QQ, poly)
