@@ -285,8 +285,12 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
 
     layers: object indices per layer, exhausting 0..len(cat)-1;
     alpha: object index -> (Module, inclusion ModuleMap into the object).
-    Every radical map N' -> N with N' in a layer <= layer(N) must factor
-    through alpha(N); passing certifies gldim Gamma <= len(layers).
+    Every summand of alpha(N) must be isomorphic to an object in a
+    strictly lower layer (`alpha_in_lower_layers`, with the summand's
+    dims as witness), and every radical map N' -> N with N' in a layer
+    <= layer(N) must factor through alpha(N); passing both certifies
+    gldim Gamma <= len(layers).  This is the only check of alpha's
+    summands: `tiered.build_layering` sets alpha N = rad N unchecked.
     """
     n = len(cat)
     layer_of = {}

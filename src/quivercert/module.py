@@ -503,39 +503,16 @@ def top(m: Module):
     return quotient(m, incl)
 
 
-def socle_series_step(m: Module, incl: ModuleMap):
-    """Preimage in m of soc(m / im(incl)), as a submodule of m."""
-    quot, proj = quotient(m, incl)
-    _, socle_incl = socle(quot)
-    quot2, proj2 = quotient(quot, socle_incl)
-    composite = proj.then(proj2)
-    return kernel_of_map(composite)
+def socle_series(m: Module):
+    """[(soc^t m, inclusion into m) for t = 1 .. LL(m)], each term the
+    preimage in m of the socle of m / soc^(t-1) m.
 
-
-def socle_series(m: Module, t: int):
-    """The t-th socle with its inclusion into m (t = 0 gives zero)."""
-    algebra = m.algebra
-    if t <= 0:
-        z = zero_module(algebra)
-        return z, zero_map(z, m)
-    current, incl = socle(m)
-    for _ in range(t - 1):
-        if current.total_dim() == m.total_dim():
-            break
-        current, incl = socle_series_step(m, incl)
-    return current, incl
-
-
-def socle_layers(m: Module) -> list[tuple[int, ...]]:
-    """Dimension vectors of the socle filtration steps (for solidity checks)."""
-    layers = []
-    prev = 0
-    t = 1
-    while True:
-        s, _ = socle_series(m, t)
-        layers.append(s.dim_vector())
-        if s.total_dim() == m.total_dim() or s.total_dim() == prev:
-            break
-        prev = s.total_dim()
-        t += 1
-    return layers
+    The series grows at every step until it reaches m, so its length is
+    the Loewy length of a nonzero m."""
+    series = [socle(m)]
+    while series[-1][0].total_dim() < m.total_dim():
+        quot, proj = quotient(m, series[-1][1])
+        _, socle_incl = socle(quot)
+        _, proj2 = quotient(quot, socle_incl)
+        series.append(kernel_of_map(proj.then(proj2)))
+    return series

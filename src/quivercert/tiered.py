@@ -4,6 +4,11 @@ embedding conditions, the tier layering, and coefficient quivers.
 The layering follows the display: layer i collects the truncations
 with projective index n+2-i and injective index i, on top of the lower
 layers; a module meeting both families is placed at the earliest layer.
+
+`truncations` computes the socle series of each projective and
+injective once and takes its terms.  The layering sets alpha N = rad N and
+checks nothing about it: `endcat.layering_check` is the one place that
+decides whether alpha's summands lie in the lower layers.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .algebra import BasicAlgebra
-from .decompose import Undecided, decompose, is_indecomposable, is_isomorphic
+from .decompose import Undecided, is_indecomposable, is_isomorphic
 from .matrix import Matrix
 from .module import (
     Module, hom_basis, hom_dim, injective, map_from_coordinates, projective,
@@ -91,26 +96,15 @@ def truncations(algebra: BasicAlgebra) -> list[Truncation]:
         indecomposable.append(None)
 
     for x in algebra.quiver.vertices:
-        p = projective(algebra, x)
-        ll = len([d for d in _loewy_dims(p)])
-        if ll >= 2:
-            for t in range(2, ll + 1):
-                tp, _ = socle_series(p, t)
-                absorb(tp, (x, t, ll - t), None)
+        series = socle_series(projective(algebra, x))
+        for t, (tp, _) in enumerate(series[1:], 2):
+            absorb(tp, (x, t, len(series) - t), None)
     for x in algebra.quiver.vertices:
-        q = injective(algebra, x)
-        ll = len(_loewy_dims(q))
-        for t in range(1, ll + 1):
-            tq, _ = socle_series(q, t)
+        for t, (tq, _) in enumerate(socle_series(injective(algebra, x)), 1):
             absorb(tq, None, (x, t))
     entries.sort(key=lambda e: (e.module.total_dim(), e.module.dim_vector(),
                                 e.module.content_hash()))
     return entries
-
-
-def _loewy_dims(m: Module) -> list[int]:
-    from .module import socle_layers
-    return socle_layers(m)
 
 
 def p1_check(algebra: BasicAlgebra):
@@ -119,10 +113,10 @@ def p1_check(algebra: BasicAlgebra):
     require_nicely_tiered(algebra)
     witnesses = []
     for x in algebra.quiver.vertices:
-        p = projective(algebra, x)
-        if len(_loewy_dims(p)) < 3:
+        series = socle_series(projective(algebra, x))
+        if len(series) < 3:
             continue
-        tp, _ = socle_series(p, 2)
+        tp, _ = series[1]
         end_dim = hom_dim(tp, tp)
         if end_dim != 1:
             witnesses.append({"vertex": x, "end_dim": end_dim,
@@ -165,9 +159,9 @@ def p2_check(algebra: BasicAlgebra, seed: int = 0):
     tall = []
     for x in algebra.quiver.vertices:
         p = projective(algebra, x)
-        if len(_loewy_dims(p)) >= 3:
-            tp, _ = socle_series(p, 2)
-            tall.append((x, p, tp))
+        series = socle_series(p)
+        if len(series) >= 3:
+            tall.append((x, p, series[1][0]))
     witnesses = []
     for x, p, tp in tall:
         for y, q, tq in tall:
@@ -182,10 +176,6 @@ def p2_check(algebra: BasicAlgebra, seed: int = 0):
 
 # -- the layering -------------------------------------------------------------------
 
-class LayeringViolation(ValueError):
-    pass
-
-
 @dataclass
 class Layering:
     objects: list  # Modules, the deduplicated truncations
@@ -197,8 +187,11 @@ class Layering:
 
 
 def build_layering(algebra: BasicAlgebra, trunc: list[Truncation] | None = None) -> Layering:
-    """Layers M_1 .. M_{n+2} with alpha N = rad N, verified to fall into
-    the strictly lower layers."""
+    """Layers M_1 .. M_{n+2} with alpha N = rad N.
+
+    Whether the summands of each alpha N lie in the strictly lower layers
+    is checked once, by `endcat.layering_check`, which reports it in its
+    certificate."""
     tiers = require_nicely_tiered(algebra)
     n = max(tiers.values()) if tiers else 0
     trunc = trunc if trunc is not None else truncations(algebra)
@@ -214,25 +207,7 @@ def build_layering(algebra: BasicAlgebra, trunc: list[Truncation] | None = None)
     layers = [[] for _ in range(n + 2)]
     for idx, level in layer_of.items():
         layers[level - 1].append(idx)
-    alpha = {}
-    for idx, obj in enumerate(objects):
-        rad, incl = radical(obj)
-        alpha[idx] = (rad, incl)
-        if rad.is_zero():
-            continue
-        dec = decompose(rad, 0)
-        for part in dec.parts:
-            hit = False
-            for jdx, other in enumerate(objects):
-                if layer_of[jdx] < layer_of[idx]:
-                    ok, _ = is_isomorphic(other, part, assume_indecomposable=True)
-                    if ok:
-                        hit = True
-                        break
-            if not hit:
-                raise LayeringViolation(
-                    f"rad of object {idx} has summand {part.dim_vector()} "
-                    "outside the lower layers")
+    alpha = {idx: radical(obj) for idx, obj in enumerate(objects)}
     return Layering(objects, layers, alpha)
 
 

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from quivercert import GF, QQ, Matrix
@@ -7,8 +9,8 @@ from quivercert.decompose import (
     EndAlgebra, decompose, is_indecomposable, is_isomorphic,
 )
 from quivercert.module import (
-    Module, direct_sum, injective, projective, regular_module, simple,
-    socle_series,
+    Module, direct_sum, hom_basis, injective, projective, regular_module,
+    simple, socle_series, zero_map,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -111,7 +113,7 @@ def test_decompose_power_multiplicity():
 def test_second_socle_of_ex84_left_source_decomposes():
     alg = presets.ex84_left(GF(2))
     p = projective(alg, "c")
-    s2, _ = socle_series(p, 2)
+    s2, _ = socle_series(p)[1]
     dec = decompose(s2, seed=0)
     assert dec.summand_count() >= 2
 
@@ -284,3 +286,79 @@ def test_a_fresh_algebra_starts_with_an_empty_radical_cache():
     assert used._end_radicals
     fresh = presets.local_xy(GF(3))
     assert getattr(fresh, "_end_radicals", {}) == {}
+
+
+def test_indecomposable_isomorphism_answers_no_from_one_hom_basis(monkeypatch):
+    # P(*) and I(*) of local_xy share a dimension vector, and End(P(*)) is
+    # local: a basis of Hom(P, I) holding no isomorphism settles the answer
+    alg = presets.local_xy(GF(3))
+    p, i = projective(alg, "*"), injective(alg, "*")
+    assert p.dim_vector() == i.dim_vector() and is_indecomposable(p)
+    calls = []
+
+    def counting(source, target):
+        calls.append((source, target))
+        return hom_basis(source, target)
+
+    monkeypatch.setattr(decompose_module, "hom_basis", counting)
+    assert is_isomorphic(p, i, assume_indecomposable=True) == (False, None)
+    assert len(calls) == 1
+
+
+def _companion_kronecker_module(field):
+    # N = (k^2, k^2; a = I, b = companion matrix of an irreducible quadratic
+    # x^2 + c1 x + c0): End(N) is the quadratic extension field
+    c0, c1 = (1, 1) if field.is_prime_field and field.p == 2 else (-2, 0)
+    alg = presets.kronecker(field)
+    b = Matrix.from_rows(field, [[field.zero(), field.neg(field.from_int(c0))],
+                                 [field.one(), field.neg(field.from_int(c1))]])
+    return Module(alg, {"1": 2, "2": 2}, {"a": Matrix.identity(field, 2), "b": b})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(2)], ids=str)
+def test_split_once_falls_back_to_a_lifted_idempotent(field, monkeypatch):
+    # with every random endomorphism zero, no Fitting trial splits N + N,
+    # and the split must come from an idempotent of End/rad = M_2(End N)
+    n = _companion_kronecker_module(field)
+    m = direct_sum([n, n])[0]
+    lifted = []
+    real_lift = decompose_module._lift_idempotent
+
+    def counting_lift(*args):
+        lifted.append(args)
+        return real_lift(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decompose_module, "random_combination",
+                      lambda maps, rng, bound: zero_map(maps[0].source, maps[0].target))
+        patch.setattr(decompose_module, "_lift_idempotent", counting_lift)
+        pieces = decompose_module.split_once(m, Random(0))
+    assert len(lifted) == 1
+    assert len(pieces) == 2
+    for piece, incl in pieces:
+        assert incl.is_injective()
+        assert is_isomorphic(n, piece, assume_indecomposable=True)[0]
+
+
+def test_isomorphism_of_decomposables_by_matching_summands(monkeypatch):
+    # the same summands in two orders; when no random combination of
+    # Hom(m, n) is invertible, the answer comes from matching decompositions
+    alg = presets.a2(GF(2))
+    s1, s2, p1 = simple(alg, "1"), simple(alg, "2"), projective(alg, "1")
+    m = direct_sum([s1, s1, s1, s2, s2, s2, p1])[0]
+    n = direct_sum([p1, s2, s2, s2, s1, s1, s1])[0]
+    matched = []
+    real_match = decompose_module._match_decompositions
+
+    def counting_match(*args):
+        matched.append(args)
+        return real_match(*args)
+
+    monkeypatch.setattr(decompose_module, "_match_decompositions", counting_match)
+    for seed in range(10):
+        ok, witness = is_isomorphic(m, n, seed)
+        assert ok
+        assert witness.source is m and witness.target is n
+        assert witness.intertwines() and witness.is_isomorphism()
+    assert matched
+    assert is_isomorphic(direct_sum([s1, s2])[0], p1) == (False, None)

@@ -1,15 +1,18 @@
+import sys
+
 import pytest
 
 from quivercert import GF, QQ
 from quivercert import presets
-from quivercert.decompose import is_isomorphic
+from quivercert.algebra import tensor
+from quivercert.decompose import decompose, is_isomorphic
 from quivercert.endcat import CatAlgebra, global_dimension, layering_check
 from quivercert.decompose import is_indecomposable
 from quivercert.module import (
-    injective, projective, radical, simple, socle_layers, socle_series,
+    injective, projective, radical, simple, socle, socle_series,
 )
 from quivercert.tiered import (
-    LayeringViolation, NotNicelyTiered, NotTensorOfBipartite, Truncation,
+    NotNicelyTiered, NotTensorOfBipartite, Truncation,
     build_layering, coefficient_quiver, find_embedding, p1_check, p2_check,
     truncations,
 )
@@ -31,7 +34,7 @@ def test_truncations_kk_contains_second_socle():
     dims = [e.module.dim_vector() for e in trunc]
     src = [v for v in alg.quiver.vertices if not alg.quiver.arrows_to(v)][0]
     p = projective(alg, src)
-    s2, _ = socle_series(p, 2)
+    s2, _ = socle_series(p)[1]
     assert s2.dim_vector() in dims
     # Q_1 is exactly the simples
     q1 = [e for e in trunc if any(t == 1 for _, t in e.q_indices)]
@@ -203,6 +206,59 @@ def test_truncations_are_pairwise_non_isomorphic(maker, count, decomposable):
     # every tP (t >= 2) and tQ (t >= 1) is isomorphic to exactly one entry
     for x in alg.quiver.vertices:
         for m, first in ((projective(alg, x), 2), (injective(alg, x), 1)):
-            for t in range(first, len(socle_layers(m)) + 1):
-                tm, _ = socle_series(m, t)
+            for tm, _ in socle_series(m)[first - 1:]:
                 assert sum(is_isomorphic(e.module, tm)[0] for e in trunc) == 1
+
+
+def _count_calls(monkeypatch, func):
+    """Wrap `func` under every quivercert name bound to it; return the
+    list that records one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, owner in list(sys.modules.items()):
+        if name.startswith("quivercert") and getattr(owner, func.__name__, None) is func:
+            monkeypatch.setattr(owner, func.__name__, counting)
+    return calls
+
+
+@pytest.mark.parametrize("factors, expected", [(2, 16), (3, 40)], ids=["KxK", "KxKxK"])
+def test_truncations_build_each_socle_series_once(factors, expected, monkeypatch):
+    # one socle per term of each projective's and injective's socle series
+    alg = presets.kronecker_squared(GF(2))
+    if factors == 3:
+        alg = tensor(alg, presets.kronecker(GF(2)))
+    lengths = sum(len(socle_series(make(alg, x)))
+                  for x in alg.quiver.vertices for make in (projective, injective))
+    assert lengths == expected
+    calls = _count_calls(monkeypatch, socle)
+    truncations(alg)
+    assert len(calls) == expected
+
+
+def test_build_layering_decomposes_nothing(monkeypatch):
+    calls = _count_calls(monkeypatch, decompose)
+    layering = build_layering(presets.kronecker_squared(GF(2)))
+    assert layering.layer_count() == 4
+    assert calls == []
+
+
+def test_layering_check_reports_alpha_outside_lower_layers():
+    # move a non-simple object of K(x)K into layer 1: its radical is
+    # nonzero and no layer lies below, so only the alpha check can fail it
+    layering = build_layering(presets.kronecker_squared(GF(2)))
+    moved = max(layering.layers[2], key=lambda i: layering.objects[i].total_dim())
+    layers = [[i for i in members if i != moved] for members in layering.layers]
+    layers[0].append(moved)
+    cat = CatAlgebra(layering.objects, verify=False)
+    cert = layering_check(cat, layers, layering.alpha)
+    assert not cert["pass"] and cert["bound"] is None
+    entry = next(e for e in cert["objects"] if e["object"] == moved)
+    assert entry["layer"] == 0
+    assert entry["alpha_in_lower_layers"] is False
+    summands = {part.dim_vector() for part in decompose(layering.alpha[moved][0]).parts}
+    assert entry["witness"] in {f"alpha summand {d} not in lower layers" for d in summands}
+    assert all(e["alpha_in_lower_layers"] for e in cert["objects"] if e["object"] != moved)
