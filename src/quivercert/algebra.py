@@ -101,13 +101,21 @@ class Relation:
 
 
 class BasicAlgebra:
-    """A quiver with relations, its path basis and multiplication table."""
+    """A quiver with relations, its path basis and multiplication table.
+
+    `relation_terms` holds, per relation in `relations`, its terms as
+    (field element, path) pairs: the coefficient strings parsed once
+    here, so that checking a relation on a module parses nothing.
+    """
 
     def __init__(self, quiver, field, relations, basis_paths, reduce_map, loewy_length,
                  max_len, flags=(), tensor_of=None, arrow_factor=None):
         self.quiver = quiver
         self.field = field
         self.relations = tuple(relations)
+        self.relation_terms = tuple(
+            tuple((field.element(c), path) for c, path in r.terms)
+            for r in self.relations)
         self.basis_paths = tuple(basis_paths)
         self.reduce_map = reduce_map  # path key -> tuple[(basis index, coeff)]
         self.loewy_length = loewy_length

@@ -17,20 +17,12 @@ from .decompose import EndAlgebra, decompose, is_isomorphic
 from .matrix import Matrix
 from .module import (
     Module, ModuleMap, direct_sum, dual, hom_basis, in_span,
-    kernel_of_map, map_from_coordinates, map_vector, projective, submodule,
+    kernel_of_map, map_from_coordinates, map_vector, projectives, submodule,
     zero_map, zero_module,
 )
 from .functors import NotProjective, is_projective_module
 
 DEFAULT_M_DIM_BOUND = 6
-
-
-def projectives(algebra: BasicAlgebra) -> list[Module]:
-    cache = getattr(algebra, "_projective_modules", None)
-    if cache is None:
-        cache = [projective(algebra, x) for x in algebra.quiver.vertices]
-        algebra._projective_modules = cache
-    return cache
 
 
 def injectives(algebra: BasicAlgebra) -> list[Module]:

@@ -16,7 +16,7 @@ from .algebra import BasicAlgebra
 from .matrix import Matrix, complement_basis
 from .module import (
     Module, ModuleMap, direct_sum, dual, dual_map, image_of_map, injective,
-    kernel_of_map, projective, quotient, radical, zero_map, zero_module,
+    kernel_of_map, projectives, quotient, radical, zero_map, zero_module,
 )
 from .decompose import decompose
 
@@ -41,9 +41,9 @@ def projective_cover(m: Module) -> ModuleMap:
             for v in algebra.quiver.vertices}
     summands = []
     generators = []  # (vertex, column vector in m's fiber)
-    for x in algebra.quiver.vertices:
+    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
         for c in range(reps[x].cols):
-            summands.append(projective(algebra, x))
+            summands.append(p)
             generators.append((x, reps[x].submatrix(range(m.dims[x]), [c])))
     if not summands:
         raise NotProjective("nonzero module equal to its radical")
@@ -158,8 +158,9 @@ def hom_lambda_transform(f: ModuleMap) -> ModuleMap:
     if src_info is None or tgt_info is None:
         raise NotProjective("Hom(-,algebra) transform needs structured projectives")
     src_pos = _generator_positions(f.source)
-    h_source_parts = [projective(op, x) for x in tgt_info.vertices]
-    h_target_parts = [projective(op, x) for x in src_info.vertices]
+    p_op = dict(zip(op.quiver.vertices, projectives(op)))
+    h_source_parts = [p_op[x] for x in tgt_info.vertices]
+    h_target_parts = [p_op[x] for x in src_info.vertices]
     h_source = direct_sum(h_source_parts)[0] if h_source_parts else zero_module(op)
     h_target = direct_sum(h_target_parts)[0] if h_target_parts else zero_module(op)
     comps = {v: Matrix.zero(field, h_target.dims[v], h_source.dims[v])

@@ -139,11 +139,11 @@ class Lattice:
         return mat
 
     def relation_defect(self):
-        for rel in self.algebra.relations:
+        algebra = self.algebra
+        for rel, terms in zip(algebra.relations, algebra.relation_terms):
             total = None
-            for coeff, path in rel.terms:
+            for c, path in terms:
                 term = self.path_matrix(path)
-                c = self.field.element(coeff)
                 term = [[poly_scale(self.field, e, c) for e in row] for row in term]
                 if total is None:
                     total = term
@@ -500,12 +500,13 @@ def kunneth_witness(product_algebra: BasicAlgebra, lat_a: Lattice, lat_b: Lattic
     """Degree-2 non-vanishing over the tensor algebra at pairs of points."""
     field = product_algebra.field
     points = points if points is not None else rational_points(field, 2)
+    # one tensored sequence per coordinate value of each factor
+    seqs_a = {a: tensor_sequence(lat_a, a) for a in {pt[0] for pt in points}}
+    seqs_b = {b: tensor_sequence(lat_b, b) for b in {pt[1] for pt in points}}
     table = []
     passed = 0
     for pt in points:
-        cls_a = tensor_sequence(lat_a, pt[0])
-        cls_b = tensor_sequence(lat_b, pt[1])
-        prod = external_product(product_algebra, cls_a, cls_b)
+        prod = external_product(product_algebra, seqs_a[pt[0]], seqs_b[pt[1]])
         nz = ext_nonzero(prod)
         table.append({"point": [field.format(c) for c in pt], "nonzero": nz})
         passed += 1 if nz else 0

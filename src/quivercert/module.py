@@ -83,10 +83,11 @@ class Module:
         return m
 
     def relation_defect(self):
-        for rel in self.algebra.relations:
+        algebra = self.algebra
+        for rel, terms in zip(algebra.relations, algebra.relation_terms):
             total = None
-            for coeff, path in rel.terms:
-                term = self.path_action(path).scale(self.field.element(coeff))
+            for c, path in terms:
+                term = self.path_action(path).scale(c)
                 total = term if total is None else total + term
             if total is not None and not total.is_zero():
                 return rel.describe()
@@ -215,6 +216,17 @@ def projective(algebra: BasicAlgebra, x: str) -> Module:
     return Module(algebra, dims, action, check=True, proj_info=info)
 
 
+def projectives(algebra: BasicAlgebra) -> list[Module]:
+    """[P(x) for x in the vertices], built once per algebra and cached on
+    it as `_projective_modules`; callers share these objects and must not
+    mutate them.  `projective` still builds a fresh module on each call."""
+    cache = getattr(algebra, "_projective_modules", None)
+    if cache is None:
+        cache = [projective(algebra, x) for x in algebra.quiver.vertices]
+        algebra._projective_modules = cache
+    return cache
+
+
 def injective(algebra: BasicAlgebra, x: str) -> Module:
     """Q(x) = dual of the opposite-algebra projective at x."""
     return dual(projective(algebra.opposite(), x))
@@ -222,7 +234,7 @@ def injective(algebra: BasicAlgebra, x: str) -> Module:
 
 def regular_module(algebra: BasicAlgebra):
     """(+) P(x) over all vertices, with the summand inclusions."""
-    return direct_sum([projective(algebra, x) for x in algebra.quiver.vertices])
+    return direct_sum(projectives(algebra))
 
 
 def dual(m: Module) -> Module:

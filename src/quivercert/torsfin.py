@@ -18,15 +18,14 @@ from random import Random
 
 from .algebra import BasicAlgebra, Relation, build_algebra
 from .approx import (
-    AddCategory, injectives, is_divisible, is_torsionless, projectives,
-    right_add_approximation,
+    AddCategory, injectives, is_divisible, is_torsionless, right_add_approximation,
 )
 from .decompose import decompose, is_isomorphic
 from .functors import gamma, is_injective_module, is_projective_module
 from .matrix import Matrix
 from .module import (
-    Module, direct_sum, dual, projective, radical, simple, socle, spanned_submodule,
-    top,
+    Module, direct_sum, dual, projectives, radical, simple, socle,
+    spanned_submodule, top,
 )
 from .quiver import Quiver
 
@@ -133,14 +132,34 @@ class TorsionlessInventory:
 
 def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
                          rounds: int = 8, samples_per_round: int = 24) -> ClassList:
+    """Closure search for the indecomposable torsionless classes.
+
+    `absorb` decomposes a module and lists its torsionless summands.  A
+    module whose content hash it has already absorbed in this call is
+    skipped before `decompose` runs, and this cannot change the list.
+    Its summands are the first absorb's summands up to isomorphism
+    (Krull-Schmidt), whatever the seed; being torsionless is invariant
+    under isomorphism; and `classes` only grows.  So each torsionless
+    summand of the repeat is isomorphic to a listed class, and
+    `ClassList.contains` would find it: with `assume_indecomposable`,
+    `is_isomorphic` answers True only with an isomorphism witness, and
+    finds one whenever m and n are isomorphic with End(m) local.  The
+    repeat would have added nothing, and the random stream `rng` is not
+    drawn by `absorb`, so every later step sees the same state.
+    """
     rng = Random(seed)
     classes = ClassList()
     projs = projectives(algebra)
+    absorbed: set[str] = set()
 
     def absorb(module: Module, derived_seed: int) -> bool:
         added = False
         if module.is_zero():
             return False
+        key = module.content_hash()
+        if key in absorbed:
+            return False
+        absorbed.add(key)
         dec = decompose(module, derived_seed)
         for part in dec.parts:
             # a listed content hash is refused by `classes.add` anyway
@@ -293,15 +312,14 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
             failures.append({"kind": "injective_missing",
                              "dims": list(q.dim_vector())})
     rng = Random(seed)
-    verts = algebra.quiver.vertices
+    projs = projectives(algebra)
     tested = 0
     for s in range(samples):
         if s % 2 == 0:
             t = rng.randrange(1, 4)
-            parts = [projective(algebra, verts[rng.randrange(len(verts))])
-                     for _ in range(t)]
+            parts = [projs[rng.randrange(len(projs))] for _ in range(t)]
         else:
-            parts = list(projectives(algebra))  # regular module: full coverage
+            parts = projs  # regular module: full coverage
         big = direct_sum(parts)[0]
         gens = _random_generators(big, rng, 3)
         if not gens:
@@ -424,8 +442,7 @@ def projinj_reduce(algebra: BasicAlgebra) -> ReductionResult:
     if algebra.is_semisimple():
         return ReductionResult(None, algebra.quiver.vertices[0], [], True)
     hit = None
-    for x in algebra.quiver.vertices:
-        p = projective(algebra, x)
+    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
         if is_injective_module(p):
             hit = (x, p)
             break

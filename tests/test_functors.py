@@ -180,3 +180,27 @@ def test_eta_rejects_non_torsionless():
     from quivercert.functors import NotTorsionless
     with pytest.raises(NotTorsionless):
         eta(simple(alg, "3"))
+
+
+def test_kunneth_witness_builds_each_projective_once(monkeypatch):
+    # projective covers take their summands from the algebra's one list
+    # of P(x); every name a quivercert module holds `projective` under is
+    # counted
+    import sys
+    from quivercert import module as module_module
+    from quivercert.lattice import kronecker_family, kunneth_witness
+    field = GF(3)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(presets.kronecker(field))
+    original = module_module.projective
+    built = []
+
+    def counting(algebra, x):
+        built.append((algebra, x))
+        return original(algebra, x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quivercert") and getattr(mod, "projective", None) is original:
+            monkeypatch.setattr(mod, "projective", counting)
+    assert kunneth_witness(kk, lat, lat)["passed"] == field.p ** 2
+    assert [x for alg, x in built if alg is kk] == list(kk.quiver.vertices)

@@ -318,3 +318,30 @@ def test_coefficients_rebuild_the_action():
         for i, row in enumerate(prod.action[a.name]):
             for j, poly in enumerate(row):
                 assert poly == {e: c[i, j] for e, c in coeffs.items() if c[i, j] != 0}
+
+
+def test_kunneth_witness_builds_each_point_sequence_once(monkeypatch):
+    # each factor needs one tensored sequence per coordinate value: 2p in
+    # all, not two per point; the table matches the per-point route
+    from quivercert import lattice as lattice_module
+    field = GF(3)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(presets.kronecker(field))
+    original = lattice_module.tensor_sequence
+    calls = []
+
+    def counting(lat_, alpha):
+        calls.append(alpha)
+        return original(lat_, alpha)
+
+    monkeypatch.setattr(lattice_module, "tensor_sequence", counting)
+    cert = kunneth_witness(kk, lat, lat)
+    assert len(calls) == 2 * field.p
+    monkeypatch.undo()
+    expected = [
+        {"point": [field.format(c) for c in pt],
+         "nonzero": ext_nonzero(external_product(
+             kk, tensor_sequence(lat, pt[0]), tensor_sequence(lat, pt[1])))}
+        for pt in rational_points(field, 2)]
+    assert cert["table"] == expected
+    assert cert["passed"] == cert["points"] == field.p ** 2

@@ -276,3 +276,34 @@ def test_map_coordinates_outside_span_raises():
             map_coordinates(g2, [g1, g1.scale(field.element(-1))])
         assert not in_span(g1 + g2, [g1])
         assert in_span(g1 + g2, [g1, g2])
+
+
+def test_checked_projective_parses_no_relation_coefficient(monkeypatch):
+    # coefficients are parsed once, when the algebra is built
+    from quivercert.fields import Field
+    alg = presets.local_xy(QQ)
+    original = Field.parse
+    calls = []
+
+    def counting(self, text):
+        calls.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(Field, "parse", counting)
+    p = projective(alg, "*")
+    assert p.relation_defect() is None
+    assert calls == []
+
+
+def test_relation_check_reads_a_minus_one_coefficient():
+    # local_xy has x.x - y.y = 0: y -> -y keeps it, y -> 2y (2^2 = -1 in
+    # GF(5)) turns it into x.x + y.y = 2 x.x, which is nonzero on P(*)
+    from quivercert.module import Module
+    field = GF(5)
+    alg = presets.local_xy(field)
+    p = projective(alg, "*")
+    flipped = {"x": p.action["x"], "y": p.action["y"].scale(field.element(-1))}
+    assert Module(alg, p.dims, flipped).relation_defect() is None
+    twisted = {"x": p.action["x"], "y": p.action["y"].scale(field.element(2))}
+    with pytest.raises(ModuleError):
+        Module(alg, p.dims, twisted)

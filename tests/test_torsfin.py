@@ -246,3 +246,53 @@ def test_e1_auslander_generator_gldim_at_most_three_on_ex84(name, field):
     generator = auslander_generator(alg, inv, assume_complete=True)
     value, _, _ = global_dimension(CatAlgebra(generator))
     assert value is not None and value <= 3
+
+
+def test_closure_decomposes_each_content_once(monkeypatch):
+    # the opposite side can produce equal content hashes, so contents are
+    # grouped by algebra; a repeated content cannot add a class
+    from quivercert import torsfin
+    original = torsfin.decompose
+    seen: dict[int, list[str]] = {}
+
+    def counting(m, seed=0):
+        seen.setdefault(id(m.algebra), []).append(m.content_hash())
+        return original(m, seed)
+
+    monkeypatch.setattr(torsfin, "decompose", counting)
+    enumerate_torsionless(presets.local_xy(GF(3)), seed=0)
+    assert seen
+    for hashes in seen.values():
+        assert len(hashes) == len(set(hashes))
+
+
+# full inventory digests, `io.payload_hash(inv.summary())`, recorded
+# before the closure skipped repeated contents
+E1_INVENTORY_DIGESTS = [
+    ("local_xy", GF(3), 0,
+     "0c5fbdfa99e997f10da1ab961eb0911f945b49016a300f68e45c5c00017eb61f"),
+    ("local_xy", GF(3), 1,
+     "78a207bfc69b699c7b873065f933a636053dfe9096d8e4a6343ea64b0f50779e"),
+    ("local_xy", GF(3), 2,
+     "11abdcad35adfa4cdbea6fc8ff9347f55fd589ff66e1b875747cd7e75e69e0e5"),
+    ("commutative_square_plus", GF(5), 0,
+     "d03a4ca05a14c61c41735c6cbbb204b779b468dcfaa6820471b3f70541fe7fe3"),
+    ("kronecker_tensor_a2", GF(5), 0,
+     "6d3dd06000d3d418d6e38d99aa0bdb03d870db0885a002885758b8cd07f8645c"),
+    ("a3_rad_square", GF(5), 0,
+     "cdb381c20726ebd389f78f845f1eb8b449523ad32d7c82935199bc4f51be44ad"),
+    ("commutative_square_plus", QQ, 0,
+     "d03a4ca05a14c61c41735c6cbbb204b779b468dcfaa6820471b3f70541fe7fe3"),
+    ("kronecker_tensor_a2", QQ, 0,
+     "d9dc5fb99ee7a86b313b1758af3c68977ea871bf78a5c5c009bc1faa0e98a083"),
+    ("a3_rad_square", QQ, 0,
+     "cdb381c20726ebd389f78f845f1eb8b449523ad32d7c82935199bc4f51be44ad"),
+]
+
+
+@pytest.mark.parametrize("name, field, seed, digest", E1_INVENTORY_DIGESTS,
+                         ids=lambda v: str(v)[:24])
+def test_e1_inventory_digests_are_pinned(name, field, seed, digest):
+    from quivercert.io import payload_hash
+    inv = enumerate_torsionless(getattr(presets, name)(field), seed=seed)
+    assert payload_hash(inv.summary()) == digest

@@ -2,7 +2,8 @@
 methods of `quivercert`; this checks that every name it targets still
 exists, that one traced decomposition records spans and restores every
 original, and that a traced gl.dim computes Gamma's composition tensor
-once per triple of objects.  The tracer file is only read, never
+once per triple of objects, and that a traced torsionless closure
+decomposes few modules.  The tracer file is only read, never
 changed."""
 
 import importlib
@@ -13,6 +14,7 @@ from pathlib import Path
 from quivercert import GF, endcat, presets
 from quivercert import decompose as decompose_module
 from quivercert.tiered import build_layering
+from quivercert.torsfin import enumerate_torsionless
 from quivercert.module import direct_sum, projective, simple
 
 TRACER = Path(__file__).resolve().parents[1] / "qcbench" / "tracer.py"
@@ -74,3 +76,17 @@ def test_traced_global_dimension_composes_once_per_triple():
     for owner, attr, original_obj in t.patches:
         assert vars(owner)[attr] is original_obj
     assert vars(endcat.CatAlgebra)["compose_into"] is original
+
+
+def test_traced_closure_decomposes_each_content_once():
+    # the closure on local_xy@GF(3) and its opposite meets 104 modules of
+    # 44 distinct contents (counted per side) and decomposes each once
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    with t:
+        inv = enumerate_torsionless(presets.local_xy(GF(3)), seed=0)
+    assert len(inv.torsionless) == 5
+    calls = t.layer_metrics()["decompose.decompose.calls"][0]
+    assert 0 < calls <= 44
+    for owner, attr, original in t.patches:
+        assert vars(owner)[attr] is original
