@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .fields import Field, FieldError
 from .matrix import Matrix
-from .quiver import Arrow, Quiver, quiver_dot
+from .quiver import Arrow, Quiver
 
 DEGREE_PATH_LIMIT = 20_000
 
@@ -109,7 +109,7 @@ class BasicAlgebra:
     """
 
     def __init__(self, quiver, field, relations, basis_paths, reduce_map, loewy_length,
-                 max_len, flags=(), tensor_of=None, arrow_factor=None):
+                 max_len, flags=(), tensor_of=None):
         self.quiver = quiver
         self.field = field
         self.relations = tuple(relations)
@@ -122,7 +122,6 @@ class BasicAlgebra:
         self.max_len = max_len
         self.flags = frozenset(flags)
         self.tensor_of = tensor_of
-        self.arrow_factor = arrow_factor or {}
         self._opposite = None
         self._arrow_by_name = {a.name: a for a in quiver.arrows}
 
@@ -193,9 +192,6 @@ class BasicAlgebra:
                         out[k] = v
         return out
 
-    def is_semisimple(self) -> bool:
-        return self.loewy_length <= 1
-
     def opposite(self) -> "BasicAlgebra":
         """Arrows and relation paths reversed; dimension is preserved."""
         if self._opposite is None:
@@ -210,13 +206,6 @@ class BasicAlgebra:
             op._opposite = self
             self._opposite = op
         return self._opposite
-
-    def dot(self) -> str:
-        styles = None
-        if self.arrow_factor:
-            palette = ["solid", "dashed", "dotted", "bold"]
-            styles = {a: palette[f % len(palette)] for a, f in self.arrow_factor.items()}
-        return quiver_dot(self.quiver, [r.describe() for r in self.relations], styles)
 
 
 def _paths_of_length(quiver: Quiver, length: int, shorter=None):
@@ -260,7 +249,7 @@ def _sandwiches(quiver, field, rel, paths_by_len, pair_filter):
 
 
 def build_algebra(quiver: Quiver, field: Field, relations, max_len: int = 30,
-                  flags=(), tensor_of=None, arrow_factor=None) -> BasicAlgebra:
+                  flags=(), tensor_of=None) -> BasicAlgebra:
     """Construct the path-algebra quotient with its reduced path basis.
 
     Raises NotAdmissible when paths of length max_len survive reduction
@@ -271,8 +260,8 @@ def build_algebra(quiver: Quiver, field: Field, relations, max_len: int = 30,
     for r in relations:
         r.validate(quiver, field)
     if all(r.is_homogeneous() for r in relations):
-        return _build_graded(quiver, field, relations, max_len, flags, tensor_of, arrow_factor)
-    return _build_filtered(quiver, field, relations, max_len, flags, tensor_of, arrow_factor)
+        return _build_graded(quiver, field, relations, max_len, flags, tensor_of)
+    return _build_filtered(quiver, field, relations, max_len, flags, tensor_of)
 
 
 def _expand_pivots(field, current, reduced, pivots, free, free_index):
@@ -290,14 +279,14 @@ def _expand_pivots(field, current, reduced, pivots, free, free_index):
     return entries
 
 
-def _build_graded(quiver, field, relations, max_len, flags, tensor_of, arrow_factor):
+def _build_graded(quiver, field, relations, max_len, flags, tensor_of):
     paths_by_len = {0: _paths_of_length(quiver, 0), 1: _paths_of_length(quiver, 1)}
     basis_paths = list(paths_by_len[0]) + list(paths_by_len[1])
     reduce_map = {path_key(p): ((i, field.one()),) for i, p in enumerate(basis_paths)}
 
     if not paths_by_len[1]:
         return BasicAlgebra(quiver, field, relations, paths_by_len[0], {}, 1,
-                            max_len, flags, tensor_of, arrow_factor)
+                            max_len, flags, tensor_of)
 
     length = 1
     current = paths_by_len[1]
@@ -343,10 +332,10 @@ def _build_graded(quiver, field, relations, max_len, flags, tensor_of, arrow_fac
         basis_paths.extend(current[k] for k in free)
         reduce_map.update(_expand_pivots(field, current, reduced, pivots, free, free_index))
     return BasicAlgebra(quiver, field, relations, basis_paths, reduce_map, loewy_length,
-                        max_len, flags, tensor_of, arrow_factor)
+                        max_len, flags, tensor_of)
 
 
-def _build_filtered(quiver, field, relations, max_len, flags, tensor_of, arrow_factor):
+def _build_filtered(quiver, field, relations, max_len, flags, tensor_of):
     """Whole-space reduction for relations with mixed term lengths.
 
     Exact under the caller-certified max_len bound: ideal products with
@@ -391,7 +380,7 @@ def _build_filtered(quiver, field, relations, max_len, flags, tensor_of, arrow_f
         raise NotAdmissible(
             f"paths of length {max_len} survive; raise max_len or fix the relations")
     return BasicAlgebra(quiver, field, relations, basis_paths, reduce_map, top_len + 1,
-                        max_len, flags, tensor_of, arrow_factor)
+                        max_len, flags, tensor_of)
 
 
 def tensor(a: BasicAlgebra, b: BasicAlgebra) -> BasicAlgebra:
@@ -405,17 +394,12 @@ def tensor(a: BasicAlgebra, b: BasicAlgebra) -> BasicAlgebra:
 
     vertices = [vname(x, y) for x in a.quiver.vertices for y in b.quiver.vertices]
     arrows = []
-    arrow_factor = {}
     for ar in a.quiver.arrows:
         for y in b.quiver.vertices:
-            name = f"{ar.name}.{y}"
-            arrows.append(Arrow(name, vname(ar.source, y), vname(ar.target, y)))
-            arrow_factor[name] = 0
+            arrows.append(Arrow(f"{ar.name}.{y}", vname(ar.source, y), vname(ar.target, y)))
     for x in a.quiver.vertices:
         for br in b.quiver.arrows:
-            name = f"{x}.{br.name}"
-            arrows.append(Arrow(name, vname(x, br.source), vname(x, br.target)))
-            arrow_factor[name] = 1
+            arrows.append(Arrow(f"{x}.{br.name}", vname(x, br.source), vname(x, br.target)))
     names = [ar.name for ar in arrows]
     if len(set(names)) != len(names):
         raise MalformedRelation("tensor arrow naming collision; rename factor arrows")
@@ -437,7 +421,7 @@ def tensor(a: BasicAlgebra, b: BasicAlgebra) -> BasicAlgebra:
             relations.append(Relation.build([("1", first), ("-1", second)]))
 
     out = build_algebra(quiver, a.field, relations, max(a.max_len, b.max_len),
-                        tensor_of=(a, b), arrow_factor=arrow_factor)
+                        tensor_of=(a, b))
     if out.dim != a.dim * b.dim:
         raise NotAdmissible(
             f"tensor dimension {out.dim} != {a.dim} * {b.dim}; lifted relations inadequate")

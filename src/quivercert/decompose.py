@@ -219,23 +219,6 @@ class QuotientAlgebra:
         return out
 
 
-def is_scalar_coords(s: QuotientAlgebra, coords) -> bool:
-    one = s.one()
-    field = s.field
-    ratios = None
-    for a, b in zip(coords, one):
-        if b == field.zero():
-            if a != field.zero():
-                return False
-        else:
-            r = field.div(a, b)
-            if ratios is None:
-                ratios = r
-            elif ratios != r:
-                return False
-    return True
-
-
 def _division_algebra_check(s: QuotientAlgebra) -> bool:
     """S semisimple: decide whether S is a division algebra."""
     if s.dim == 1:
@@ -319,8 +302,6 @@ def _idempotent_in_quotient(s: QuotientAlgebra):
     if s.is_commutative():
         if field.is_prime_field:
             for vec in s.frobenius_fixed_basis():
-                if is_scalar_coords(s, vec):
-                    continue
                 mp = s.minpoly(vec)
                 roots = [fac for fac, _ in upoly.factor_poly(field, mp)
                          if upoly.degree(fac) == 1]

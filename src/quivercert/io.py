@@ -24,6 +24,13 @@ class InputError(ValueError):
     pass
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is not an integer: {value!r}") from exc
+
+
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -68,7 +75,7 @@ def algebra_from_json(payload: dict, field_override=None) -> BasicAlgebra:
         relations = [Relation.build([(t["coeff"], tuple(t["path"])) for t in rel])
                      for rel in payload.get("relations", [])]
         return build_algebra(quiver, field, relations,
-                             int(payload.get("max_path_length", 30)),
+                             _int(payload.get("max_path_length", 30), "max_path_length"),
                              flags=payload.get("flags", ()))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra payload: {exc}") from exc
@@ -109,7 +116,7 @@ def module_to_json(m: Module) -> dict:
 
 def module_from_json(payload: dict, algebra: BasicAlgebra) -> Module:
     try:
-        dims = {v: int(n) for v, n in payload["dims"].items()}
+        dims = {v: _int(n, f"dims[{v}]") for v, n in payload["dims"].items()}
         action = {}
         for a in algebra.quiver.arrows:
             rows = payload.get("action", {}).get(a.name)
@@ -117,7 +124,7 @@ def module_from_json(payload: dict, algebra: BasicAlgebra) -> Module:
                 continue
             action[a.name] = Matrix.from_rows(algebra.field, rows)
         return Module(algebra, dims, action)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed module payload: {exc}") from exc
 
 
@@ -152,8 +159,8 @@ def lattice_to_json(lat: Lattice) -> dict:
 def lattice_from_json(payload: dict, field_override=None) -> tuple[Lattice, BasicAlgebra]:
     try:
         algebra = algebra_from_json(payload["algebra"], field_override)
-        d = int(payload["d"])
-        rank = {v: int(n) for v, n in payload["rank"].items()}
+        d = _int(payload["d"], "d")
+        rank = {v: _int(n, f"rank[{v}]") for v, n in payload["rank"].items()}
         action = {}
         for a in algebra.quiver.arrows:
             rows = payload["action"].get(a.name)
@@ -166,7 +173,7 @@ def lattice_from_json(payload: dict, field_override=None) -> tuple[Lattice, Basi
                 for row in rows
             ]
         return Lattice(algebra, d, rank, action), algebra
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed lattice payload: {exc}") from exc
 
 

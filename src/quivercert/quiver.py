@@ -1,4 +1,4 @@
-"""Quivers, tier functions, and DOT export.
+"""Quivers and tier functions.
 
 A tier function assigns integers to vertices so that every arrow drops
 the value by exactly one; "nicely tiered" additionally pins all sinks
@@ -135,17 +135,3 @@ def nicely_tiered_check(q: Quiver):
         if tiers[v] != n:
             return False, tiers, f"source {v} has tier {tiers[v]} != {n}"
     return True, tiers, None
-
-
-def quiver_dot(q: Quiver, relations=None, arrow_style=None) -> str:
-    """DOT digraph; relations are emitted as comments, one per line."""
-    lines = ["digraph quiver {"]
-    for text in relations or []:
-        lines.append(f"  // relation: {text}")
-    for v in q.vertices:
-        lines.append(f'  "{v}";')
-    for a in q.arrows:
-        style = f", style={arrow_style[a.name]}" if arrow_style and a.name in arrow_style else ""
-        lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.name}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,5 @@
 """Socle truncations of projectives/injectives, the (P1)/(P2) brick and
-embedding conditions, the tier layering, and coefficient quivers.
+embedding conditions, and the tier layering.
 
 The layering follows the display: layer i collects the truncations
 with projective index n+2-i and injective index i, on top of the lower
@@ -18,7 +18,6 @@ from random import Random
 
 from .algebra import BasicAlgebra
 from .decompose import Undecided, is_indecomposable, is_isomorphic
-from .matrix import Matrix
 from .module import (
     Module, hom_basis, hom_dim, injective, map_from_coordinates, projective,
     radical, random_combination, socle_series,
@@ -30,10 +29,6 @@ P2_EXHAUSTIVE_LIMIT = 4096
 
 
 class NotNicelyTiered(ValueError):
-    pass
-
-
-class NotTensorOfBipartite(ValueError):
     pass
 
 
@@ -209,124 +204,3 @@ def build_layering(algebra: BasicAlgebra, trunc: list[Truncation] | None = None)
         layers[level - 1].append(idx)
     alpha = {idx: radical(obj) for idx, obj in enumerate(objects)}
     return Layering(objects, layers, alpha)
-
-
-# -- coefficient quivers ---------------------------------------------------------------
-
-@dataclass
-class CoefficientQuiver:
-    nodes: list  # (node id, vertex, tier, label)
-    edges: list  # (src id, tgt id, arrow name, factor)
-    source_vertex: str
-    two_socle_connected: bool
-    socle_intersection_ok: bool
-
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def dot(self) -> str:
-        lines = ["digraph coefficient_quiver {"]
-        for nid, vertex, tier, label in self.nodes:
-            lines.append(f'  n{nid} [label="{label}", comment="vertex {vertex} tier {tier}"];')
-        styles = {0: "solid", 1: "dashed", 2: "dotted", 3: "bold"}
-        for src, tgt, arrow, factor in self.edges:
-            style = styles.get(factor % 4, "solid")
-            lines.append(f'  n{src} -> n{tgt} [label="{arrow}", style={style}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def _bipartite_path_algebra(algebra: BasicAlgebra) -> bool:
-    if algebra.relations:
-        return False
-    q = algebra.quiver
-    return all(not q.arrows_from(v) or not q.arrows_to(v) for v in q.vertices)
-
-
-def _tensor_factors(algebra: BasicAlgebra):
-    if algebra.tensor_of is None:
-        return [algebra]
-    a, b = algebra.tensor_of
-    return _tensor_factors(a) + _tensor_factors(b)
-
-
-def coefficient_quiver(algebra: BasicAlgebra, x: str) -> CoefficientQuiver:
-    """Coefficient quiver of P(x) on the path basis, with the connectivity
-    verdict for the second-socle part and the socle-intersection check."""
-    factors = _tensor_factors(algebra)
-    if algebra.tensor_of is None or not all(_bipartite_path_algebra(f) for f in factors):
-        raise NotTensorOfBipartite(
-            "coefficient quiver is certified only for tensors of bipartite path algebras")
-    tiers = require_nicely_tiered(algebra)
-    p = projective(algebra, x)
-    field = algebra.field
-    nodes = []
-    node_id = {}
-    for v in algebra.quiver.vertices:
-        fiber = algebra.basis_by_pair.get((x, v), [])
-        for pos, bidx in enumerate(fiber):
-            path = algebra.basis_paths[bidx]
-            label = ".".join(path) if len(path) else f"e({v})"
-            node_id[(v, pos)] = len(nodes)
-            nodes.append((len(nodes), v, tiers[v], label))
-    edges = []
-    for a in algebra.quiver.arrows:
-        mat = p.action[a.name]
-        factor = algebra.arrow_factor.get(a.name, 0)
-        for col in range(mat.cols):
-            for row in range(mat.rows):
-                if mat[row, col] != field.zero():
-                    edges.append((node_id[(a.source, col)],
-                                  node_id[(a.target, row)], a.name, factor))
-    # connectivity of the second-socle part (tiers 0 and 1)
-    low = {nid for nid, v, tier, _ in nodes if tier <= 1}
-    adj = {nid: set() for nid in low}
-    for src, tgt, _, _ in edges:
-        if src in low and tgt in low:
-            adj[src].add(tgt)
-            adj[tgt].add(src)
-    connected = True
-    if low:
-        seen = set()
-        stack = [next(iter(sorted(low)))]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(adj[cur] - seen)
-        connected = seen == low
-    # socle-intersection: each tier-0 basis line is the meet of the images
-    # of its incoming arrow actions (tier-1 fibers sit fully inside 2P)
-    intersection_ok = True
-    for nid, v, tier, label in nodes:
-        if tier != 0:
-            continue
-        incoming_arrows = sorted({arrow for src, tgt, arrow, _ in edges if tgt == nid})
-        if len(incoming_arrows) != len(factors):
-            intersection_ok = False
-            continue
-        meet = None
-        for arrow in incoming_arrows:
-            img = p.action[arrow].column_space_basis()
-            meet = img if meet is None else _meet(meet, img)
-        pos = [k for (vv, k), nn in node_id.items() if nn == nid and vv == v][0]
-        if meet is None or meet.cols != 1:
-            intersection_ok = False
-            continue
-        expected = Matrix.zero(field, meet.rows, 1)
-        expected[pos, 0] = field.one()
-        joined = Matrix.hstack([meet, expected])
-        if joined.rank() != 1:
-            intersection_ok = False
-    return CoefficientQuiver(nodes, edges, x, connected, intersection_ok)
-
-
-def _meet(a: Matrix, b: Matrix) -> Matrix:
-    """Basis of the intersection of two column spans."""
-    if a.cols == 0 or b.cols == 0:
-        return Matrix.zero(a.field, a.rows, 0)
-    joined = Matrix.hstack([a, b.scale(a.field.neg(a.field.one()))])
-    kern = joined.kernel_basis()
-    coords = kern.submatrix(range(a.cols), range(kern.cols))
-    return (a @ coords).column_space_basis()

@@ -1,6 +1,5 @@
 """Inventories of indecomposable torsionless/divisible modules, class
-detection, sampling verification, the gamma-bijection certificate, the
-biserial condition, and the projective-injective reduction.
+detection, sampling verification, and the gamma-bijection certificate.
 
 Enumeration strategies: radical-square-zero and hereditary algebras get
 certified complete lists (projectives plus torsionless simples, resp.
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .algebra import BasicAlgebra, Relation, build_algebra
+from .algebra import BasicAlgebra
 from .approx import (
     AddCategory, injectives, is_divisible, is_torsionless, right_add_approximation,
 )
@@ -27,7 +26,6 @@ from .module import (
     Module, direct_sum, dual, projectives, radical, simple, socle,
     spanned_submodule, top,
 )
-from .quiver import Quiver
 
 
 class UnknownStrategy(ValueError):
@@ -35,14 +33,6 @@ class UnknownStrategy(ValueError):
 
 
 class IncompleteInventory(ValueError):
-    pass
-
-
-class NoProjInj(ValueError):
-    pass
-
-
-class UnsupportedReduction(ValueError):
     pass
 
 
@@ -403,97 +393,3 @@ def gamma_bijection_check(algebra: BasicAlgebra, inv: TorsionlessInventory,
         "non_injective_divisible": len(targets),
         "assumed_complete": inv.status != "complete",
     }
-
-
-# -- biserial condition -------------------------------------------------------------
-
-def biserial_condition(m: Module):
-    """alpha M meets beta M trivially for distinct arrows into one vertex;
-    returns (ok, witness)."""
-    algebra = m.algebra
-    for v in algebra.quiver.vertices:
-        incoming = algebra.quiver.arrows_to(v)
-        for i in range(len(incoming)):
-            for j in range(i + 1, len(incoming)):
-                a, b = m.action[incoming[i].name], m.action[incoming[j].name]
-                joint = Matrix.hstack([a, b])
-                meet = a.rank() + b.rank() - joint.rank()
-                if meet:
-                    return False, {"vertex": v,
-                                   "arrows": [incoming[i].name, incoming[j].name],
-                                   "intersection_dim": meet}
-    return True, None
-
-
-# -- projective-injective reduction (Prop 5.11 style) ---------------------------------
-
-@dataclass
-class ReductionResult:
-    algebra_prime: BasicAlgebra | None
-    proj_inj_vertex: str
-    ideal_terms: list  # [(coeff string, path tuple)]
-    semisimple: bool
-    recipe: str = "lift generators by M = M' + P"
-
-
-def projinj_reduce(algebra: BasicAlgebra) -> ReductionResult:
-    """Quotient by a minimal two-sided ideal meeting an indecomposable
-    projective-injective; raises NoProjInj when none exists."""
-    if algebra.is_semisimple():
-        return ReductionResult(None, algebra.quiver.vertices[0], [], True)
-    hit = None
-    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
-        if is_injective_module(p):
-            hit = (x, p)
-            break
-    if hit is None:
-        raise NoProjInj("no indecomposable projective is injective")
-    x, p = hit
-    s, incl = socle(p)
-    if s.total_dim() != 1:
-        raise UnsupportedReduction("projective-injective with non-simple socle")
-    z = [v for v in algebra.quiver.vertices if s.dims[v] == 1][0]
-    vec = incl.components[z]
-    fiber = algebra.basis_by_pair.get((x, z), [])
-    terms = []
-    elem = {}
-    for row in range(vec.rows):
-        c = vec[row, 0]
-        if c != algebra.field.zero():
-            bidx = fiber[row]
-            terms.append((algebra.field.format(c), tuple(algebra.basis_paths[bidx])))
-            elem[bidx] = c
-    # the socle generator must span a two-sided ideal of dimension one
-    for a in algebra.quiver.arrows:
-        for eidx in (algebra.basis_index.get((a.name,)),):
-            arrow_elem = {eidx: algebra.field.one()}
-            if algebra.elem_mul(elem, arrow_elem) or algebra.elem_mul(arrow_elem, elem):
-                raise UnsupportedReduction("socle generator is not two-sided-socle")
-    lengths = {len(path) for _, path in terms}
-    if lengths == {0}:
-        # isolated semisimple block: drop the vertex
-        verts = [v for v in algebra.quiver.vertices if v != x]
-        arrows = [(a.name, a.source, a.target) for a in algebra.quiver.arrows]
-        quiver = Quiver.build(verts, arrows)
-        prime = build_algebra(quiver, algebra.field,
-                              list(algebra.relations), algebra.max_len)
-    elif lengths == {1} and len(terms) == 1:
-        dropped = terms[0][1][0]
-        verts = list(algebra.quiver.vertices)
-        arrows = [(a.name, a.source, a.target) for a in algebra.quiver.arrows
-                  if a.name != dropped]
-        new_rels = []
-        for rel in algebra.relations:
-            kept = [(c, path) for c, path in rel.terms if dropped not in path]
-            if kept:
-                new_rels.append(Relation.build(kept))
-        prime = build_algebra(Quiver.build(verts, arrows), algebra.field,
-                              new_rels, algebra.max_len)
-    elif 0 not in lengths and 1 not in lengths:
-        new_rel = Relation.build(terms)
-        prime = build_algebra(algebra.quiver, algebra.field,
-                              list(algebra.relations) + [new_rel], algebra.max_len)
-    else:
-        raise UnsupportedReduction(
-            "socle generator mixes path lengths; reduction not supported")
-    return ReductionResult(prime, x, terms, False)

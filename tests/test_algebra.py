@@ -2,7 +2,7 @@ import pytest
 
 from quivercert import GF, QQ
 from quivercert.algebra import (
-    MalformedRelation, NotAdmissible, Relation, build_algebra, tensor, trivial_path,
+    MalformedRelation, NotAdmissible, build_algebra, tensor,
 )
 from quivercert.quiver import NotTiered, Quiver, nicely_tiered_check, tier_function
 from quivercert import presets
@@ -198,15 +198,6 @@ def test_tier_matches_maximal_path_length():
         assert ok
         for v in alg.quiver.vertices:
             assert tiers[v] == maximal_path_length_from(alg.quiver, v)
-
-
-def test_dot_export_mentions_relations():
-    alg = presets.commutative_square_plus(QQ)
-    dot = alg.dot()
-    assert "digraph" in dot
-    assert "// relation:" in dot
-    kk = presets.kronecker_squared(GF(2))
-    assert "dashed" in kk.dot()
 
 
 def test_filtered_build_mixed_length_relation():

@@ -340,6 +340,40 @@ def test_split_once_falls_back_to_a_lifted_idempotent(field, monkeypatch):
         assert is_isomorphic(n, piece, assume_indecomposable=True)[0]
 
 
+@pytest.mark.parametrize("summands, pieces", [
+    (("1", "2"), [(1, 0, 0), (0, 1, 0)]),
+    (("1", "1", "2"), [(1, 0, 0), (1, 1, 0)]),
+], ids=["S1+S2", "S1+S1+S2"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_idempotent_split_over_gf_p(p, summands, pieces, monkeypatch):
+    # End/rad is k x k for S1 + S2 (the commutative GF(p) branch, through
+    # a spectral idempotent) and M_2(k) x k for S1 + S1 + S2
+    alg = presets.a3_rad_square(GF(p))
+    m = direct_sum([simple(alg, x) for x in summands])[0]
+    spectral = []
+    real_spectral = decompose_module._spectral_idempotent
+
+    def counting_spectral(*args):
+        spectral.append(args)
+        return real_spectral(*args)
+
+    monkeypatch.setattr(decompose_module, "_spectral_idempotent", counting_spectral)
+    end = EndAlgebra(m)
+    s = end.semisimple_quotient()
+    e_bar = decompose_module._idempotent_in_quotient(s)
+    commutative = len(summands) == 2
+    assert s.is_commutative() == commutative
+    assert len(spectral) == commutative
+    assert s.mul(e_bar, e_bar) == e_bar
+    assert Matrix.hstack([Matrix.column(alg.field, e_bar),
+                          Matrix.column(alg.field, s.one())]).rank() == 2
+    e = decompose_module._lift_idempotent(end, s, e_bar)
+    assert e.then(e).components == e.components
+    split = decompose_module._split_with_idempotent(m, e)
+    assert [piece.dim_vector() for piece, _ in split] == pieces
+    assert tuple(map(sum, zip(*pieces))) == m.dim_vector()
+
+
 def test_isomorphism_of_decomposables_by_matching_summands(monkeypatch):
     # the same summands in two orders; when no random combination of
     # Hom(m, n) is invertible, the answer comes from matching decompositions

@@ -2,9 +2,9 @@ import warnings
 
 import pytest
 
-from quivercert import GF, QQ, Matrix
+from quivercert import GF, QQ
 from quivercert import presets
-from quivercert.decompose import decompose, is_isomorphic
+from quivercert.decompose import is_isomorphic
 from quivercert.functors import (
     NotProjective, eta, gamma, gamma_both_ways, injective_envelope,
     is_injective_module, is_projective_module, min_projective_presentation,
@@ -12,8 +12,8 @@ from quivercert.functors import (
     strip_projective_summands, tau,
 )
 from quivercert.module import (
-    Module, direct_sum, dual, hom_dim, injective, kernel_of_map, projective,
-    quotient, radical, simple, socle, top,
+    direct_sum, dual, injective, kernel_of_map, projective, radical, simple,
+    socle, top,
 )
 
 

@@ -1,15 +1,18 @@
 """Source hygiene: every name a `quivercert` module imports is read somewhere
-in that module (or re-exported through `__all__`), and sympy is loaded only
-by the one path that needs it."""
+in that module (or re-exported through `__all__`), every top-level function
+and class has a caller outside the tests, and sympy is loaded only by the one
+path that needs it."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "quivercert"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "quivercert"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -40,6 +43,77 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("from os import path, sep\nimport sys\n__all__ = ['sep']\n")
     assert _unused_imports(tree) == ["path (line 1)", "sys (line 2)"]
+
+
+# modules whose definitions are the public entry points themselves
+ENTRY_POINTS = {"io", "presets", "__init__"}
+
+# definitions that only the tests call, each kept for a stated reason
+KEPT = {
+    "functors.eta": "the paper's eta functor; the tests check D eta = gamma and eta eta = id",
+    "functors.gamma_both_ways": "the Sigma-tau route that the tests compare gamma against",
+    "lattice.constant_lattice": "the split family whose Odim witness must fail at every point",
+    "lattice.scale_class": "drives the bilinearity test of yoneda_cocycle",
+    "lattice.tensor_lattice": "a candidate for the n-factor Kunneth product (ROADMAP item 2)",
+    "module.regular_module": "the regular module that the decompose and Hom tests start from",
+    "quiver.maximal_path_length_from": "the reference that tier_function is checked against",
+    "tiered.p1_check": "the (P1) hypothesis, planned for the E2 certificate (ROADMAP item 2)",
+    "tiered.p2_check": "the (P2) hypothesis, planned for the E2 certificate (ROADMAP item 2)",
+}
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a node reads: identifiers, attributes, imported names, and the
+    parts of dotted-name strings (such as the tracer's targets)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and DOTTED.fullmatch(sub.value)):
+            names.update(sub.value.split("."))
+    return names
+
+
+def _dead_definitions(sources: dict[str, str], checked: set[str]) -> list[str]:
+    """`module.name` of each top-level def/class in a checked module that no
+    other top-level statement of any source names."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    named_by = {}  # name -> {(module, index of the top-level statement)}
+    for module, tree in trees.items():
+        for k, node in enumerate(tree.body):
+            for name in _references(node):
+                named_by.setdefault(name, set()).add((module, k))
+    dead = []
+    for module in checked:
+        for k, node in enumerate(trees[module].body):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not named_by.get(node.name, set()) - {(module, k)}):
+                dead.append(f"{module}.{node.name}")
+    return sorted(dead)
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    checked = set(sources) - ENTRY_POINTS
+    sources.update({f"qcbench/{p.name}": p.read_text()
+                    for p in (ROOT / "qcbench").glob("*.py")})
+    assert _dead_definitions(sources, checked) == sorted(KEPT)
+
+
+def test_scan_flags_a_dead_definition():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef dead():\n    return dead()\n",
+        "b": "from a import used\n\n\nclass Named:\n    run = staticmethod(used)\n",
+        "c": "TARGETS = ('b.Named',)\n",
+    }
+    assert _dead_definitions(sources, {"a", "b"}) == ["a.dead"]
 
 
 SYMPY_GUARD = """

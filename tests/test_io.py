@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quivercert import GF, QQ
+from quivercert import GF, QQ, FieldError
 from quivercert import presets
 from quivercert.algebra import MalformedRelation
 from quivercert.io import (
@@ -80,9 +80,23 @@ def test_malformed_payloads_raise_typed_errors(tmp_path):
         module_from_json({"action": {}}, alg)
     with pytest.raises(ModuleError):
         module_from_json({"dims": {"1": 1, "2": 1}, "action": {"a": [["1", "0"]]}}, alg)
+    with pytest.raises(FieldError):
+        module_from_json({"dims": {"1": 1, "2": 1}, "action": {"a": [["x"]]}}, alg)
+    with pytest.raises(FieldError):
+        algebra_from_json(dict(payload, field="GF(4)"))
+    for wrongly_typed in ({"dims": [1, 2]}, {"dims": {"1": "x"}},
+                          {"dims": {"1": 1, "2": 1}, "action": []}):
+        with pytest.raises(InputError):
+            module_from_json(wrongly_typed, alg)
+    with pytest.raises(InputError):
+        algebra_from_json(dict(payload, max_path_length="abc"))
     lat_payload = lattice_to_json(kronecker_family(alg))
     with pytest.raises(InputError):
         lattice_from_json({k: v for k, v in lat_payload.items() if k != "d"})
+    with pytest.raises(InputError):
+        lattice_from_json(dict(lat_payload, d="x"))
+    with pytest.raises(InputError):
+        lattice_from_json(dict(lat_payload, rank=[1, 1]))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(InputError):

@@ -1,6 +1,6 @@
 import pytest
 
-from quivercert import GF, QQ, Matrix
+from quivercert import GF, Matrix
 from quivercert import presets
 from quivercert.decompose import is_indecomposable, is_isomorphic
 from quivercert.lattice import (

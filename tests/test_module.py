@@ -5,11 +5,10 @@ import pytest
 from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import presets
 from quivercert.module import (
-    ModuleError, ModuleMap, coordinates_matrix, direct_sum, dual, dual_map,
-    hom_basis, hom_dim, identity_map, image_of_map, in_span, injective, kernel_of_map, map_coordinates,
+    ModuleError, coordinates_matrix, direct_sum, dual, hom_basis, hom_dim,
+    identity_map, image_of_map, in_span, injective, kernel_of_map, map_coordinates,
     map_from_coordinates, map_vector, projective, quotient, radical,
-    regular_module, simple, socle, socle_series,
-    spanned_submodule, submodule, top, zero_map, zero_module,
+    regular_module, simple, socle, socle_series, spanned_submodule, top, zero_map,
 )
 
 

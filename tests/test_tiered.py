@@ -9,11 +9,10 @@ from quivercert.decompose import decompose, is_isomorphic
 from quivercert.endcat import CatAlgebra, global_dimension, layering_check
 from quivercert.decompose import is_indecomposable
 from quivercert.module import (
-    injective, projective, radical, simple, socle, socle_series,
+    injective, projective, socle, socle_series,
 )
 from quivercert.tiered import (
-    NotNicelyTiered, NotTensorOfBipartite, Truncation,
-    build_layering, coefficient_quiver, find_embedding, p1_check, p2_check,
+    NotNicelyTiered, build_layering, find_embedding, p1_check, p2_check,
     truncations,
 )
 
@@ -155,29 +154,6 @@ def test_layering_check_fails_ex84_middle():
     cat = CatAlgebra(layering.objects, verify=False)
     cert = layering_check(cat, layering.layers, layering.alpha)
     assert not cert["pass"]
-
-
-def test_coefficient_quiver_kk():
-    alg = presets.kronecker_squared(GF(2))
-    src = [v for v in alg.quiver.vertices if not alg.quiver.arrows_to(v)][0]
-    cq = coefficient_quiver(alg, src)
-    assert cq.node_count() == 9  # 1 + 4 + 4 path-basis labels
-    assert cq.two_socle_connected
-    assert cq.socle_intersection_ok
-    dot = cq.dot()
-    assert "dashed" in dot and "solid" in dot
-
-
-def test_coefficient_quiver_kron_a2():
-    alg = presets.kronecker_tensor_a2(GF(5))
-    cq = coefficient_quiver(alg, "1.1")
-    assert cq.two_socle_connected
-
-
-def test_coefficient_quiver_rejects_non_tensor():
-    alg = presets.a3_rad_square(QQ)
-    with pytest.raises(NotTensorOfBipartite):
-        coefficient_quiver(alg, "3")
 
 
 def test_not_nicely_tiered_error():

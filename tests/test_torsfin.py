@@ -1,12 +1,11 @@
 import pytest
 
-from quivercert import GF, QQ, Matrix
+from quivercert import GF, QQ
 from quivercert import presets
-from quivercert.module import Module, projective, simple
+from quivercert.module import projective
 from quivercert.torsfin import (
-    IncompleteInventory, NoProjInj, TorsionlessInventory, UnknownStrategy,
-    biserial_condition, detect_class, enumerate_torsionless,
-    gamma_bijection_check, projinj_reduce, verify_inventory,
+    IncompleteInventory, TorsionlessInventory, UnknownStrategy, detect_class,
+    enumerate_torsionless, gamma_bijection_check, verify_inventory,
 )
 
 
@@ -136,58 +135,6 @@ def test_gamma_bijection_local_xy():
     assert cert["pass"], cert["failures"]
     assert cert["non_projective_torsionless"] == 4
     assert cert["non_injective_divisible"] == 4
-
-
-def test_biserial_condition_string_projectives():
-    alg = presets.a3_rad_square(QQ)
-    for x in alg.quiver.vertices:
-        ok, witness = biserial_condition(projective(alg, x))
-        assert ok and witness is None
-
-
-def test_biserial_condition_fails_on_equal_images():
-    alg = presets.kronecker(GF(5))
-    m = Module(alg, {"1": 1, "2": 2},
-               {"a": Matrix.from_rows(GF(5), [[1], [0]]),
-                "b": Matrix.from_rows(GF(5), [[1], [0]])})
-    ok, witness = biserial_condition(m)
-    assert not ok
-    assert witness["vertex"] == "2"
-
-
-def test_projinj_reduce_full_square():
-    alg = presets.full_commutative_square(QQ)
-    res = projinj_reduce(alg)
-    assert not res.semisimple
-    assert res.proj_inj_vertex == "t"
-    assert res.algebra_prime.dim == alg.dim - 1
-    assert all(len(path) >= 2 for _, path in res.ideal_terms)
-
-
-def test_projinj_reduce_a3rad2_finds_p2():
-    # P(2) = Q(1) is projective-injective here, so the reduction proceeds
-    res = projinj_reduce(presets.a3_rad_square(QQ))
-    assert not res.semisimple
-    assert res.proj_inj_vertex == "2"
-    assert res.algebra_prime.dim == 4
-
-
-def test_projinj_reduce_none_on_kronecker():
-    with pytest.raises(NoProjInj):
-        projinj_reduce(presets.kronecker(QQ))
-
-
-def test_projinj_reduce_semisimple_flag():
-    res = projinj_reduce(presets.semisimple(QQ, 3))
-    assert res.semisimple
-
-
-def test_projinj_reduce_a2_drops_arrow():
-    alg = presets.a2(QQ)
-    res = projinj_reduce(alg)
-    assert not res.semisimple
-    assert res.algebra_prime.dim == 2
-    assert res.algebra_prime.is_semisimple()
 
 
 def test_cor21_torsionless_counts_match_opposite():
