@@ -5,9 +5,12 @@ matrix realization (the action on the module): over Q by the trace
 form, over GF(p) by the iterated characteristic-coefficient chain
 (trace first, then the c_p, c_{p^2}, ... conditions, each linear over
 the prime field on the previous stage).  A module is indecomposable
-iff End/rad is one-dimensional or a division algebra; splittings come
-from seeded Fitting decompositions with a deterministic
-idempotent-lifting fallback.
+iff End/rad is one-dimensional or a division algebra.  A decomposable
+module is split by Fitting's lemma along deterministic candidate
+endomorphisms (lifts of Frobenius-fixed or primitive elements of a
+commutative End/rad, then the End basis); random combinations from a
+fixed seed are only the last resort, so a decomposition is a function of
+the module's content.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class EndAlgebra:
         self.basis = basis if basis is not None else hom_basis(module, module)
         self.dim = len(self.basis)
         self._rad_coords = None
+        self._quotient = None
 
     def radical_coords(self) -> Matrix:
         """Columns = basis of rad End(M) in End-coordinates.
@@ -96,25 +100,23 @@ class EndAlgebra:
         return current
 
     # -- semisimple quotient ------------------------------------------------
-    def quotient_data(self):
-        """(complement indices, projector) for S = End/rad in End coords."""
-        field = self.field
-        rad = self.radical_coords()
-        h, r = self.dim, rad.cols
-        if r == 0:
-            return list(range(h)), Matrix.identity(field, h)
-        full = Matrix.hstack([rad, Matrix.identity(field, h)])
-        _, pivots, _ = full.rref()
-        comp = [c - r for c in pivots if c >= r]
-        basis = Matrix.hstack([rad, Matrix.zero(field, h, 0) if not comp else
-                               Matrix.identity(field, h).submatrix(range(h), comp)])
-        inv = basis.inverse()
-        projector = inv.submatrix(range(r, h), range(h))
-        return comp, projector
-
     def semisimple_quotient(self) -> "QuotientAlgebra":
-        comp, projector = self.quotient_data()
-        return QuotientAlgebra(self, comp, projector)
+        """S = End/rad, on the End basis elements outside the radical
+        (cached on this End algebra)."""
+        if self._quotient is None:
+            field = self.field
+            rad = self.radical_coords()
+            h, r = self.dim, rad.cols
+            if r == 0:
+                comp, projector = list(range(h)), Matrix.identity(field, h)
+            else:
+                _, pivots, _ = Matrix.hstack([rad, Matrix.identity(field, h)]).rref()
+                comp = [c - r for c in pivots if c >= r]
+                basis = Matrix.hstack([rad, Matrix.zero(field, h, 0) if not comp else
+                                       Matrix.identity(field, h).submatrix(range(h), comp)])
+                projector = basis.inverse().submatrix(range(r, h), range(h))
+            self._quotient = QuotientAlgebra(self, comp, projector)
+        return self._quotient
 
 
 class QuotientAlgebra:
@@ -183,20 +185,8 @@ class QuotientAlgebra:
     def minpoly(self, a):
         return upoly.minpoly_matrix(self.mult_operator(a))
 
-    def eval_poly(self, coeffs, a):
-        out = [self.field.zero()] * self.dim
-        for c in reversed(coeffs):
-            out = self.mul(out, a)
-            one = self.one()
-            for k in range(self.dim):
-                out[k] = self.field.add(out[k], self.field.mul(c, one[k]))
-        return out
-
-    def frobenius_fixed_dim(self) -> int:
-        """dim {x : x^p = x} for commutative S over GF(p)."""
-        return len(self.frobenius_fixed_basis())
-
     def frobenius_fixed_basis(self):
+        """A basis of {x : x^p = x} for commutative S over GF(p)."""
         p = self.field.p
         cols = []
         for j in range(self.dim):
@@ -225,7 +215,7 @@ def _division_algebra_check(s: QuotientAlgebra) -> bool:
         return True
     if s.is_commutative():
         if s.field.is_prime_field:
-            return s.frobenius_fixed_dim() == 1
+            return len(s.frobenius_fixed_basis()) == 1
         xi = _primitive_element(s)
         if xi is not None:
             return upoly.is_irreducible(s.field, s.minpoly(xi))
@@ -296,116 +286,41 @@ def _split_along_poly(m: Module, phi: ModuleMap, factors):
     return pieces
 
 
-def _idempotent_in_quotient(s: QuotientAlgebra):
-    """A nontrivial idempotent of the semisimple quotient, or None."""
-    field = s.field
+def _deterministic_candidates(end: EndAlgebra):
+    """Endomorphisms to try first: lifts of the Frobenius-fixed basis
+    (GF(p)) or of a primitive element (Q) when End/rad is commutative,
+    then the End basis, which holds a lift of each unit of End/rad."""
+    s = end.semisimple_quotient()
     if s.is_commutative():
-        if field.is_prime_field:
-            for vec in s.frobenius_fixed_basis():
-                mp = s.minpoly(vec)
-                roots = [fac for fac, _ in upoly.factor_poly(field, mp)
-                         if upoly.degree(fac) == 1]
-                if len(roots) >= 2:
-                    return _spectral_idempotent(s, vec, mp, roots[0])
+        if s.field.is_prime_field:
+            quotient = s.frobenius_fixed_basis()
         else:
             xi = _primitive_element(s)
-            if xi is not None:
-                mp = s.minpoly(xi)
-                facs = upoly.factor_poly(field, mp)
-                if len(facs) >= 2:
-                    return _crt_idempotent(s, xi, facs)
-            for i in range(s.dim):
-                unit = [field.zero()] * s.dim
-                unit[i] = field.one()
-                facs = upoly.factor_poly(field, s.minpoly(unit))
-                if len(facs) >= 2:
-                    return _crt_idempotent(s, unit, facs)
-        return None
-    # noncommutative: look inside the centre first, then k[x] subalgebras
-    for i in range(s.dim):
-        unit = [field.zero()] * s.dim
-        unit[i] = field.one()
-        facs = upoly.factor_poly(field, s.minpoly(unit))
-        if len(facs) >= 2:
-            return _crt_idempotent(s, unit, facs)
-    return None
+            quotient = [] if xi is None else [xi]
+        for vec in quotient:
+            yield map_from_coordinates(s.lift(vec), end.basis)
+    yield from end.basis
 
 
-def _spectral_idempotent(s: QuotientAlgebra, x, minpoly, root):
-    """Projector onto the `root` eigencomponent of x (split minpoly)."""
-    field = s.field
-    a0 = field.neg(root[0])  # root poly is (t - a0)
-    quo, rem = upoly.divmod_poly(field, minpoly, root)
-    if rem:
-        raise Undecided("spectral idempotent: root does not divide minpoly")
-    denom = upoly.eval_scalar(field, quo, a0)
-    e = s.eval_poly([field.div(c, denom) for c in quo], x)
-    return e
+def split_once(m: Module, end: EndAlgebra | None = None):
+    """One nontrivial direct-sum split of a decomposable module.
 
-
-def _crt_idempotent(s: QuotientAlgebra, x, factors):
-    """Idempotent congruent to 1 mod f1^a1 and 0 mod the rest."""
-    field = s.field
-    f1 = upoly.power(field, factors[0][0], factors[0][1])
-    rest = [field.one()]
-    for fac, e in factors[1:]:
-        rest = upoly.mul(field, rest, upoly.power(field, fac, e))
-    g, u, w = upoly.ext_gcd(field, f1, rest)
-    if upoly.degree(g) != 0:
-        raise Undecided("CRT idempotent: factors not coprime")
-    # normalize so that u f1 + w rest = 1 exactly
-    inv = field.inv(g[0])
-    w = [field.mul(inv, c) for c in w]
-    e_poly = upoly.mul(field, w, rest)
-    return s.eval_poly(e_poly, x)
-
-
-def _lift_idempotent(end: EndAlgebra, s: QuotientAlgebra, e_bar) -> ModuleMap:
-    e = map_from_coordinates(s.lift(e_bar), end.basis)
-    for _ in range(32):
-        sq = e.then(e)
-        if sq.components == e.components:
-            return e
-        # e <- 3 e^2 - 2 e^3
-        cube = sq.then(e)
-        e = sq.scale(end.field.from_int(3)) - cube.scale(end.field.from_int(2))
-    raise Undecided("idempotent lifting did not converge")
-
-
-def _split_with_idempotent(m: Module, e: ModuleMap):
-    field = m.field
-    spaces_ker = {}
-    spaces_im = {}
-    for v in m.algebra.quiver.vertices:
-        mat = e.components[v]
-        spaces_ker[v] = mat.kernel_basis()
-        ident = Matrix.identity(field, mat.rows)
-        spaces_im[v] = (ident - mat).kernel_basis()
-    a = submodule(m, spaces_ker, check=False)
-    b = submodule(m, spaces_im, check=False)
-    if a[0].total_dim() + b[0].total_dim() != m.total_dim() \
-            or a[0].total_dim() == 0 or b[0].total_dim() == 0:
-        raise Undecided("idempotent split failed")
-    return [a, b]
-
-
-def split_once(m: Module, rng: Random, end: EndAlgebra | None = None):
-    """One nontrivial direct-sum split of a decomposable module."""
+    The Fitting split along the first candidate endomorphism whose
+    minimal polynomial has two distinct irreducible factors.  rad End is
+    nilpotent, so x and its image in End/rad have minimal polynomials with
+    the same irreducible factors: a commutative End/rad that is not a field
+    is split by a Frobenius-fixed element over GF(p), and by a primitive
+    element over Q when the search finds one.  Random combinations from a
+    fixed `Random(0)` are the last resort.
+    """
     end = end or EndAlgebra(m)
-    trials = max(8, 20 * end.dim)
-    field = m.field
-    for _ in range(trials):
-        phi = random_combination(end.basis, rng, 4)
-        mp = upoly.minpoly_matrix(phi.total_matrix())
-        facs = upoly.factor_poly(field, mp)
+    rng = Random(0)
+    randoms = (random_combination(end.basis, rng, 4) for _ in range(max(8, 20 * end.dim)))
+    for phi in itertools.chain(_deterministic_candidates(end), randoms):
+        facs = upoly.factor_poly(m.field, upoly.minpoly_matrix(phi.total_matrix()))
         if len(facs) >= 2:
             return _split_along_poly(m, phi, facs)
-    s = end.semisimple_quotient()
-    e_bar = _idempotent_in_quotient(s)
-    if e_bar is None:
-        raise Undecided("no splitting endomorphism found")
-    e = _lift_idempotent(end, s, e_bar)
-    return _split_with_idempotent(m, e)
+    raise Undecided("no splitting endomorphism found")
 
 
 @dataclass
@@ -415,13 +330,9 @@ class Decomposition:
     parts: list  # expanded module list matching witness block order
     witness: ModuleMap  # direct_sum(parts) -> module, invertible
 
-    def summand_count(self) -> int:
-        return sum(mult for _, mult in self.summands)
 
-
-def decompose(m: Module, seed: int = 0) -> Decomposition:
+def decompose(m: Module) -> Decomposition:
     """Full decomposition into indecomposables with an invertible witness."""
-    rng = Random(seed)
     found = []  # (module, inclusion into m)
     stack = [(m, identity_map(m))]
     while stack:
@@ -432,7 +343,7 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
         if _division_algebra_check(end.semisimple_quotient()):
             found.append((n, incl))
             continue
-        for piece, piece_incl in split_once(n, rng, end):
+        for piece, piece_incl in split_once(n, end):
             stack.append((piece, piece_incl.then(incl)))
     found.sort(key=lambda pair: (pair[0].total_dim(), pair[0].dim_vector(),
                                  pair[0].content_hash()))
@@ -469,9 +380,8 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
     return Decomposition(m, summands, parts, witness)
 
 
-def is_isomorphic(m: Module, n: Module, seed: int = 0,
-                  assume_indecomposable: bool = False):
-    """(answer, witness); deterministic and complete for indecomposables.
+def is_isomorphic(m: Module, n: Module, assume_indecomposable: bool = False):
+    """(answer, witness); deterministic and complete.
 
     With `assume_indecomposable` (End(m) local) a basis of Hom(m, n) that
     holds no isomorphism settles the answer as False.  If m and n are
@@ -480,7 +390,9 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0,
     basis of Hom(m, n) lies inside a proper subspace; so some basis
     element is an isomorphism, and the loop over the basis finds it.
     Composites g f with g in Hom(n, m) add nothing: g f invertible with
-    equal dimension vectors already makes m and n isomorphic.
+    equal dimension vectors already makes m and n isomorphic.  Otherwise
+    the answer comes from matching the indecomposable summands of the two
+    decompositions (Krull-Schmidt).
     """
     if m.dim_vector() != n.dim_vector():
         return False, None
@@ -494,13 +406,8 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0,
             return True, f
     if assume_indecomposable:
         return False, None
-    rng = Random(seed)
-    for _ in range(16):
-        candidate = random_combination(fwd, rng, 4)
-        if candidate.is_isomorphism():
-            return True, candidate
-    dm = decompose(m, seed)
-    dn = decompose(n, seed)
+    dm = decompose(m)
+    dn = decompose(n)
     matched = _match_decompositions(dm, dn)
     if matched is None:
         return False, None

@@ -312,7 +312,7 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
             if not alpha_incl.is_injective():
                 entry["factorizations"] = False
                 entry["witness"] = "alpha map not injective"
-            dec = decompose(alpha_mod, 0)
+            dec = decompose(alpha_mod)
             for part in dec.parts:
                 hit = None
                 for jdx in range(n):

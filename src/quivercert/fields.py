@@ -99,9 +99,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, n: int):
         return n % self.p if self.is_prime_field else Fraction(n)
 

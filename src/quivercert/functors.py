@@ -211,11 +211,11 @@ def nakayama_map(f: ModuleMap) -> ModuleMap:
 
 # -- tau, Sigma, gamma, eta -------------------------------------------------------
 
-def strip_projective_summands(m: Module, seed: int = 0):
+def strip_projective_summands(m: Module):
     """(non-projective part as a submodule of m, list of projective parts)."""
     if m.is_zero():
         return m, []
-    dec = decompose(m, seed)
+    dec = decompose(m)
     keep, dropped = [], []
     for part in dec.parts:
         if is_projective_module(part):
@@ -229,9 +229,9 @@ def strip_projective_summands(m: Module, seed: int = 0):
     return direct_sum(keep)[0], dropped
 
 
-def tau(m: Module, seed: int = 0) -> Module:
+def tau(m: Module) -> Module:
     """AR translate: kernel of nu applied to the minimal presentation."""
-    core, dropped = strip_projective_summands(m, seed)
+    core, dropped = strip_projective_summands(m)
     if dropped:
         warnings.warn("tau: projective summands stripped", stacklevel=2)
     if core.is_zero():
@@ -250,9 +250,9 @@ def sigma(m: Module) -> Module:
     return quotient(env.target, incl)[0]
 
 
-def gamma(m: Module, seed: int = 0) -> Module:
+def gamma(m: Module) -> Module:
     """gamma = image of nu on the minimal presentation (= Sigma tau)."""
-    core, _ = strip_projective_summands(m, seed)
+    core, _ = strip_projective_summands(m)
     if core.is_zero():
         return zero_module(m.algebra)
     f, _ = min_projective_presentation(core)
@@ -260,9 +260,9 @@ def gamma(m: Module, seed: int = 0) -> Module:
     return image_of_map(nf)[0]
 
 
-def gamma_both_ways(m: Module, seed: int = 0):
+def gamma_both_ways(m: Module):
     """(image-of-nu route, Sigma-tau route) for cross checks."""
-    return gamma(m, seed), sigma(tau(m, seed))
+    return gamma(m), sigma(tau(m))
 
 
 def eta(m: Module, check_torsionless: bool = True) -> Module:

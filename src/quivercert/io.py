@@ -25,6 +25,10 @@ class InputError(ValueError):
 
 
 def _int(value, what: str) -> int:
+    """An integer count; a bool or a non-integral float is refused, not
+    truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{what} is not an integer: {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:

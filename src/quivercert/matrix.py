@@ -56,9 +56,6 @@ class Matrix:
         vals = [field.element(v) for v in values]
         return cls(field, len(vals), 1, vals)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, self.entries)
-
     # -- basics -----------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij
@@ -99,9 +96,6 @@ class Matrix:
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
-
-    def to_lists(self):
-        return [self.row(i) for i in range(self.rows)]
 
     def to_strings(self):
         f = self.field.format

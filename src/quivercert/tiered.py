@@ -119,7 +119,7 @@ def p1_check(algebra: BasicAlgebra):
     return not witnesses, witnesses
 
 
-def find_embedding(p: Module, q: Module, seed: int = 0):
+def find_embedding(p: Module, q: Module):
     """An injective ModuleMap p -> q, or None (certified when the field is
     small or a dimension obstruction exists); raises Undecided otherwise."""
     for v in p.algebra.quiver.vertices:
@@ -132,7 +132,7 @@ def find_embedding(p: Module, q: Module, seed: int = 0):
         if f.is_injective():
             return f
     field = p.field
-    rng = Random(seed)
+    rng = Random(0)
     for _ in range(P2_RANDOM_TRIALS):
         cand = random_combination(maps, rng, 8)
         if cand.is_injective():
@@ -147,7 +147,7 @@ def find_embedding(p: Module, q: Module, seed: int = 0):
     raise Undecided("embedding search exhausted without certificate")
 
 
-def p2_check(algebra: BasicAlgebra, seed: int = 0):
+def p2_check(algebra: BasicAlgebra):
     """(P2): nonzero Hom between second socles forces an embedding of the
     projectives.  Returns (ok, witnesses)."""
     require_nicely_tiered(algebra)
@@ -162,7 +162,7 @@ def p2_check(algebra: BasicAlgebra, seed: int = 0):
         for y, q, tq in tall:
             if not hom_basis(tp, tq):
                 continue
-            emb = find_embedding(p, q, seed)
+            emb = find_embedding(p, q)
             if emb is None:
                 witnesses.append({"pair": [x, y],
                                   "hom_2p_dim": len(hom_basis(tp, tq))})

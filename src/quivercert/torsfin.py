@@ -126,23 +126,18 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
 
     `absorb` decomposes a module and lists its torsionless summands.  A
     module whose content hash it has already absorbed in this call is
-    skipped before `decompose` runs, and this cannot change the list.
-    Its summands are the first absorb's summands up to isomorphism
-    (Krull-Schmidt), whatever the seed; being torsionless is invariant
-    under isomorphism; and `classes` only grows.  So each torsionless
-    summand of the repeat is isomorphic to a listed class, and
-    `ClassList.contains` would find it: with `assume_indecomposable`,
-    `is_isomorphic` answers True only with an isomorphism witness, and
-    finds one whenever m and n are isomorphic with End(m) local.  The
-    repeat would have added nothing, and the random stream `rng` is not
-    drawn by `absorb`, so every later step sees the same state.
+    skipped before `decompose` runs, and this cannot change the list:
+    `decompose` is a function of the module's content, so a repeat yields
+    the same parts, which the first absorb has already offered to
+    `classes`, and `classes` only grows.  `absorb` draws nothing from
+    `rng`, so every later step sees the same state.
     """
     rng = Random(seed)
     classes = ClassList()
     projs = projectives(algebra)
     absorbed: set[str] = set()
 
-    def absorb(module: Module, derived_seed: int) -> bool:
+    def absorb(module: Module) -> bool:
         added = False
         if module.is_zero():
             return False
@@ -150,7 +145,7 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
         if key in absorbed:
             return False
         absorbed.add(key)
-        dec = decompose(module, derived_seed)
+        dec = decompose(module)
         for part in dec.parts:
             # a listed content hash is refused by `classes.add` anyway
             if classes.lists_content(part):
@@ -164,26 +159,26 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
     # deterministic generators: radicals and principal submodules
     for p in projs:
         rad, _ = radical(p)
-        absorb(rad, seed)
+        absorb(rad)
         for v in algebra.quiver.vertices:
             for col in range(p.dims[v]):
                 gen = Matrix.zero(algebra.field, p.dims[v], 1)
                 gen[col, 0] = algebra.field.one()
                 sub, _ = spanned_submodule(p, {v: gen})
-                absorb(sub, seed)
+                absorb(sub)
     stable = 0
-    for round_no in range(rounds):
+    for _ in range(rounds):
         added = False
         # kernels of approximations of the simples by the current list
         current = classes.sorted_members()
         cat = AddCategory(current)
         for x in algebra.quiver.vertices:
             res = right_add_approximation(current, simple(algebra, x), cat=cat)
-            if absorb(res.kernel, seed + round_no):
+            if absorb(res.kernel):
                 added = True
         # seeded random submodules of sums of current members
         current = classes.sorted_members()
-        for s in range(samples_per_round):
+        for _ in range(samples_per_round):
             t = rng.randrange(1, bound + 1)
             chosen = [current[rng.randrange(len(current))] for _ in range(t)]
             big = direct_sum(chosen)[0]
@@ -191,7 +186,7 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
             if not gens:
                 continue
             sub, _ = spanned_submodule(big, gens)
-            if absorb(sub, seed + 101 * round_no + s):
+            if absorb(sub):
                 added = True
         stable = 0 if added else stable + 1
         if stable >= 2:
@@ -318,7 +313,7 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
         if sub.is_zero():
             continue
         tested += 1
-        dec = decompose(sub, seed + s)
+        dec = decompose(sub)
         for part in dec.parts:
             if not tors.contains(part):
                 failures.append({
@@ -339,7 +334,10 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
 def gamma_bijection_check(algebra: BasicAlgebra, inv: TorsionlessInventory,
                           assume_complete: bool = False, seed: int = 0) -> dict:
     """Certifies that gamma maps non-projective torsionless classes
-    bijectively onto non-injective divisible classes with top/soc match."""
+    bijectively onto non-injective divisible classes with top/soc match.
+
+    `seed` has no effect: gamma and its decompositions take no seed.  The
+    parameter stays for callers that still pass it."""
     if inv.status != "complete" and not assume_complete:
         raise IncompleteInventory(
             "gamma bijection needs a complete inventory (or assume_complete)")
@@ -349,7 +347,7 @@ def gamma_bijection_check(algebra: BasicAlgebra, inv: TorsionlessInventory,
     pairs = []
     failures = []
     for u in sources:
-        g = gamma(u, seed)
+        g = gamma(u)
         from .decompose import is_indecomposable
         if g.is_zero() or not is_indecomposable(g):
             failures.append({"kind": "gamma_not_indecomposable",

@@ -99,23 +99,6 @@ def lcm(field, p, q):
     return monic(field, quo)
 
 
-def ext_gcd(field, p, q):
-    """Returns (g, u, v) with u p + v q = g, g monic."""
-    r0, r1 = list(p), list(q)
-    s0, s1 = [field.one()], []
-    t0, t1 = [], [field.one()]
-    while r1:
-        quo, rem = divmod_poly(field, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(field, s0, mul(field, quo, s1))
-        t0, t1 = t1, sub(field, t0, mul(field, quo, t1))
-    if not r0:
-        return [], s0, t0
-    inv = field.inv(r0[-1])
-    scale = [inv]
-    return monic(field, r0), mul(field, scale, s0), mul(field, scale, t0)
-
-
 def power(field, p, n):
     out = [field.one()]
     base = list(p)

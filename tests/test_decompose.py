@@ -1,16 +1,14 @@
-from random import Random
-
 import pytest
 
 from quivercert import GF, QQ, Matrix
 from quivercert import decompose as decompose_module
 from quivercert import presets, upoly
 from quivercert.decompose import (
-    EndAlgebra, decompose, is_indecomposable, is_isomorphic,
+    EndAlgebra, QuotientAlgebra, decompose, is_indecomposable, is_isomorphic,
 )
 from quivercert.module import (
-    Module, direct_sum, hom_basis, injective, projective, regular_module,
-    simple, socle_series, zero_map,
+    Module, direct_sum, hom_basis, injective, map_coordinates, projective,
+    regular_module, simple, socle_series,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -85,8 +83,8 @@ def test_indecomposable_projectives():
 def test_decompose_projective_plus_simple():
     alg = presets.a3_rad_square(QQ)
     m = direct_sum([projective(alg, "2"), simple(alg, "3")])[0]
-    dec = decompose(m, seed=1)
-    assert dec.summand_count() == 2
+    dec = decompose(m)
+    assert sum(k for _, k in dec.summands) == 2
     assert sorted(s.total_dim() for s, _ in dec.summands) == [1, 2]
     assert dec.witness.is_isomorphism()
 
@@ -94,8 +92,8 @@ def test_decompose_projective_plus_simple():
 def test_decompose_regular_a3rad2():
     alg = presets.a3_rad_square(QQ)
     reg, _, _ = regular_module(alg)
-    dec = decompose(reg, seed=0)
-    assert dec.summand_count() == 3
+    dec = decompose(reg)
+    assert sum(k for _, k in dec.summands) == 3
     assert all(mult == 1 for _, mult in dec.summands)
     dims = sorted(s.dim_vector() for s, _ in dec.summands)
     assert dims == [(0, 1, 1), (1, 0, 0), (1, 1, 0)]
@@ -105,7 +103,7 @@ def test_decompose_power_multiplicity():
     alg = presets.a3_rad_square(GF(3))
     p3 = projective(alg, "3")
     m = direct_sum([p3, p3, p3])[0]
-    dec = decompose(m, seed=2)
+    dec = decompose(m)
     assert dec.summands[0][1] == 3
     assert len(dec.summands) == 1
 
@@ -114,17 +112,20 @@ def test_second_socle_of_ex84_left_source_decomposes():
     alg = presets.ex84_left(GF(2))
     p = projective(alg, "c")
     s2, _ = socle_series(p)[1]
-    dec = decompose(s2, seed=0)
-    assert dec.summand_count() >= 2
+    dec = decompose(s2)
+    assert sum(k for _, k in dec.summands) >= 2
 
 
 def test_decompose_deterministic_under_seed():
+    # decompose takes no seed: two calls, and a content-equal copy of the
+    # module, give the same summands
     alg = presets.commutative_square_plus(GF(3))
     reg, _, _ = regular_module(alg)
-    d1 = decompose(reg, seed=5)
-    d2 = decompose(reg, seed=5)
-    assert [(s.content_hash(), k) for s, k in d1.summands] == \
-        [(s.content_hash(), k) for s, k in d2.summands]
+    copy = Module(alg, dict(reg.dims), dict(reg.action))
+    assert copy is not reg and copy.content_hash() == reg.content_hash()
+    hashes = [[(s.content_hash(), k) for s, k in decompose(x).summands]
+              for x in (reg, reg, copy)]
+    assert hashes[0] == hashes[1] == hashes[2]
 
 
 def test_kronecker_scalar_modules_not_isomorphic():
@@ -168,7 +169,7 @@ def test_is_isomorphic_general_via_decompose():
     p2, s3 = projective(alg, "2"), simple(alg, "3")
     m = direct_sum([p2, s3])[0]
     n = direct_sum([s3, p2])[0]
-    ok, w = is_isomorphic(m, n, seed=3)
+    ok, w = is_isomorphic(m, n)
     assert ok and w.is_isomorphism()
 
 
@@ -315,68 +316,93 @@ def _companion_kronecker_module(field):
     return Module(alg, {"1": 2, "2": 2}, {"a": Matrix.identity(field, 2), "b": b})
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(2)], ids=str)
-def test_split_once_falls_back_to_a_lifted_idempotent(field, monkeypatch):
-    # with every random endomorphism zero, no Fitting trial splits N + N,
-    # and the split must come from an idempotent of End/rad = M_2(End N)
-    n = _companion_kronecker_module(field)
-    m = direct_sum([n, n])[0]
-    lifted = []
-    real_lift = decompose_module._lift_idempotent
-
-    def counting_lift(*args):
-        lifted.append(args)
-        return real_lift(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(decompose_module, "random_combination",
-                      lambda maps, rng, bound: zero_map(maps[0].source, maps[0].target))
-        patch.setattr(decompose_module, "_lift_idempotent", counting_lift)
-        pieces = decompose_module.split_once(m, Random(0))
-    assert len(lifted) == 1
-    assert len(pieces) == 2
-    for piece, incl in pieces:
-        assert incl.is_injective()
-        assert is_isomorphic(n, piece, assume_indecomposable=True)[0]
+def _no_random_draw(*args):
+    raise AssertionError("random_combination drawn")
 
 
-@pytest.mark.parametrize("summands, pieces", [
-    (("1", "2"), [(1, 0, 0), (0, 1, 0)]),
-    (("1", "1", "2"), [(1, 0, 0), (1, 1, 0)]),
-], ids=["S1+S2", "S1+S1+S2"])
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_idempotent_split_over_gf_p(p, summands, pieces, monkeypatch):
-    # End/rad is k x k for S1 + S2 (the commutative GF(p) branch, through
-    # a spectral idempotent) and M_2(k) x k for S1 + S1 + S2
-    alg = presets.a3_rad_square(GF(p))
-    m = direct_sum([simple(alg, x) for x in summands])[0]
-    spectral = []
-    real_spectral = decompose_module._spectral_idempotent
+@pytest.mark.parametrize("summands, field", [
+    ("N+N", QQ), ("N+N", GF(3)), ("N+N", GF(2)),
+    *[(summands, GF(p)) for summands in ("S1+S2", "S1+S1+S2") for p in (2, 3, 5)],
+], ids=str)
+def test_deterministic_candidates_split_with_no_random_draw(summands, field, monkeypatch):
+    # End/rad is M_2(End N) for N + N, k x k for S1 + S2 (split by a
+    # Frobenius-fixed element) and M_2(k) x k for S1 + S1 + S2
+    if summands == "N+N":
+        n = _companion_kronecker_module(field)
+        m = direct_sum([n, n])[0]
+    else:
+        alg = presets.a3_rad_square(field)
+        m = direct_sum([simple(alg, x[1:]) for x in summands.split("+")])[0]
+    fixed, phis = [], []
+    real_fixed = QuotientAlgebra.frobenius_fixed_basis
+    real_split = decompose_module._split_along_poly
 
-    def counting_spectral(*args):
-        spectral.append(args)
-        return real_spectral(*args)
+    def recording_fixed(s):
+        basis = real_fixed(s)
+        fixed.extend(basis)
+        return basis
 
-    monkeypatch.setattr(decompose_module, "_spectral_idempotent", counting_spectral)
+    def recording_split(m, phi, facs):
+        phis.append(phi)
+        return real_split(m, phi, facs)
+
+    monkeypatch.setattr(decompose_module, "random_combination", _no_random_draw)
+    monkeypatch.setattr(QuotientAlgebra, "frobenius_fixed_basis", recording_fixed)
+    monkeypatch.setattr(decompose_module, "_split_along_poly", recording_split)
     end = EndAlgebra(m)
-    s = end.semisimple_quotient()
-    e_bar = decompose_module._idempotent_in_quotient(s)
-    commutative = len(summands) == 2
-    assert s.is_commutative() == commutative
-    assert len(spectral) == commutative
-    assert s.mul(e_bar, e_bar) == e_bar
-    assert Matrix.hstack([Matrix.column(alg.field, e_bar),
-                          Matrix.column(alg.field, s.one())]).rank() == 2
-    e = decompose_module._lift_idempotent(end, s, e_bar)
-    assert e.then(e).components == e.components
-    split = decompose_module._split_with_idempotent(m, e)
-    assert [piece.dim_vector() for piece, _ in split] == pieces
-    assert tuple(map(sum, zip(*pieces))) == m.dim_vector()
+    pieces = decompose_module.split_once(m, end)
+    assert len(phis) == 1
+    if summands == "N+N":
+        assert len(pieces) == 2
+        for piece, incl in pieces:
+            assert incl.is_injective()
+            assert is_isomorphic(n, piece, assume_indecomposable=True)[0]
+        return
+    expected = {"S1+S2": [(0, 1, 0), (1, 0, 0)], "S1+S1+S2": [(1, 0, 0), (1, 1, 0)]}
+    assert sorted(piece.dim_vector() for piece, _ in pieces) == expected[summands]
+    if summands == "S1+S2":
+        # the split map is a lift of a Frobenius-fixed element, tried before
+        # (and built apart from) the End basis maps
+        s = end.semisimple_quotient()
+        assert map_coordinates(phis[0], end.basis) in [s.lift(v) for v in fixed]
+        assert all(phis[0] is not b for b in end.basis)
+
+
+def test_rational_cube_of_a_quadratic_module_splits_with_no_random_draw(monkeypatch):
+    # End(N^3) = M_3(Q(sqrt 2)): almost no random element splits it, while
+    # the End basis holds a lift of each unit of End/rad
+    n = _companion_kronecker_module(QQ)
+    monkeypatch.setattr(decompose_module, "random_combination", _no_random_draw)
+    dec = decompose(direct_sum([n, n, n])[0])
+    assert [k for _, k in dec.summands] == [3]
+    assert is_isomorphic(n, dec.summands[0][0], assume_indecomposable=True)[0]
+    assert dec.witness.is_isomorphism()
+
+
+def test_random_fallback_is_drawn_from_a_fixed_seed(monkeypatch):
+    # with the deterministic candidates taken away, the split comes from
+    # the random combinations, and two calls draw the same ones
+    alg = presets.a3_rad_square(GF(5))
+    m = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
+    drawn = []
+    real_random = decompose_module.random_combination
+    monkeypatch.setattr(decompose_module, "_deterministic_candidates", lambda end: [])
+
+    def recording_random(*args):
+        drawn.append(args)
+        return real_random(*args)
+
+    monkeypatch.setattr(decompose_module, "random_combination", recording_random)
+    splits = [[(piece.content_hash(), incl.components)
+               for piece, incl in decompose_module.split_once(m)] for _ in range(2)]
+    assert drawn
+    assert len(splits[0]) == 2
+    assert splits[0] == splits[1]
 
 
 def test_isomorphism_of_decomposables_by_matching_summands(monkeypatch):
-    # the same summands in two orders; when no random combination of
-    # Hom(m, n) is invertible, the answer comes from matching decompositions
+    # the same summands in two orders; when no basis map of Hom(m, n) is
+    # invertible, the answer comes from matching decompositions
     alg = presets.a2(GF(2))
     s1, s2, p1 = simple(alg, "1"), simple(alg, "2"), projective(alg, "1")
     m = direct_sum([s1, s1, s1, s2, s2, s2, p1])[0]
@@ -389,10 +415,9 @@ def test_isomorphism_of_decomposables_by_matching_summands(monkeypatch):
         return real_match(*args)
 
     monkeypatch.setattr(decompose_module, "_match_decompositions", counting_match)
-    for seed in range(10):
-        ok, witness = is_isomorphic(m, n, seed)
-        assert ok
-        assert witness.source is m and witness.target is n
-        assert witness.intertwines() and witness.is_isomorphism()
+    ok, witness = is_isomorphic(m, n)
+    assert ok
+    assert witness.source is m and witness.target is n
+    assert witness.intertwines() and witness.is_isomorphism()
     assert matched
     assert is_isomorphic(direct_sum([s1, s2])[0], p1) == (False, None)

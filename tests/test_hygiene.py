@@ -1,7 +1,7 @@
 """Source hygiene: every name a `quivercert` module imports is read somewhere
 in that module (or re-exported through `__all__`), every top-level function
-and class has a caller outside the tests, and sympy is loaded only by the one
-path that needs it."""
+and class and every method has a caller outside the tests, and sympy is
+loaded only by the one path that needs it."""
 
 import ast
 import re
@@ -50,8 +50,12 @@ ENTRY_POINTS = {"io", "presets", "__init__"}
 
 # definitions that only the tests call, each kept for a stated reason
 KEPT = {
+    "algebra.BasicAlgebra.elem_mul": "the product that the algebra certificate checks "
+                                     "mult_table against (ROADMAP item 6)",
     "functors.eta": "the paper's eta functor; the tests check D eta = gamma and eta eta = id",
     "functors.gamma_both_ways": "the Sigma-tau route that the tests compare gamma against",
+    "lattice.Lattice.specialize": "the reference route of test_specialize_commutes_with_tensor, "
+                                  "and the specialisation of ROADMAP item 4",
     "lattice.constant_lattice": "the split family whose Odim witness must fail at every point",
     "lattice.scale_class": "drives the bilinearity test of yoneda_cocycle",
     "lattice.tensor_lattice": "a candidate for the n-factor Kunneth product (ROADMAP item 2)",
@@ -81,21 +85,38 @@ def _references(node: ast.AST) -> set[str]:
     return names
 
 
+def _parts(node: ast.AST) -> list[tuple[int | None, ast.AST]]:
+    """A top-level statement cut into (class-body index, part): a class
+    into its header and each statement of its body, anything else whole."""
+    if not isinstance(node, ast.ClassDef):
+        return [(None, node)]
+    header = [(None, sub) for sub in node.decorator_list + node.bases + node.keywords]
+    return header + list(enumerate(node.body))
+
+
 def _dead_definitions(sources: dict[str, str], checked: set[str]) -> list[str]:
     """`module.name` of each top-level def/class in a checked module that no
-    other top-level statement of any source names."""
+    other top-level statement of any source names, and `module.Class.name`
+    of each non-dunder method that nothing outside its own body names."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    named_by = {}  # name -> {(module, index of the top-level statement)}
+    named_by = {}  # name -> {(module, top-level index, class-body index)}
     for module, tree in trees.items():
         for k, node in enumerate(tree.body):
-            for name in _references(node):
-                named_by.setdefault(name, set()).add((module, k))
+            for j, part in _parts(node):
+                for name in _references(part):
+                    named_by.setdefault(name, set()).add((module, k, j))
     dead = []
     for module in checked:
         for k, node in enumerate(trees[module].body):
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not named_by.get(node.name, set()) - {(module, k)}):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not {(m, i) for m, i, _ in named_by.get(node.name, ())} - {(module, k)}:
                 dead.append(f"{module}.{node.name}")
+            for j, part in _parts(node):
+                if (isinstance(part, ast.FunctionDef) and j is not None
+                        and not (part.name.startswith("__") and part.name.endswith("__"))
+                        and not named_by.get(part.name, set()) - {(module, k, j)}):
+                    dead.append(f"{module}.{node.name}.{part.name}")
     return sorted(dead)
 
 
@@ -116,6 +137,18 @@ def test_scan_flags_a_dead_definition():
     assert _dead_definitions(sources, {"a", "b"}) == ["a.dead"]
 
 
+def test_scan_flags_a_dead_method():
+    sources = {
+        "a": ("class Base:\n    pass\n\n\n@dataclass\nclass Thing(Base):\n"
+              "    def __init__(self):\n        self.helper()\n\n"
+              "    def helper(self):\n        pass\n\n"
+              "    def dead(self):\n        return self.dead()\n\n"
+              "    def called(self):\n        pass\n"),
+        "b": "from a import Thing\n\nThing().called()\n",
+    }
+    assert _dead_definitions(sources, {"a"}) == ["a.Thing.dead"]
+
+
 SYMPY_GUARD = """
 import sys
 from quivercert import GF, QQ, presets, upoly
@@ -126,7 +159,7 @@ calls = []
 factor_poly = upoly.factor_poly
 upoly.factor_poly = lambda *args: calls.append(args) or factor_poly(*args)
 reg, _, _ = regular_module(presets.a3_rad_square(GF(3)))
-assert decompose(reg, seed=0).summand_count() == 3
+assert sum(k for _, k in decompose(reg).summands) == 3
 assert calls, "decompose did not factor a polynomial"
 assert upoly.factor_poly(QQ, [-2, 1, 1]) == [([-1, 1], 1), ([2, 1], 1)]
 assert upoly.factor_poly(QQ, [-2, 1, -2, 1]) == [([-2, 1], 1), ([1, 0, 1], 1)]

@@ -85,7 +85,8 @@ def test_malformed_payloads_raise_typed_errors(tmp_path):
     with pytest.raises(FieldError):
         algebra_from_json(dict(payload, field="GF(4)"))
     for wrongly_typed in ({"dims": [1, 2]}, {"dims": {"1": "x"}},
-                          {"dims": {"1": 1, "2": 1}, "action": []}):
+                          {"dims": {"1": 1, "2": 1}, "action": []},
+                          {"dims": {"1": 1.9, "2": 0}}, {"dims": {"1": True, "2": 0}}):
         with pytest.raises(InputError):
             module_from_json(wrongly_typed, alg)
     with pytest.raises(InputError):

@@ -38,7 +38,7 @@ def test_constant_lattice_specializes_to_module():
 def test_eps_alpha_middle_is_jordan():
     field = GF(2)
     s_ts, mid_ts, _ = eps_alpha(field, 0)
-    assert mid_ts[0].to_lists() == [[0, 0], [1, 0]]
+    assert mid_ts[0].entries == [0, 0, 1, 0]
 
 
 def test_tensor_sequence_kronecker():

@@ -202,9 +202,9 @@ def test_closure_decomposes_each_content_once(monkeypatch):
     original = torsfin.decompose
     seen: dict[int, list[str]] = {}
 
-    def counting(m, seed=0):
+    def counting(m):
         seen.setdefault(id(m.algebra), []).append(m.content_hash())
-        return original(m, seed)
+        return original(m)
 
     monkeypatch.setattr(torsfin, "decompose", counting)
     enumerate_torsionless(presets.local_xy(GF(3)), seed=0)

@@ -49,7 +49,7 @@ def test_traced_decompose_records_spans_and_restores():
     t = tracer.Tracer()
     with t:
         assert decompose_module.decompose.qcbench_traced
-        dec = decompose_module.decompose(m, seed=1)
+        dec = decompose_module.decompose(m)
     assert dec.witness.is_isomorphism()
     metrics = t.layer_metrics()
     assert metrics["decompose.decompose.calls"][0] == 1

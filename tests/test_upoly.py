@@ -155,16 +155,6 @@ def test_factor_poly_rational():
     assert len(facs) == 2
 
 
-def test_ext_gcd_bezout():
-    f5 = GF(5)
-    p = [1, 1]      # x + 1
-    q = [2, 0, 1]   # x^2 + 2
-    g, u, v = upoly.ext_gcd(f5, p, q)
-    lhs = upoly.add(f5, upoly.mul(f5, u, p), upoly.mul(f5, v, q))
-    assert lhs == g
-    assert upoly.degree(g) == 0
-
-
 def test_poly_division_round_trip():
     rng = random.Random(23)
     f3 = GF(3)
