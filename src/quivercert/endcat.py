@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .approx import AddCategory, injectives, projectives
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix, NoSolution, complement_basis
-from .module import Module, ModuleMap, coordinates_matrix, hom_basis, in_span
+from .module import Module, ModuleMap, coordinates_matrix, hom_basis
 from .torsfin import IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
 
@@ -330,12 +330,12 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
             if not rads:
                 continue
             through_alpha = [g.then(alpha_incl) for g in hom_basis(cat.objects[jdx], alpha_mod)]
-            for r in rads:
-                if not in_span(r, through_alpha):
-                    entry["factorizations"] = False
-                    entry["witness"] = {"from_object": jdx,
-                                        "map_dims": list(cat.objects[jdx].dim_vector())}
-                    break
+            try:
+                coordinates_matrix(rads, through_alpha)
+            except NoSolution:
+                entry["factorizations"] = False
+                entry["witness"] = {"from_object": jdx,
+                                    "map_dims": list(cat.objects[jdx].dim_vector())}
             if not entry["factorizations"]:
                 break
         if not (entry["factorizations"] and entry["alpha_in_lower_layers"]):

@@ -293,44 +293,90 @@ def direct_sum(summands):
 
 # -- hom spaces ----------------------------------------------------------------
 
+def _subtract_multiple(row: dict, f, other: dict, p: int):
+    """row -= f * other on sparse rows {column: coefficient}, in place,
+    dropping the entries that become zero (mod p when p > 0)."""
+    for col, c in other.items():
+        v = row.get(col, 0) - f * c
+        if p:
+            v %= p
+        if v:
+            row[col] = v
+        else:
+            # f * c != 0 in a field, so a zero result means col was present
+            del row[col]
+
+
 def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
-    """Basis of Hom(m, n): one kernel computation on the stacked
-    intertwining system."""
+    """Basis of Hom(m, n): the reduced kernel basis of the intertwining
+    system n_a f_x - f_y m_a = 0, one constraint per arrow a: x -> y and
+    entry (i, j).
+
+    The unknowns are the entries of the f_v, vertex by vertex in quiver
+    order and row-major within a vertex.  Each constraint has at most
+    n_x + m_y nonzeros, so it is built as a sparse row and reduced at
+    once by Gauss-Jordan against the pivot rows found so far, which are
+    kept fully reduced and normalised at their least column.  At the end
+    they are the nonzero rows of the system's reduced row echelon form,
+    which is unique; so the basis -- for each non-pivot column fc in
+    ascending order, e_fc - sum over pivots pc of R_pc[fc] e_pc -- is the
+    kernel basis that the dense RREF of the stacked system gives, entry
+    for entry, whatever the order in which the constraints arrive."""
     if m.algebra is not n.algebra:
         raise ModuleError("hom between different algebras")
     algebra, field = m.algebra, m.field
+    p = field.p
     verts = list(algebra.quiver.vertices)
     offsets = {}
     total = 0
     for v in verts:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    rows = []
+    pivots = {}  # least column -> fully reduced row, 1 at that column
     for a in algebra.quiver.arrows:
         x, y = a.source, a.target
-        na, ma = n.action[a.name], m.action[a.name]
-        # constraint: n_a f_x - f_y m_a = 0, entry (i, j)
-        for i in range(n.dims[y]):
-            for j in range(m.dims[x]):
-                row = [field.zero()] * total
-                for k in range(n.dims[x]):
-                    row[offsets[x] + k * m.dims[x] + j] = field.add(
-                        row[offsets[x] + k * m.dims[x] + j], na[i, k])
-                for k in range(m.dims[y]):
-                    row[offsets[y] + i * m.dims[y] + k] = field.sub(
-                        row[offsets[y] + i * m.dims[y] + k], ma[k, j])
-                rows.append(row)
-    if rows:
-        system = Matrix(field, len(rows), total, [x for r in rows for x in r])
-    else:
-        system = Matrix.zero(field, 0, total)
-    kernel = system.kernel_basis()
+        nx, mx, my = n.dims[x], m.dims[x], m.dims[y]
+        ox, oy = offsets[x], offsets[y]
+        na, ma = n.action[a.name].entries, m.action[a.name].entries
+        na_rows = [[(ox + k * mx, c) for k in range(nx) if (c := na[i * nx + k])]
+                   for i in range(n.dims[y])]
+        ma_cols = [[(k, c) for k in range(my) if (c := ma[k * mx + j])]
+                   for j in range(mx)]
+        for i, n_row in enumerate(na_rows):
+            base = oy + i * my
+            for j, m_col in enumerate(ma_cols):
+                row = {col + j: c for col, c in n_row}
+                # the two parts share columns only on a loop (x == y)
+                _subtract_multiple(row, 1, {base + k: c for k, c in m_col}, p)
+                for pc in [pc for pc in row if pc in pivots]:
+                    _subtract_multiple(row, row[pc], pivots[pc], p)
+                if not row:
+                    continue
+                lead = min(row)
+                inv = field.inv(row[lead])
+                if inv != 1:
+                    row = {col: (c * inv % p if p else c * inv) for col, c in row.items()}
+                for prow in [prow for prow in pivots.values() if lead in prow]:
+                    _subtract_multiple(prow, prow[lead], row, p)
+                pivots[lead] = row
+    # kernel vector of free column fc: 1 at fc, -R_pc[fc] at each pivot pc
+    minus = {}
+    for pc, prow in pivots.items():
+        for col, c in prow.items():
+            if col != pc:
+                minus.setdefault(col, []).append((pc, (-c) % p if p else -c))
+    zero, one = field.zero(), field.one()
     maps = []
-    for c in range(kernel.cols):
-        comps = {}
-        for v in verts:
-            entries = [kernel[offsets[v] + idx, c] for idx in range(n.dims[v] * m.dims[v])]
-            comps[v] = Matrix(field, n.dims[v], m.dims[v], entries)
+    for fc in range(total):
+        if fc in pivots:
+            continue
+        vec = [zero] * total
+        vec[fc] = one
+        for pc, c in minus.get(fc, ()):
+            vec[pc] = c
+        comps = {v: Matrix(field, n.dims[v], m.dims[v],
+                           vec[offsets[v]:offsets[v] + n.dims[v] * m.dims[v]])
+                 for v in verts}
         maps.append(ModuleMap(m, n, comps, check=False))
     return maps
 

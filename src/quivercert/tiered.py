@@ -160,12 +160,9 @@ def p2_check(algebra: BasicAlgebra):
     witnesses = []
     for x, p, tp in tall:
         for y, q, tq in tall:
-            if not hom_basis(tp, tq):
-                continue
-            emb = find_embedding(p, q)
-            if emb is None:
-                witnesses.append({"pair": [x, y],
-                                  "hom_2p_dim": len(hom_basis(tp, tq))})
+            hom_dim_2p = hom_dim(tp, tq)
+            if hom_dim_2p and find_embedding(p, q) is None:
+                witnesses.append({"pair": [x, y], "hom_2p_dim": hom_dim_2p})
     return not witnesses, witnesses
 
 

@@ -306,3 +306,151 @@ def test_relation_check_reads_a_minus_one_coefficient():
     twisted = {"x": p.action["x"], "y": p.action["y"].scale(field.element(2))}
     with pytest.raises(ModuleError):
         Module(alg, p.dims, twisted)
+
+
+# -- hom_basis against the dense route -------------------------------------------
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from quivercert.module import Module, ModuleMap
+
+FIELDS = (GF(2), GF(5), QQ)
+KRONECKER = tuple(presets.kronecker(field) for field in FIELDS)
+
+
+def dense_hom_basis(m, n):
+    """Reference: the stacked intertwining system, densely, then
+    `Matrix.kernel_basis`."""
+    field = m.field
+    verts = list(m.algebra.quiver.vertices)
+    offsets, total = {}, 0
+    for v in verts:
+        offsets[v] = total
+        total += n.dims[v] * m.dims[v]
+    rows = []
+    for a in m.algebra.quiver.arrows:
+        x, y = a.source, a.target
+        na, ma = n.action[a.name], m.action[a.name]
+        for i in range(n.dims[y]):
+            for j in range(m.dims[x]):
+                row = [field.zero()] * total
+                for k in range(n.dims[x]):
+                    col = offsets[x] + k * m.dims[x] + j
+                    row[col] = field.add(row[col], na[i, k])
+                for k in range(m.dims[y]):
+                    col = offsets[y] + i * m.dims[y] + k
+                    row[col] = field.sub(row[col], ma[k, j])
+                rows.append(row)
+    system = Matrix(field, len(rows), total, [e for r in rows for e in r])
+    kernel = system.kernel_basis()
+    maps = []
+    for c in range(kernel.cols):
+        comps = {v: Matrix(field, n.dims[v], m.dims[v],
+                           [kernel[offsets[v] + idx, c]
+                            for idx in range(n.dims[v] * m.dims[v])])
+                 for v in verts}
+        maps.append(ModuleMap(m, n, comps, check=False))
+    return maps
+
+
+def assert_hom_basis_matches_dense(m, n):
+    basis = hom_basis(m, n)
+    reference = dense_hom_basis(m, n)
+    assert len(basis) == len(reference)
+    for f, g in zip(basis, reference):
+        assert f.components == g.components
+        ModuleMap(m, n, f.components, check=True)
+
+
+@st.composite
+def kronecker_modules(draw, alg):
+    """Any pair of matrices is a Kronecker module; entries n/d with d in
+    {1, 3}, which is invertible in every field of FIELDS."""
+    field = alg.field
+    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1, 3)))
+
+    def matrix():
+        return Matrix.from_rows(field, [[draw(entry) for _ in range(d1)]
+                                        for _ in range(d2)]) if d2 else Matrix.zero(field, 0, d1)
+
+    return Module(alg, {"1": d1, "2": d2}, {"a": matrix(), "b": matrix()})
+
+
+@st.composite
+def kronecker_pairs(draw):
+    alg = draw(st.sampled_from(KRONECKER))
+    return draw(kronecker_modules(alg)), draw(kronecker_modules(alg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kronecker_pairs())
+def test_hom_basis_equals_dense_route_on_kronecker(pair):
+    m, n = pair
+    assert_hom_basis_matches_dense(m, n)
+
+
+STANDARD = {"P": projective, "I": injective, "S": simple}
+
+
+@st.composite
+def sums_of_standard_modules(draw, alg):
+    """A direct sum of 1-3 projectives, injectives and simples of alg."""
+    picks = draw(st.lists(st.tuples(st.sampled_from(sorted(STANDARD)),
+                                    st.sampled_from(alg.quiver.vertices)),
+                          min_size=1, max_size=3))
+    total, _, _ = direct_sum([STANDARD[kind](alg, x) for kind, x in picks])
+    return total
+
+
+@st.composite
+def base_changes(draw, module):
+    """module carried along g_v = L_v U_v at each vertex (L_v lower and U_v
+    upper unitriangular, so g_v is invertible).  On a loop the standard
+    modules act by nilpotent triangular matrices; after the change the
+    diagonal is nonzero, and the two halves of a constraint share columns."""
+    field = module.field
+    entry = st.integers(-2, 2).map(field.element)
+    g = {}
+    for v, d in module.dims.items():
+        lower, upper = Matrix.identity(field, d), Matrix.identity(field, d)
+        for i in range(d):
+            for j in range(i):
+                lower[i, j], upper[j, i] = draw(entry), draw(entry)
+        g[v] = lower @ upper
+    action = {a.name: g[a.target] @ module.action[a.name] @ g[a.source].inverse()
+              for a in module.algebra.quiver.arrows}
+    return Module(module.algebra, module.dims, action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hom_basis_equals_dense_route_with_relations(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    alg = data.draw(st.sampled_from((presets.a3_rad_square, presets.local_xy)))(field)
+    m = data.draw(sums_of_standard_modules(alg))
+    n = data.draw(sums_of_standard_modules(alg))
+    assert_hom_basis_matches_dense(m, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hom_basis_equals_dense_route_on_loops(data):
+    # one standard module each: over Q, a change of basis of a sum makes
+    # the dense reference's fractions grow to seconds per example
+    alg = presets.local_xy(data.draw(st.sampled_from(FIELDS)))
+    m, n = (data.draw(base_changes(STANDARD[data.draw(st.sampled_from(sorted(STANDARD)))](alg, "*")))
+            for _ in range(2))
+    assert_hom_basis_matches_dense(m, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_hom_is_additive_over_direct_sums(data):
+    alg = data.draw(st.sampled_from(KRONECKER))
+    m, m2, n = (data.draw(kronecker_modules(alg)) for _ in range(3))
+    total, _, _ = direct_sum([m, m2])
+    assert hom_dim(total, n) == hom_dim(m, n) + hom_dim(m2, n)
+    assert hom_dim(n, total) == hom_dim(n, m) + hom_dim(n, m2)
