@@ -1,14 +1,15 @@
 """Exact matrices over GF(p) or Q with deterministic row reduction.
 
-GF(p) products and row reduction run on plain ints mod p in `_gfpure`;
-rational matrices use the generic Fraction path.  Pivoting is
-first-nonzero in column order, which makes every derived basis (kernels,
-images, complements) reproducible.
+Entries are the field's elements: ints in [0, p) over GF(p), Fractions
+over Q.  The product and the row reduction run on those raw entries,
+one routine for both fields; each reads `field.p` once (0 for Q) and
+branches on it only where it reduces mod p or takes an inverse.
+Pivoting is first-nonzero in column order, which makes every derived
+basis (kernels, images, complements) reproducible.
 """
 
 from __future__ import annotations
 
-from ._gfpure import matmul_mod, rref_mod
 from .fields import Field, FieldError
 
 
@@ -68,7 +69,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
@@ -103,7 +104,7 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
     def _check_same(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldError("field mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -142,20 +143,23 @@ class Matrix:
         self._check_same(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.field.is_prime_field:
-            out = matmul_mod(
-                self.entries, other.entries, self.rows, self.cols, other.cols, self.field.p
-            )
-            return Matrix(self.field, self.rows, other.cols, out)
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero()
+        p = self.field.p
+        a, b = self.entries, other.entries
         n, m, k = self.rows, self.cols, other.cols
-        out = [zero] * (n * k)
+        out = [self.field.zero()] * (n * k)
         for i in range(n):
+            arow = a[i * m:(i + 1) * m]
+            orow = i * k
             for t in range(m):
-                c = self.entries[i * m + t]
-                if c != zero:
-                    for j in range(k):
-                        out[i * k + j] = add(out[i * k + j], mul(c, other.entries[t * k + j]))
+                c = arow[t]
+                if c:
+                    brow = t * k
+                    if p:
+                        for j in range(k):
+                            out[orow + j] = (out[orow + j] + c * b[brow + j]) % p
+                    else:
+                        for j in range(k):
+                            out[orow + j] += c * b[brow + j]
         return Matrix(self.field, n, k, out)
 
     def kron(self, other: "Matrix") -> "Matrix":
@@ -185,7 +189,7 @@ class Matrix:
         field, cols = mats[0].field, mats[0].cols
         entries = []
         for m in mats:
-            if m.cols != cols or m.field != field:
+            if m.cols != cols or (m.field is not field and m.field != field):
                 raise ValueError("vstack mismatch")
             entries.extend(m.entries)
         return Matrix(field, sum(m.rows for m in mats), cols, entries)
@@ -195,7 +199,7 @@ class Matrix:
         mats = list(mats)
         field, rows = mats[0].field, mats[0].rows
         for m in mats:
-            if m.rows != rows or m.field != field:
+            if m.rows != rows or (m.field is not field and m.field != field):
                 raise ValueError("hstack mismatch")
         total = sum(m.cols for m in mats)
         entries = []
@@ -230,36 +234,42 @@ class Matrix:
         Returns (R, pivots, rank) where pivots is the tuple of pivot
         column indices; deterministic for a given input.
         """
-        if self.field.is_prime_field:
-            reduced, pivots = rref_mod(self.entries, self.rows, self.cols, self.field.p)
-            return Matrix(self.field, self.rows, self.cols, reduced), tuple(pivots), len(pivots)
-        F = self.field
-        m = [list(self.row(i)) for i in range(self.rows)]
+        p, rows, cols = self.field.p, self.rows, self.cols
+        m = list(self.entries)
         pivots = []
         r = 0
-        zero = F.zero()
-        for c in range(self.cols):
+        for c in range(cols):
             pivot_row = -1
-            for i in range(r, self.rows):
-                if m[i][c] != zero:
+            for i in range(r, rows):
+                if m[i * cols + c]:
                     pivot_row = i
                     break
             if pivot_row < 0:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = F.inv(m[r][c])
-            if inv != F.one():
-                m[r] = [F.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != zero:
-                    f = m[i][c]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+            top = r * cols
+            if pivot_row != r:
+                other = pivot_row * cols
+                m[top:top + cols], m[other:other + cols] = m[other:other + cols], m[top:top + cols]
+            lead = m[top + c]
+            if lead != 1:
+                inv = pow(lead, -1, p) if p else 1 / lead
+                for j in range(top + c, top + cols):
+                    m[j] = m[j] * inv % p if p else m[j] * inv
+            for i in range(rows):
+                f = m[i * cols + c]
+                if f and i != r:
+                    shift = (i - r) * cols
+                    if p:
+                        for j in range(top + c, top + cols):
+                            m[j + shift] = (m[j + shift] - f * m[j]) % p
+                    else:
+                        for j in range(top + c, top + cols):
+                            m[j + shift] -= f * m[j]
             pivots.append(c)
             r += 1
-            if r == self.rows:
+            if r == rows:
                 break
-        flat = [x for row in m for x in row]
-        return Matrix(self.field, self.rows, self.cols, flat), tuple(pivots), len(pivots)
+        return Matrix(self.field, rows, cols, m), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]

@@ -4,8 +4,8 @@ Polynomials are lists of field elements in ascending degree with no
 trailing zeros ([] is the zero polynomial).  Everything is local but
 the factorization of rational polynomials of degree >= 4 (and of cubics
 too large for the rational root search), which imports sympy when it
-runs.  The characteristic polynomial over GF(p) runs on plain ints mod p
-in `_gfpure.charpoly_mod`; the `Field`-element recurrence below serves Q.
+runs.  The characteristic polynomial runs on the matrix's raw entries,
+one routine for GF(p) and Q, like `Matrix.rref`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 from random import Random
 
-from ._gfpure import charpoly_mod
 from .fields import QQ, Field
 from .matrix import Matrix
 
@@ -131,55 +130,68 @@ def eval_scalar(field, p, x):
 def charpoly(m: Matrix) -> list:
     """det(lambda I - m), ascending coefficients, leading 1.
 
-    Hessenberg reduction by similarity, then the standard recurrence;
-    GF(p) runs it on ints in `charpoly_mod`.
+    Reduces m to upper Hessenberg form H by similarity (the pivot is the
+    first nonzero below the subdiagonal), then p_k = (lambda - H[k-1][k-1])
+    p_{k-1} - sum_i (H[k-1][k-2] ... H[k-i][k-i-1]) H[k-i-1][k-1] p_{k-i-1};
+    the sum stops at the first zero subdiagonal entry.  Over GF(p)
+    (`field.p` nonzero) every entry is reduced mod p as it is computed.
     """
     field = m.field
     n = m.rows
     if n != m.cols:
         raise ValueError("charpoly of non-square matrix")
-    if field.is_prime_field:
-        return charpoly_mod(m.entries, n, field.p)
-    if n == 0:
-        return [field.one()]
-    h = [[m[i, j] for j in range(n)] for i in range(n)]
-    zero = field.zero()
+    p = field.p
+    h = [m.entries[i * n:(i + 1) * n] for i in range(n)]
     for j in range(n - 2):
         pivot = -1
         for i in range(j + 1, n):
-            if h[i][j] != zero:
+            if h[i][j]:
                 pivot = i
                 break
         if pivot < 0:
             continue
-        if pivot != j + 1:
-            h[pivot], h[j + 1] = h[j + 1], h[pivot]
+        k = j + 1
+        if pivot != k:
+            h[pivot], h[k] = h[k], h[pivot]
             for row in h:
-                row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        inv = field.inv(h[j + 1][j])
+                row[pivot], row[k] = row[k], row[pivot]
+        prow = h[k]
+        inv = pow(prow[j], -1, p) if p else 1 / prow[j]
         for i in range(j + 2, n):
-            if h[i][j] != zero:
-                f = field.mul(h[i][j], inv)
-                for c in range(n):
-                    h[i][c] = field.sub(h[i][c], field.mul(f, h[j + 1][c]))
-                for r in range(n):
-                    h[r][j + 1] = field.add(h[r][j + 1], field.mul(f, h[r][i]))
-    # p_0 = 1; p_m from the leading m x m Hessenberg block
+            hi = h[i]
+            if hi[j]:
+                f = hi[j] * inv % p if p else hi[j] * inv
+                if p:
+                    for c in range(j, n):
+                        hi[c] = (hi[c] - f * prow[c]) % p
+                    for row in h:
+                        row[k] = (row[k] + f * row[i]) % p
+                else:
+                    for c in range(j, n):
+                        hi[c] -= f * prow[c]
+                    for row in h:
+                        row[k] += f * row[i]
+    zero = field.zero()
     polys = [[field.one()]]
-    for mm in range(1, n + 1):
-        lam_minus = [field.neg(h[mm - 1][mm - 1]), field.one()]
-        cur = mul(field, lam_minus, polys[mm - 1])
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        d = h[k - 1][k - 1]
+        # (lambda - d) * p_{k-1}
+        cur = [zero] * (k + 1)
+        for t, a in enumerate(prev):
+            cur[t + 1] += a
+            cur[t] -= d * a
         prod = field.one()
-        for i in range(1, mm):
-            prod = field.mul(prod, h[mm - i][mm - i - 1])
-            term = mul(field, [field.mul(prod, h[mm - i - 1][mm - 1])], polys[mm - i - 1])
-            cur = sub(field, cur, term)
-        polys.append(cur)
-    out = polys[n]
-    # pad: char poly has exact degree n with leading coefficient 1
-    while len(out) < n + 1:
-        out.append(zero)
-    return out
+        for i in range(1, k):
+            prod = prod * h[k - i][k - i - 1] % p if p else prod * h[k - i][k - i - 1]
+            if not prod:
+                break
+            f = prod * h[k - i - 1][k - 1] % p if p else prod * h[k - i - 1][k - 1]
+            if f:
+                for t, a in enumerate(polys[k - i - 1]):
+                    cur[t] -= f * a
+        polys.append([c % p for c in cur] if p else cur)
+    return polys[n]
 
 
 def charpoly_coefficient(m: Matrix, k: int):

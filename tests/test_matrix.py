@@ -201,3 +201,141 @@ def test_field_names():
     assert field_from_name("F5") == GF(5)
     assert field_from_name("rational") == QQ
     assert field_from_name("GF(11)") == GF(11)
+
+
+# -- one kernel for every field, against the Field-method reference routes -------
+
+from hypothesis import given, settings, strategies as st
+
+KERNEL_FIELDS = (GF(2), GF(5), GF(2**31 - 1), QQ)
+
+
+def generic_rref(m):
+    """Reduced row echelon form on `Field` methods, as `Matrix.rref`
+    computed it over Q before one routine served every field (reference)."""
+    F = m.field
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    zero = F.zero()
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != zero), -1)
+        if pivot_row < 0:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix(F, m.rows, m.cols, [x for row in rows for x in row]), tuple(pivots), r
+
+
+def generic_mul(a, b):
+    """The product on `Field` methods (reference)."""
+    F = a.field
+    out = [F.zero()] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for t in range(a.cols):
+            for j in range(b.cols):
+                out[i * b.cols + j] = F.add(out[i * b.cols + j], F.mul(a[i, t], b[t, j]))
+    return Matrix(F, a.rows, b.cols, out)
+
+
+def generic_kernel(m):
+    """Null space basis read off `generic_rref`: one column per free column."""
+    F = m.field
+    reduced, pivots, _ = generic_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = Matrix.zero(F, m.cols, len(free))
+    for k, fc in enumerate(free):
+        out[fc, k] = F.one()
+        for r, pc in enumerate(pivots):
+            out[pc, k] = F.neg(reduced[r, fc])
+    return out
+
+
+def generic_solve(a, b):
+    """The solution of A X = B with 0 in the free coordinates, read off
+    `generic_rref` of [A | B]; None when the system is inconsistent."""
+    reduced, pivots, _ = generic_rref(Matrix.hstack([a, b]))
+    if any(c >= a.cols for c in pivots):
+        return None
+    out = Matrix.zero(a.field, a.cols, b.cols)
+    for r, pc in enumerate(pivots):
+        for j in range(b.cols):
+            out[pc, j] = reduced[r, a.cols + j]
+    return out
+
+
+def assert_field_elements(m):
+    """A Fraction over Q, an int in [0, p) over GF(p)."""
+    p = m.field.p
+    for x in m.entries:
+        if p:
+            assert type(x) is int and 0 <= x < p, x
+        else:
+            assert type(x) is Fraction, x
+
+
+def field_entries(field):
+    if field.p:
+        return st.integers(0, field.p - 1)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    """Dense, sparse or all-zero matrices, with 0 rows or columns allowed."""
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    kind = draw(st.sampled_from(("dense", "sparse", "zero")))
+    entry = {"dense": field_entries(field),
+             "sparse": st.one_of(st.just(field.zero()), field_entries(field)),
+             "zero": st.just(field.zero())}[kind]
+    return Matrix(field, rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                                   max_size=rows * cols)))
+
+
+def assert_kernels_match_references(a, b, rhs):
+    reduced, pivots, rank = a.rref()
+    assert (reduced, pivots, rank) == generic_rref(a)
+    product = a @ b
+    assert product == generic_mul(a, b)
+    kernel = a.kernel_basis()
+    assert kernel == generic_kernel(a)
+    expected = generic_solve(a, rhs)
+    if expected is None:
+        with pytest.raises(NoSolution):
+            a.solve(rhs)
+    else:
+        solution = a.solve(rhs)
+        assert solution == expected
+        assert_field_elements(solution)
+    for m in (reduced, product, kernel):
+        assert_field_elements(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rref_mul_kernel_solve_equal_the_field_method_routes(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS), label="field")
+    a = data.draw(matrices(field), label="a")
+    b = data.draw(matrices(field, rows=a.cols), label="b")
+    rhs = data.draw(matrices(field, rows=a.rows), label="rhs")
+    assert_kernels_match_references(a, b, rhs)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (1, 0), (0, 1), (0, 3), (3, 0), (2, 3)])
+def test_kernels_on_empty_and_all_zero_shapes(field, rows, cols):
+    a = Matrix.zero(field, rows, cols)
+    for k in (0, 2):
+        assert_kernels_match_references(a, Matrix.zero(field, cols, k),
+                                        Matrix.zero(field, rows, k))
+    assert a.kernel_basis() == Matrix.identity(field, cols)

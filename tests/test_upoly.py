@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercert import GF, QQ, Matrix
 from quivercert import upoly
@@ -47,8 +49,9 @@ def test_charpoly_matches_laplace():
 
 
 def generic_charpoly(field, m):
-    """The Hessenberg charpoly on `Field` elements, as `upoly.charpoly`
-    computes it for every field but GF(p) (reference for `charpoly_mod`)."""
+    """The Hessenberg charpoly on `Field` methods, with polynomial
+    arithmetic from `upoly` (reference for `upoly.charpoly`, which runs on
+    the raw entries)."""
     n = m.rows
     if n == 0:
         return [field.one()]
@@ -111,6 +114,42 @@ def test_gfp_charpoly_matches_the_generic_recurrence_and_laplace():
             assert len(cp) == m.rows + 1 and cp[-1] == 1
             if m.rows <= 5:
                 assert cp == laplace_charpoly(field, m), m
+
+
+KERNEL_FIELDS = (GF(2), GF(5), GF(2**31 - 1), QQ)
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense, sparse, all-zero and block upper triangular matrices, n = 0..7,
+    over GF(2), GF(5), GF(2^31 - 1) and Q."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(0, 7))
+    value = (st.integers(0, field.p - 1) if field.p
+             else st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero", "block")))
+    entry = {"dense": value, "block": value, "zero": st.just(field.zero()),
+             "sparse": st.one_of(st.just(field.zero()), value)}[kind]
+    entries = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    if kind == "block":
+        cut = draw(st.integers(0, n))
+        entries = [field.zero() if i >= cut > j else entries[i * n + j]
+                   for i in range(n) for j in range(n)]
+    return Matrix(field, n, n, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_charpoly_equals_the_field_method_route(m):
+    field = m.field
+    cp = upoly.charpoly(m)
+    assert cp == generic_charpoly(field, m)
+    assert len(cp) == m.rows + 1 and cp[-1] == 1
+    for c in cp:
+        if field.p:
+            assert type(c) is int and 0 <= c < field.p, c
+        else:
+            assert type(c) is Fraction, c
 
 
 def test_charpoly_of_empty():
@@ -179,7 +218,6 @@ def test_factor_entry_points_coerce_raw_coefficients():
 def sympy_factor_list(field, coeffs):
     """`factor_poly`'s output computed by sympy (the reference)."""
     import warnings
-    from fractions import Fraction
 
     import sympy
     x = sympy.Symbol("x")
