@@ -265,13 +265,12 @@ def gamma_both_ways(m: Module):
     return gamma(m), sigma(tau(m))
 
 
-def eta(m: Module, check_torsionless: bool = True) -> Module:
+def eta(m: Module) -> Module:
     """Image of Hom(f, algebra) over the opposite algebra, f the minimal
     presentation; defined for torsionless modules up to projectives."""
-    if check_torsionless:
-        from .approx import is_torsionless
-        if not is_torsionless(m):
-            raise NotTorsionless("eta needs a torsionless module")
+    from .approx import is_torsionless
+    if not is_torsionless(m):
+        raise NotTorsionless("eta needs a torsionless module")
     if m.is_zero():
         return zero_module(m.algebra.opposite())
     f, _ = min_projective_presentation(m)

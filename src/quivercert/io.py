@@ -14,7 +14,7 @@ import json
 
 from .algebra import BasicAlgebra, Relation, build_algebra, tensor
 from .fields import field_from_name, field_name
-from .lattice import Lattice, poly_from_terms
+from .lattice import Lattice, LatticeError
 from .matrix import Matrix
 from .module import Module
 from .quiver import Quiver
@@ -144,13 +144,13 @@ def load_module(path: str, algebra: BasicAlgebra) -> tuple[Module, str]:
 # -- lattices -----------------------------------------------------------------
 
 def lattice_to_json(lat: Lattice) -> dict:
+    fmt = lat.field.format
     action = {}
     for a in lat.algebra.quiver.arrows:
-        rows = []
-        for row in lat.action[a.name]:
-            rows.append([[[lat.field.format(c), list(e)] for e, c in sorted(entry.items())]
-                         for entry in row])
-        action[a.name] = rows
+        coeffs = sorted(lat.action[a.name].items())
+        action[a.name] = [[[[fmt(c[i, j]), list(e)] for e, c in coeffs if c[i, j]]
+                           for j in range(lat.rank[a.source])]
+                          for i in range(lat.rank[a.target])]
     return {
         "field": field_name(lat.field),
         "d": lat.d,
@@ -165,17 +165,23 @@ def lattice_from_json(payload: dict, field_override=None) -> tuple[Lattice, Basi
         algebra = algebra_from_json(payload["algebra"], field_override)
         d = _int(payload["d"], "d")
         rank = {v: _int(n, f"rank[{v}]") for v, n in payload["rank"].items()}
+        field = algebra.field
         action = {}
         for a in algebra.quiver.arrows:
             rows = payload["action"].get(a.name)
             if rows is None:
                 continue
-            action[a.name] = [
-                [poly_from_terms(algebra.field,
-                                 [(c, tuple(e)) for c, e in entry], d)
-                 for entry in row]
-                for row in rows
-            ]
+            shape = (rank.get(a.target, 0), rank.get(a.source, 0))
+            if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+                raise LatticeError(f"arrow {a.name}: polynomial matrix shape mismatch")
+            coeffs = action[a.name] = {}
+            for i, row in enumerate(rows):
+                for j, entry in enumerate(row):
+                    for c, e in entry:
+                        e = tuple(_int(x, "exponent") for x in e)
+                        if e not in coeffs:
+                            coeffs[e] = Matrix.zero(field, *shape)
+                        coeffs[e][i, j] = field.add(coeffs[e][i, j], field.element(c))
         return Lattice(algebra, d, rank, action), algebra
     except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed lattice payload: {exc}") from exc

@@ -3,10 +3,14 @@ Ext-class non-vanishing tests, and external (Kuenneth-style) products.
 
 A lattice is a module over (algebra) x k[T_1..T_d] that is free over the
 polynomial ring: fibers are free of finite rank, arrows act by matrices
-with polynomial entries, and all relations vanish identically.
-Specializing T at a point gives an ordinary module; tensoring with the
-canonical length-2 self-extension of a point gives degree-1 Ext classes
-whose non-vanishing is decided by exact linear algebra.
+with polynomial entries, and all relations vanish identically.  An
+arrow's action is stored as its coefficient matrices {exponent tuple:
+C_e}, the action being the sum of C_e T^e; zero coefficients are
+dropped.  Tensoring with a finite-length k[T]-module, given by commuting
+T-matrices, gives an ordinary module, and specializing T at a point is
+the case of 1x1 T-matrices.  Tensoring with the canonical length-2
+self-extension of a point gives degree-1 Ext classes whose
+non-vanishing is decided by exact linear algebra.
 """
 
 from __future__ import annotations
@@ -30,69 +34,15 @@ class LatticeError(ValueError):
     pass
 
 
-# -- multivariate polynomials (tiny: d <= 2, degree <= 8) --------------------------
-
-def poly_normalize(field: Field, mono) -> dict:
-    out = {}
-    for exps, c in mono.items():
-        c = field.element(c)
-        if c != field.zero():
-            out[tuple(int(e) for e in exps)] = c
-    return out
-
-
-def poly_from_terms(field: Field, terms, d: int) -> dict:
-    out = {}
-    for coeff, exps in terms:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != d:
-            raise LatticeError(f"monomial exponents {exps} do not match d={d}")
-        if sum(exps) > MAX_POLY_DEGREE:
-            raise LatticeError("polynomial degree above the supported bound")
-        c = field.element(coeff)
-        out[exps] = field.add(out.get(exps, field.zero()), c)
-    return poly_normalize(field, out)
-
-
-def poly_constant(field: Field, value, d: int) -> dict:
-    return poly_from_terms(field, [(value, (0,) * d)], d)
-
-
-def poly_add(field: Field, p, q) -> dict:
-    out = dict(p)
-    for exps, c in q.items():
-        out[exps] = field.add(out.get(exps, field.zero()), c)
-    return poly_normalize(field, out)
-
-
-def poly_mul(field: Field, p, q) -> dict:
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            out[exps] = field.add(out.get(exps, field.zero()), field.mul(c1, c2))
-    return poly_normalize(field, out)
-
-
-def poly_scale(field: Field, p, c) -> dict:
-    return poly_normalize(field, {e: field.mul(c, v) for e, v in p.items()})
-
-
-def poly_eval(field: Field, p, point) -> object:
-    total = field.zero()
-    for exps, c in p.items():
-        term = c
-        for a, e in zip(point, exps):
-            for _ in range(e):
-                term = field.mul(term, a)
-        total = field.add(total, term)
-    return total
+def _add_into(total: dict, exps: tuple, c: Matrix):
+    total[exps] = total[exps] + c if exps in total else c
 
 
 # -- lattices ------------------------------------------------------------------------
 
 class Lattice:
-    """Free-over-k[T] family of modules: rank vector + polynomial matrices."""
+    """Free-over-k[T] family of modules: a rank vector, and per arrow its
+    action as {exponent tuple: coefficient Matrix}."""
 
     def __init__(self, algebra: BasicAlgebra, d: int, rank, action, check: bool = True):
         if not 1 <= d <= MAX_VARIABLES:
@@ -103,85 +53,53 @@ class Lattice:
         self.rank = {v: int(rank.get(v, 0)) for v in algebra.quiver.vertices}
         self.action = {}
         for a in algebra.quiver.arrows:
-            mat = action.get(a.name)
-            rows, cols = self.rank[a.target], self.rank[a.source]
-            if mat is None:
-                mat = [[poly_constant(self.field, 0, d) for _ in range(cols)]
-                       for _ in range(rows)]
-            if len(mat) != rows or any(len(r) != cols for r in mat):
-                raise LatticeError(f"arrow {a.name}: polynomial matrix shape mismatch")
-            self.action[a.name] = [[poly_normalize(self.field, e) for e in row]
-                                   for row in mat]
+            shape = (self.rank[a.target], self.rank[a.source])
+            coeffs = {}
+            for exps, c in action.get(a.name, {}).items():
+                if len(exps) != d:
+                    raise LatticeError(f"monomial exponents {exps} do not match d={d}")
+                if min(exps) < 0 or sum(exps) > MAX_POLY_DEGREE:
+                    raise LatticeError(f"monomial exponents {exps} outside degrees "
+                                       f"0..{MAX_POLY_DEGREE}")
+                if (c.rows, c.cols) != shape:
+                    raise LatticeError(f"arrow {a.name}: coefficient matrix shape mismatch")
+                if c.field != self.field:
+                    raise LatticeError(f"arrow {a.name}: coefficient field mismatch")
+                if not c.is_zero():
+                    coeffs[exps] = c
+            self.action[a.name] = coeffs
         if check:
             bad = self.relation_defect()
             if bad is not None:
                 raise LatticeError(f"lattice violates relation {bad}")
 
-    def _poly_matmul(self, a, b):
-        rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-        zero = poly_constant(self.field, 0, self.d)
-        out = [[zero for _ in range(cols)] for _ in range(rows)]
-        for i in range(rows):
-            for k in range(mid):
-                if not a[i][k]:
-                    continue
-                for j in range(cols):
-                    if b[k][j]:
-                        out[i][j] = poly_add(self.field, out[i][j],
-                                             poly_mul(self.field, a[i][k], b[k][j]))
-        return out
-
-    def path_matrix(self, path):
-        arrows = [self.algebra.quiver.arrow(n) for n in path]
-        mat = self.action[arrows[0].name]
-        for a in arrows[1:]:
-            mat = self._poly_matmul(self.action[a.name], mat)
+    def path_matrix(self, path) -> dict:
+        """The action of a path (arrow names, first arrow first) as
+        {exponents: coefficient Matrix}."""
+        mat = self.action[path[0]]
+        for name in path[1:]:
+            out = {}
+            for e1, c1 in self.action[name].items():
+                for e2, c2 in mat.items():
+                    _add_into(out, tuple(x + y for x, y in zip(e1, e2)), c1 @ c2)
+            mat = out
         return mat
 
     def relation_defect(self):
         algebra = self.algebra
         for rel, terms in zip(algebra.relations, algebra.relation_terms):
-            total = None
+            total = {}
             for c, path in terms:
-                term = self.path_matrix(path)
-                term = [[poly_scale(self.field, e, c) for e in row] for row in term]
-                if total is None:
-                    total = term
-                else:
-                    total = [[poly_add(self.field, x, y) for x, y in zip(r1, r2)]
-                             for r1, r2 in zip(total, term)]
-            if total is not None and any(e for row in total for e in row):
+                for exps, m in self.path_matrix(path).items():
+                    _add_into(total, exps, m.scale(c))
+            if any(not m.is_zero() for m in total.values()):
                 return rel.describe()
         return None
 
     def specialize(self, point) -> Module:
-        """Substitute T_i = point_i in every action matrix."""
-        if len(point) != self.d:
-            raise LatticeError("point arity mismatch")
-        point = [self.field.element(a) for a in point]
-        action = {}
-        for a in self.algebra.quiver.arrows:
-            rows, cols = self.rank[a.target], self.rank[a.source]
-            m = Matrix.zero(self.field, rows, cols)
-            for i in range(rows):
-                for j in range(cols):
-                    m[i, j] = poly_eval(self.field, self.action[a.name][i][j], point)
-            action[a.name] = m
-        return Module(self.algebra, dict(self.rank), action)
-
-    def coefficients(self, name: str) -> dict:
-        """The action of arrow `name` as {exponents: coefficient Matrix},
-        so that the action is the sum of C_e T^e."""
-        a = self.algebra.quiver.arrow(name)
-        out = {}
-        for i, row in enumerate(self.action[name]):
-            for j, poly in enumerate(row):
-                for exps, c in poly.items():
-                    if exps not in out:
-                        out[exps] = Matrix.zero(self.field, self.rank[a.target],
-                                                self.rank[a.source])
-                    out[exps][i, j] = c
-        return out
+        """Substitute T_i = point_i: the tensor product with the point
+        module, whose T-matrices are 1x1."""
+        return self.tensor_with_t_module([Matrix.column(self.field, [a]) for a in point])
 
     def tensor_with_t_module(self, t_matrices: list[Matrix]) -> Module:
         """L (x)_R V for a finite-length k[T_1..T_d]-module V given by
@@ -193,7 +111,7 @@ class Lattice:
         action = {}
         for a in self.algebra.quiver.arrows:
             total = Matrix.zero(field, self.rank[a.target] * vdim, self.rank[a.source] * vdim)
-            for exps, c in self.coefficients(a.name).items():
+            for exps, c in self.action[a.name].items():
                 power = Matrix.identity(field, vdim)
                 for t_mat, e in zip(t_matrices, exps):
                     for _ in range(e):
@@ -204,24 +122,10 @@ class Lattice:
         return Module(self.algebra, dims, action)
 
 
-def _poly_rows(coeffs: dict):
-    """{exponents: Matrix} back to rows of polynomials; None (the zero
-    action) when there are no terms."""
-    if not coeffs:
-        return None
-    shape = next(iter(coeffs.values()))
-    return [[{e: c[i, j] for e, c in coeffs.items()} for j in range(shape.cols)]
-            for i in range(shape.rows)]
-
-
 def constant_lattice(module: Module, d: int = 1) -> Lattice:
     """module (x) k[T]: every specialization returns the module."""
-    field = module.field
-    action = {}
-    for a in module.algebra.quiver.arrows:
-        m = module.action[a.name]
-        action[a.name] = [[poly_constant(field, m[i, j], d) for j in range(m.cols)]
-                          for i in range(m.rows)]
+    const = (0,) * d
+    action = {name: {const: m} for name, m in module.action.items()}
     return Lattice(module.algebra, d, dict(module.dims), action, check=False)
 
 
@@ -243,13 +147,9 @@ def kronecker_family(algebra: BasicAlgebra) -> Lattice:
     if pair is None:
         raise LatticeError("no double arrow available for the canonical family")
     a, b = pair
-    field = algebra.field
+    one = Matrix.identity(algebra.field, 1)
     rank = {a.source: 1, a.target: 1}
-    action = {
-        a.name: [[poly_constant(field, 1, 1)]],
-        b.name: [[poly_from_terms(field, [("1", (1,))], 1)]],
-    }
-    return Lattice(algebra, 1, rank, action, check=False)
+    return Lattice(algebra, 1, rank, {a.name: {(0,): one}, b.name: {(1,): one}}, check=False)
 
 
 def tensor_lattice(product_algebra: BasicAlgebra, left: Lattice, right: Lattice) -> Lattice:
@@ -263,16 +163,12 @@ def tensor_lattice(product_algebra: BasicAlgebra, left: Lattice, right: Lattice)
     rank = {f"{x}.{y}": left.rank[x] * right.rank[y]
             for x in left.rank for y in right.rank}
     action = {}
-    for a in left.algebra.quiver.arrows:
-        coeffs = left.coefficients(a.name)
+    for name, coeffs in left.action.items():
         for y, eye in eye_r.items():
-            action[f"{a.name}.{y}"] = _poly_rows(
-                {e + pad_l: c.kron(eye) for e, c in coeffs.items()})
-    for b in right.algebra.quiver.arrows:
-        coeffs = right.coefficients(b.name)
+            action[f"{name}.{y}"] = {e + pad_l: c.kron(eye) for e, c in coeffs.items()}
+    for name, coeffs in right.action.items():
         for x, eye in eye_l.items():
-            action[f"{x}.{b.name}"] = _poly_rows(
-                {pad_r + e: eye.kron(c) for e, c in coeffs.items()})
+            action[f"{x}.{name}"] = {pad_r + e: eye.kron(c) for e, c in coeffs.items()}
     return Lattice(product_algebra, left.d + right.d, rank, action)
 
 

@@ -277,7 +277,8 @@ class Matrix:
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of the null space {x : A x = 0}."""
         reduced, pivots, rank = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
         F = self.field
         out = Matrix.zero(F, self.cols, len(free))
         for k, fc in enumerate(free):

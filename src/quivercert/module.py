@@ -431,15 +431,19 @@ def map_from_coordinates(coords, basis: list[ModuleMap]) -> ModuleMap:
     return out
 
 
-def random_combination(basis: list[ModuleMap], rng, bound: int) -> ModuleMap:
-    """A combination of a nonempty basis with coefficients drawn from
-    `rng`: uniform over GF(p), integers in [-bound, bound] over Q."""
-    field = basis[0].source.field
+def random_scalar(field, rng, bound: int):
+    """One scalar drawn from `rng`: uniform over GF(p), an integer in
+    [-bound, bound] over Q."""
     if field.is_prime_field:
-        coords = [field.from_int(rng.randrange(field.p)) for _ in basis]
-    else:
-        coords = [field.from_int(rng.randrange(-bound, bound + 1)) for _ in basis]
-    return map_from_coordinates(coords, basis)
+        return field.from_int(rng.randrange(field.p))
+    return field.from_int(rng.randrange(-bound, bound + 1))
+
+
+def random_combination(basis: list[ModuleMap], rng, bound: int) -> ModuleMap:
+    """A combination of a nonempty basis with coefficients drawn by
+    `random_scalar`."""
+    field = basis[0].source.field
+    return map_from_coordinates([random_scalar(field, rng, bound) for _ in basis], basis)
 
 
 # -- sub and quotient structures ----------------------------------------------

@@ -12,7 +12,7 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .algebra import BasicAlgebra
@@ -23,7 +23,7 @@ from .decompose import decompose, is_isomorphic
 from .functors import gamma, is_injective_module, is_projective_module
 from .matrix import Matrix
 from .module import (
-    Module, direct_sum, dual, projectives, radical, simple, socle,
+    Module, direct_sum, dual, projectives, radical, random_scalar, simple, socle,
     spanned_submodule, top,
 )
 
@@ -194,12 +194,6 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
     return classes
 
 
-def _random_scalar(field, rng):
-    if field.is_prime_field:
-        return field.from_int(rng.randrange(field.p))
-    return field.from_int(rng.randrange(-3, 4))
-
-
 def _random_generators(big: Module, rng: Random, max_count: int) -> dict:
     """Random generator columns of big at 1..max_count random vertices;
     a vertex with a zero fiber draws no column."""
@@ -209,9 +203,8 @@ def _random_generators(big: Module, rng: Random, max_count: int) -> dict:
         v = verts[rng.randrange(len(verts))]
         if big.dims[v] == 0:
             continue
-        col = Matrix.zero(big.field, big.dims[v], 1)
-        for r in range(big.dims[v]):
-            col[r, 0] = _random_scalar(big.field, rng)
+        col = Matrix.column(big.field, [random_scalar(big.field, rng, 3)
+                                         for _ in range(big.dims[v])])
         gens[v] = Matrix.hstack([gens[v], col]) if v in gens else col
     return gens
 

@@ -54,8 +54,9 @@ KEPT = {
                                      "mult_table against (ROADMAP item 6)",
     "functors.eta": "the paper's eta functor; the tests check D eta = gamma and eta eta = id",
     "functors.gamma_both_ways": "the Sigma-tau route that the tests compare gamma against",
-    "lattice.Lattice.specialize": "the reference route of test_specialize_commutes_with_tensor, "
-                                  "and the specialisation of ROADMAP item 4",
+    "lattice.Lattice.specialize": "tensor_with_t_module at 1x1 T-matrices: the route the "
+                                  "tensor and JSON tests evaluate lattices by, and the "
+                                  "generic-point specialisation of ROADMAP item 4",
     "lattice.constant_lattice": "the split family whose Odim witness must fail at every point",
     "lattice.scale_class": "drives the bilinearity test of yoneda_cocycle",
     "lattice.tensor_lattice": "a candidate for the n-factor Kunneth product (ROADMAP item 2)",

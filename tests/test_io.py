@@ -10,7 +10,7 @@ from quivercert.io import (
     lattice_to_json, load_algebra, load_lattice, load_module, module_from_json,
     module_to_json, payload_hash, save_algebra, save_lattice,
 )
-from quivercert.lattice import kronecker_family
+from quivercert.lattice import LatticeError, kronecker_family
 from quivercert.module import ModuleError, projective, regular_module
 
 PRESETS = (
@@ -98,9 +98,31 @@ def test_malformed_payloads_raise_typed_errors(tmp_path):
         lattice_from_json(dict(lat_payload, d="x"))
     with pytest.raises(InputError):
         lattice_from_json(dict(lat_payload, rank=[1, 1]))
+    with pytest.raises(InputError):
+        lattice_from_json(dict(lat_payload, action={"a": [[[["1", [1.5]]]]]}))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_algebra(str(bad))
     with pytest.raises(InputError):
         load_lattice(str(tmp_path / "missing.json"))
+
+
+def test_lattice_action_shape_must_match_the_ranks():
+    # rank 1 at both vertices: an action matrix is 1 x 1; a row too long
+    # must not spill into the next row, and a missing row is no zero row
+    payload = lattice_to_json(kronecker_family(presets.kronecker(GF(3))))
+    term = [["1", [0]]]
+    for rows in ([], [[term], [term]], [[term, term]], [[]]):
+        with pytest.raises(LatticeError, match="shape mismatch"):
+            lattice_from_json(dict(payload, action=dict(payload["action"], b=rows)))
+    with pytest.raises(LatticeError, match="shape mismatch"):
+        lattice_from_json(dict(payload, rank={"1": 2, "2": 1}))
+
+
+def test_lattice_parser_adds_repeated_monomials():
+    payload = lattice_to_json(kronecker_family(presets.kronecker(GF(3))))
+    # over GF(3): T + T = 2T, and 1 + 2 = 0 drops the constant term
+    rows = [[[["1", [1]], ["1", ["1"]], ["1", [0]], ["2", [0]]]]]
+    lat, _ = lattice_from_json(dict(payload, action=dict(payload["action"], b=rows)))
+    assert lattice_to_json(lat)["action"]["b"] == [[[["2", [1]]]]]

@@ -1,10 +1,17 @@
-import pytest
+from fractions import Fraction
+from itertools import product
+from math import prod
 
-from quivercert import GF, Matrix
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quivercert import GF, QQ, Matrix
 from quivercert import presets
 from quivercert.decompose import is_indecomposable, is_isomorphic
+from quivercert.fields import field_name
+from quivercert.io import algebra_to_json, lattice_from_json, lattice_to_json
 from quivercert.lattice import (
-    ExtensionClass, LatticeError, constant_lattice, eps_alpha, ext_nonzero,
+    ExtensionClass, Lattice, LatticeError, constant_lattice, eps_alpha, ext_nonzero,
     external_product, kronecker_family, kunneth_witness, odim_witness,
     rational_points, scale_class, tensor_lattice, tensor_map, tensor_module,
     tensor_sequence, yoneda_cocycle, cocycle_is_coboundary,
@@ -115,18 +122,18 @@ def test_eps_generates_one_dimensional_ext():
 
 
 def test_specialize_commutes_with_tensor():
-    field = GF(2)
-    kron = presets.kronecker(field)
-    kk = presets.kronecker_squared(field)
-    lat = kronecker_family(kron)
-    prod = tensor_lattice(kk, lat, lat)
-    for a in range(2):
-        for b in range(2):
-            direct = prod.specialize([a, b])
-            via_modules = tensor_module(kk, lat.specialize([a]), lat.specialize([b]))
-            assert direct.dim_vector() == via_modules.dim_vector()
-            ok, _ = is_isomorphic(direct, via_modules)
-            assert ok
+    for field in (GF(5), QQ):
+        kron = presets.kronecker(field)
+        kk = presets.kronecker_squared(field)
+        fam = kronecker_family(kron)
+        for right in (fam, constant_lattice(projective(kron, "1"))):
+            prod = tensor_lattice(kk, fam, right)
+            for a, b in product([0, 1, 3], [0, 2, "1/2"]):
+                direct = prod.specialize([a, b])
+                # both routes order the fibre at x.y as (x, y) pairs
+                via_modules = tensor_module(kk, fam.specialize([a]), right.specialize([b]))
+                assert direct.dims == via_modules.dims
+                assert direct.action == via_modules.action
 
 
 def test_external_product_nonzero_on_kk():
@@ -233,13 +240,27 @@ def test_kunneth_witness_kk_over_f2():
 def test_lattice_rejects_bad_relations():
     field = GF(3)
     alg = presets.kronecker_tensor_a2(field)
-    from quivercert.lattice import Lattice, poly_constant, poly_from_terms
+    one = Matrix.identity(field, 1)
     rank = {v: 1 for v in alg.quiver.vertices}
-    action = {a.name: [[poly_constant(field, 1, 1)]] for a in alg.quiver.arrows}
-    with pytest.raises(LatticeError):
+    action = {a.name: {(0,): one} for a in alg.quiver.arrows}
+    Lattice(alg, 1, rank, action)
+    with pytest.raises(LatticeError, match="violates relation"):
         # commutativity fails if one diagonal leg carries T
-        action["a.1"] = [[poly_from_terms(field, [("1", (1,))], 1)]]
-        Lattice(alg, 1, rank, action)
+        Lattice(alg, 1, rank, dict(action, **{"a.1": {(1,): one}}))
+
+
+def test_lattice_checks_exponents_shapes_and_field():
+    field = GF(3)
+    alg = presets.kronecker(field)
+    one = Matrix.identity(field, 1)
+    rank = {"1": 1, "2": 1}
+    for bad in ({"a": {(0, 1): one}}, {"a": {(9,): one}}, {"a": {(-1,): one}},
+                {"a": {(0,): Matrix.identity(field, 2)}},
+                {"a": {(0,): Matrix.identity(GF(5), 1)}}):
+        with pytest.raises(LatticeError):
+            Lattice(alg, 1, rank, bad)
+    lat = Lattice(alg, 1, rank, {"a": {(0,): one, (1,): Matrix.zero(field, 1, 1)}})
+    assert lat.action == {"a": {(0,): one}, "b": {}}
 
 
 def test_tensor_map_is_composite_of_one_sided_maps():
@@ -308,18 +329,6 @@ def test_external_product_degree_zero_on_either_side(order, zero_first):
     assert ext_nonzero(prod)
 
 
-def test_coefficients_rebuild_the_action():
-    field = GF(5)
-    kk = presets.kronecker_squared(field)
-    lat = kronecker_family(presets.kronecker(field))
-    prod = tensor_lattice(kk, lat, lat)
-    for a in kk.quiver.arrows:
-        coeffs = prod.coefficients(a.name)
-        for i, row in enumerate(prod.action[a.name]):
-            for j, poly in enumerate(row):
-                assert poly == {e: c[i, j] for e, c in coeffs.items() if c[i, j] != 0}
-
-
 def test_kunneth_witness_builds_each_point_sequence_once(monkeypatch):
     # each factor needs one tensored sequence per coordinate value: 2p in
     # all, not two per point; the table matches the per-point route
@@ -345,3 +354,49 @@ def test_kunneth_witness_builds_each_point_sequence_once(monkeypatch):
         for pt in rational_points(field, 2)]
     assert cert["table"] == expected
     assert cert["passed"] == cert["points"] == field.p ** 2
+
+
+# -- property tests: kronecker has no relations, so any coefficients form a lattice --
+
+PROPERTY_FIELDS = (GF(5), QQ)
+
+
+@st.composite
+def kronecker_lattice_payloads(draw):
+    """A lattice JSON payload on kronecker: d in {1, 2}, ranks <= 2, and
+    per entry a term list of degree <= 3 that may repeat a monomial or
+    carry a zero coefficient."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    alg = presets.kronecker(field)
+    d = draw(st.integers(1, 2))
+    rank = {v: draw(st.integers(0, 2)) for v in alg.quiver.vertices}
+    exps = st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(lambda e: sum(e) <= 3)
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3))).map(str)
+    term = st.tuples(coeff, exps).map(list)
+    action = {a.name: [[draw(st.lists(term, max_size=3)) for _ in range(rank[a.source])]
+                       for _ in range(rank[a.target])]
+              for a in alg.quiver.arrows}
+    return {"field": field_name(field), "d": d, "rank": rank, "action": action,
+            "algebra": algebra_to_json(alg)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kronecker_lattice_payloads(), st.data())
+def test_kronecker_lattice_json_round_trip_and_specialize(payload, data):
+    lat, alg = lattice_from_json(payload)
+    field = lat.field
+    out = lattice_to_json(lat)
+    back, _ = lattice_from_json(out)
+    assert back.action == lat.action
+    assert lattice_to_json(back) == out
+    point = [field.element(data.draw(st.integers(-3, 3))) for _ in range(lat.d)]
+    m = lat.specialize(point)
+
+    def value(entry):
+        return field.element(sum(field.element(c) * prod(x ** k for x, k in zip(point, e))
+                                 for c, e in entry))
+
+    for a in alg.quiver.arrows:
+        rows = payload["action"][a.name]
+        assert ([m.action[a.name].row(i) for i in range(len(rows))]
+                == [[value(entry) for entry in row] for row in rows])
