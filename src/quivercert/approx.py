@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import BasicAlgebra
 from .decompose import EndAlgebra
-from .matrix import Matrix
+from .matrix import Matrix, complement_basis
 from .module import (
     Module, ModuleMap, direct_sum, dual, hom_basis, kernel_of_map,
     map_from_coordinates, map_vector, projectives, zero_map, zero_module,
@@ -55,41 +55,40 @@ def is_divisible(m: Module) -> bool:
 
 class AddCategory:
     """Hom data over a fixed list of pairwise non-isomorphic
-    indecomposable modules, with the radical structure."""
+    indecomposable modules, with the radical structure.
 
-    def __init__(self, summands: list[Module]):
-        self.summands = list(summands)
-        if summands:
-            self.algebra = summands[0].algebra
+    `hom(i, j)` is `hom_basis(M_i, M_j)` for i != j.  `hom(i, i)` lists a
+    basis of rad End(M_i) first, the maps whose coordinates on
+    `hom_basis(M_i, M_i)` are `EndAlgebra.radical_coords()`, and then the
+    `hom_basis` maps that `complement_basis` picks.  So rad(M_i, M_j), all
+    of Hom(M_i, M_j) when i != j (Krull-Schmidt), is always a prefix of
+    `hom(i, j)`: `radical_maps(i, j)`.
+    """
+
+    def __init__(self, objects: list[Module]):
+        self.objects = list(objects)
+        if objects:
+            self.algebra = objects[0].algebra
         self._homs = {}
-        self._rad_coords = {}
-        self._rad = {}
+        self._rad_dims = {}
 
     def hom(self, i: int, j: int) -> list[ModuleMap]:
         key = (i, j)
         if key not in self._homs:
-            self._homs[key] = hom_basis(self.summands[i], self.summands[j])
+            basis = hom_basis(self.objects[i], self.objects[j])
+            self._rad_dims[key] = len(basis)
+            if i == j:
+                rad = EndAlgebra(self.objects[i], basis).radical_coords()
+                change = Matrix.hstack([rad, complement_basis(rad)])
+                basis = [map_from_coordinates(change.col(c), basis) for c in range(change.cols)]
+                self._rad_dims[key] = rad.cols
+            self._homs[key] = basis
         return self._homs[key]
 
-    def radical_coords(self, i: int) -> Matrix:
-        """Columns = basis of rad End(M_i) in coordinates on hom(i, i)."""
-        if i not in self._rad_coords:
-            end = EndAlgebra(self.summands[i], self.hom(i, i))
-            self._rad_coords[i] = end.radical_coords()
-        return self._rad_coords[i]
-
     def radical_maps(self, i: int, j: int) -> list[ModuleMap]:
-        """Basis of rad(M_i, M_j): all maps when i != j, the
-        non-invertible endomorphisms (`radical_coords(i)`) when i == j."""
-        key = (i, j)
-        if key not in self._rad:
-            if i != j:
-                self._rad[key] = self.hom(i, j)
-            else:
-                rad = self.radical_coords(i)
-                self._rad[key] = [map_from_coordinates(rad.col(c), self.hom(i, i))
-                                  for c in range(rad.cols)]
-        return self._rad[key]
+        """Basis of rad(M_i, M_j), the first maps of `hom(i, j)`."""
+        maps = self.hom(i, j)
+        return maps[:self._rad_dims[(i, j)]]
 
 
 def _cover_representatives(field, candidates: list[ModuleMap],

@@ -10,11 +10,15 @@ Gamma's composition is stored as a tensor on the Hom bases: for each
 triple (i, j, c), `CatAlgebra.compose_into` gives one matrix T_k per
 basis map h_k of Hom(M_i, M_j), the matrix of g -> h_k.then(g):
 Hom(M_j, M_c) -> Hom(M_i, M_c), from one multi-column solve; the
-CatAlgebra caches it (`composition`).  A radical endomorphism of M_i
-with coordinates R[:, m] on Hom(M_i, M_i) acts by sum_k R[k, m] T_k
-(`radical_action`).  On a sum of representables over `parts`, a map
-acts block-diagonally, one block per part; the syzygy steps apply each
-block to its own row slice and stack the results.
+CatAlgebra caches it (`composition`).  Each Hom basis lists the radical
+maps first (`AddCategory`), so the radical of Gamma acts by the first
+matrices of each tensor.
+
+A subfunctor lives on (+)_c Hom(-, M_c)^mults[c].  Its ambient
+coordinates at object i are ordered by object c, then by basis map of
+Hom(M_i, M_c), then by copy; so the rows of block c of k vectors, read
+row-major, form a hom(i, c) x (mults[c] k) matrix, and one product with
+T_k moves every copy and every vector along h_k at once (`_pullback`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from .approx import AddCategory, injectives, projectives
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix, NoSolution, complement_basis
-from .module import Module, ModuleMap, coordinates_matrix, hom_basis
+from .module import Module, coordinates_matrix, hom_basis
 from .torsfin import IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
 
@@ -36,15 +40,12 @@ class DuplicateObject(ValueError):
     pass
 
 
-class CatAlgebra:
+class CatAlgebra(AddCategory):
     """add(M) presented by objects, Hom bases, and composition data."""
 
     def __init__(self, objects: list[Module], verify: bool = True):
         if not objects:
             raise NotIndecomposable("empty object list")
-        self.objects = list(objects)
-        self.algebra = objects[0].algebra
-        self.field = self.algebra.field
         if verify:
             for m in objects:
                 if not is_indecomposable(m):
@@ -56,18 +57,12 @@ class CatAlgebra:
                     if ok:
                         raise DuplicateObject(
                             f"objects {i} and {j} are isomorphic")
-        self._cat = AddCategory(self.objects)
+        super().__init__(objects)
+        self.field = self.algebra.field
         self._compose = {}
-        self._rad_action = {}
 
     def __len__(self):
         return len(self.objects)
-
-    def hom(self, i: int, j: int) -> list[ModuleMap]:
-        return self._cat.hom(i, j)
-
-    def radical_maps(self, i: int, j: int) -> list[ModuleMap]:
-        return self._cat.radical_maps(i, j)
 
     def composition(self, i: int, j: int, c: int) -> list[Matrix]:
         """The cached `compose_into(i, j, c)`."""
@@ -88,65 +83,42 @@ class CatAlgebra:
         return [coords.submatrix(range(coords.rows), range(k * width, (k + 1) * width))
                 for k in range(len(left))]
 
-    def radical_action(self, i: int, j: int, c: int) -> list[Matrix]:
-        """`composition(i, j, c)` restricted to the basis of rad(M_i, M_j)
-        that `radical_maps(i, j)` returns: the same matrices when i != j,
-        and sum_k R[k, m] T_k for the m-th radical endomorphism when i == j
-        (R = the radical's coordinates on hom(i, i))."""
-        if i != j:
-            return self.composition(i, j, c)
-        key = (i, c)
-        if key not in self._rad_action:
-            tensor = self.composition(i, i, c)
-            rad = self._cat.radical_coords(i)
-            zero = self.field.zero()
-            acts = []
-            for m in range(rad.cols):
-                act = Matrix.zero(self.field, tensor[0].rows, tensor[0].cols)
-                for k, block in enumerate(tensor):
-                    if rad[k, m] != zero:
-                        act = act + block.scale(rad[k, m])
-                acts.append(act)
-            self._rad_action[key] = acts
-        return self._rad_action[key]
-
 
 @dataclass
 class SubFunctor:
-    """Coordinate subspaces of a sum of representables (+) P_parts."""
+    """Coordinate subspaces of (+)_c Hom(-, M_c)^mults[c]."""
 
-    parts: list  # object indices, one per copy
+    mults: list  # per object c: copies of Hom(-, M_c)
     spaces: list  # per object i: Matrix (ambient F(i) dim x k_i)
 
     def dim_at(self, i: int) -> int:
         return self.spaces[i].cols
 
-    def total_dim(self) -> int:
-        return sum(m.cols for m in self.spaces)
-
     def is_zero(self) -> bool:
-        return self.total_dim() == 0
+        return not any(m.cols for m in self.spaces)
 
 
-def _ambient_dim(cat: CatAlgebra, parts, i: int) -> int:
-    return sum(len(cat.hom(i, c)) for c in parts)
+def _pullback(cat: CatAlgebra, mults, i: int, j: int, h: int, vecs: Matrix) -> Matrix:
+    """Columns of `vecs` in the ambient at j, moved to the ambient at i
+    along the h-th basis map of Hom(M_i, M_j): one product per object."""
+    out, start, rows, width = [], 0, 0, vecs.cols
+    for c, mult in enumerate(mults):
+        if not mult:
+            continue
+        act = cat.composition(i, j, c)[h]
+        size = act.cols * mult * width
+        block = Matrix(cat.field, act.cols, mult * width, vecs.entries[start:start + size])
+        out.extend((act @ block).entries)
+        start += size
+        rows += act.rows * mult
+    return Matrix(cat.field, rows, width, out)
 
 
-def _block_apply(blocks: list[Matrix], vecs: Matrix) -> Matrix:
-    """The block-diagonal matrix of `blocks` times `vecs`: each block acts
-    on its own slice of rows."""
-    out, start, width = [], 0, vecs.cols
-    for block in blocks:
-        rows = vecs.entries[start * width:(start + block.cols) * width]
-        out.append(block @ Matrix(vecs.field, block.cols, width, rows))
-        start += block.cols
-    return Matrix.vstack(out)
-
-
-def full_subfunctor(cat: CatAlgebra, parts) -> SubFunctor:
-    spaces = [Matrix.identity(cat.field, _ambient_dim(cat, parts, i))
+def full_subfunctor(cat: CatAlgebra, mults) -> SubFunctor:
+    spaces = [Matrix.identity(cat.field, sum(len(cat.hom(i, c)) * mult
+                                             for c, mult in enumerate(mults)))
               for i in range(len(cat))]
-    return SubFunctor(list(parts), spaces)
+    return SubFunctor(list(mults), spaces)
 
 
 def radical_subspaces(cat: CatAlgebra, sub: SubFunctor) -> list[Matrix]:
@@ -159,19 +131,14 @@ def radical_subspaces(cat: CatAlgebra, sub: SubFunctor) -> list[Matrix]:
         if k_i == 0:
             out.append(Matrix.zero(cat.field, 0, 0))
             continue
-        images = []
-        for j in range(n):
-            if sub.dim_at(j) == 0:
-                continue
-            acts = [cat.radical_action(i, j, c) for c in sub.parts]
-            for r_idx in range(len(acts[0])):
-                images.append(_block_apply([a[r_idx] for a in acts], sub.spaces[j]))
+        images = [_pullback(cat, sub.mults, i, j, r, sub.spaces[j])
+                  for j in range(n) if sub.dim_at(j)
+                  for r in range(len(cat.radical_maps(i, j)))]
         if not images:
             out.append(Matrix.zero(cat.field, k_i, 0))
             continue
-        joined = Matrix.hstack(images)
         try:
-            coords = sub.spaces[i].solve(joined)
+            coords = sub.spaces[i].solve(Matrix.hstack(images))
         except NoSolution:  # pragma: no cover - radical is a subfunctor
             raise RuntimeError("radical escaped the subfunctor")
         out.append(coords.column_space_basis())
@@ -179,56 +146,45 @@ def radical_subspaces(cat: CatAlgebra, sub: SubFunctor) -> list[Matrix]:
 
 
 def cover_of_subfunctor(cat: CatAlgebra, sub: SubFunctor):
-    """(new parts, cover matrices Phi_i, betti vector).
+    """(cover matrices Phi_j, betti vector).
 
-    Phi_i maps the new ambient G(i) onto sub's coordinates K(i).
+    The cover is (+)_i Hom(-, M_i)^betti[i], one copy per generator of
+    sub at i outside its radical; Phi_j maps its ambient at j onto sub's
+    coordinates K(j).
     """
     n = len(cat)
     rad = radical_subspaces(cat, sub)
-    generators = []  # (object index, ambient coordinate vector)
-    betti = [0] * n
-    for i in range(n):
-        if sub.dim_at(i) == 0:
-            continue
-        comp = complement_basis(rad[i])
-        betti[i] = comp.cols
-        for c in range(comp.cols):
-            vec = sub.spaces[i] @ comp.submatrix(range(comp.rows), [c])
-            generators.append((i, vec))
-    new_parts = [i for i, _ in generators]
+    generators = [sub.spaces[i] @ complement_basis(rad[i]) if sub.dim_at(i) else None
+                  for i in range(n)]
+    betti = [0 if g is None else g.cols for g in generators]
     phis = []
     for j in range(n):
-        cols = []
-        for (i, vec) in generators:
-            tensors = [cat.composition(j, i, c) for c in sub.parts]
-            for h_idx in range(len(cat.hom(j, i))):
-                cols.append(_block_apply([t[h_idx] for t in tensors], vec))
+        cols = [_pullback(cat, sub.mults, j, i, h, generators[i])
+                for i in range(n) if betti[i]
+                for h in range(len(cat.hom(j, i)))]
         if cols:
-            stacked = Matrix.hstack(cols)
             try:
-                coords = sub.spaces[j].solve(stacked)
+                coords = sub.spaces[j].solve(Matrix.hstack(cols))
             except NoSolution:  # pragma: no cover - generated inside K
                 raise RuntimeError("cover image escaped the subfunctor")
         else:
             coords = Matrix.zero(cat.field, sub.dim_at(j), 0)
         phis.append(coords)
-    return new_parts, phis, betti
+    return phis, betti
 
 
 def syzygy(cat: CatAlgebra, sub: SubFunctor):
     """(next subfunctor, betti vector) for one minimal-cover step."""
-    new_parts, phis, betti = cover_of_subfunctor(cat, sub)
-    spaces = [phi.kernel_basis() for phi in phis]
-    return SubFunctor(new_parts, spaces), betti
+    phis, betti = cover_of_subfunctor(cat, sub)
+    return SubFunctor(betti, [phi.kernel_basis() for phi in phis]), betti
 
 
 def simple_pd(cat: CatAlgebra, c: int, cutoff: int):
     """(pd or None if > cutoff, betti table). pd of the simple functor at
     object c via iterated minimal covers."""
-    base = full_subfunctor(cat, [c])
-    rad = radical_subspaces(cat, base)
-    betti_table = [[1 if i == c else 0 for i in range(len(cat))]]
-    omega = SubFunctor([c], [base.spaces[i] @ rad[i] for i in range(len(cat))])
+    mults = [1 if i == c else 0 for i in range(len(cat))]
+    betti_table = [mults]
+    omega = SubFunctor(mults, radical_subspaces(cat, full_subfunctor(cat, mults)))
     k = 0
     while True:
         if omega.is_zero():

@@ -177,7 +177,11 @@ def lattice_from_json(payload: dict, field_override=None) -> tuple[Lattice, Basi
             coeffs = action[a.name] = {}
             for i, row in enumerate(rows):
                 for j, entry in enumerate(row):
-                    for c, e in entry:
+                    for term in entry:
+                        if not isinstance(term, list) or len(term) != 2:
+                            raise InputError(f"arrow {a.name}: term {term!r} is not a "
+                                             "[coefficient, exponents] pair")
+                        c, e = term
                         e = tuple(_int(x, "exponent") for x in e)
                         if e not in coeffs:
                             coeffs[e] = Matrix.zero(field, *shape)

@@ -297,6 +297,10 @@ class Matrix:
         self._check_same(b)
         if b.rows != self.rows:
             raise ValueError("rhs row mismatch")
+        if self.cols == 0:
+            if b.is_zero():
+                return Matrix.zero(self.field, 0, b.cols)
+            raise NoSolution()
         aug = Matrix.hstack([self, b])
         reduced, pivots, _ = aug.rref()
         if any(c >= self.cols for c in pivots):

@@ -19,7 +19,7 @@ from .algebra import BasicAlgebra
 from .approx import (
     AddCategory, injectives, is_divisible, is_torsionless, right_add_approximation,
 )
-from .decompose import decompose, is_isomorphic
+from .decompose import decompose, is_indecomposable, is_isomorphic
 from .functors import gamma, is_injective_module, is_projective_module
 from .matrix import Matrix
 from .module import (
@@ -270,7 +270,6 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
     for m in inv.torsionless:
         if not is_torsionless(m):
             failures.append({"kind": "not_torsionless", "dims": list(m.dim_vector())})
-        from .decompose import is_indecomposable
         if not is_indecomposable(m):
             failures.append({"kind": "not_indecomposable", "dims": list(m.dim_vector())})
         if not tors.add(m):
@@ -341,7 +340,6 @@ def gamma_bijection_check(algebra: BasicAlgebra, inv: TorsionlessInventory,
     failures = []
     for u in sources:
         g = gamma(u)
-        from .decompose import is_indecomposable
         if g.is_zero() or not is_indecomposable(g):
             failures.append({"kind": "gamma_not_indecomposable",
                              "source_dims": list(u.dim_vector())})

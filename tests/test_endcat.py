@@ -8,9 +8,15 @@ with `map_coordinates`, which is how the tensor is defined.
 
 import pytest
 
-from quivercert import GF, QQ, Matrix, presets
-from quivercert.endcat import CatAlgebra, auslander_generator
-from quivercert.module import injective, map_coordinates, projective
+from quivercert import GF, QQ, Matrix, approx, presets
+from quivercert.decompose import EndAlgebra
+from quivercert.endcat import (
+    CatAlgebra, auslander_generator, full_subfunctor, global_dimension, radical_subspaces,
+)
+from quivercert.io import payload_hash
+from quivercert.module import (
+    coordinates_matrix, hom_basis, injective, map_coordinates, projective,
+)
 from quivercert.tiered import build_layering
 from quivercert.torsfin import enumerate_torsionless
 
@@ -52,32 +58,69 @@ def test_compose_tensor_matches_its_definition(objects):
                 assert len(tensor) == len(cat.hom(i, j))
                 for h, block in zip(cat.hom(i, j), tensor):
                     assert block == _action_reference(cat, h, i, j, c)
-                if i == j:
-                    rads = cat.radical_maps(i, i)
-                    acts = cat.radical_action(i, i, c)
-                    assert len(acts) == len(rads)
-                    for r, act in zip(rads, acts):
-                        assert act == _action_reference(cat, r, i, i, c)
     assert cat.composition(0, 0, 0) is cat.composition(0, 0, 0)
 
 
+def _mixed_hom_basis(m, n):
+    basis = hom_basis(m, n)
+    return [b + basis[-1] for b in basis[:-1]] + basis[-1:]
+
+
 @pytest.mark.parametrize("field", [GF(3), QQ])
-def test_radical_action_on_a_mixed_endomorphism_basis(field):
-    # on these modules (and on every generator above) the radical
-    # coordinates on the hom_basis are 0/1; mixing the last basis map into
-    # the others gives coordinates -1 too, which the sum over R[k, m] must
-    # carry
+def test_endomorphism_basis_lists_the_radical_first(field, monkeypatch):
+    # on these modules the radical coordinates on the hom_basis are 0/1;
+    # mixing the last basis map into the others gives coordinates -1 too,
+    # which the radical maps must carry
     alg = presets.local_xy(field)
-    cat = CatAlgebra([projective(alg, "*"), injective(alg, "*")], verify=False)
-    for i in range(len(cat)):
-        basis = cat.hom(i, i)
-        cat._cat._homs[(i, i)] = [b + basis[-1] for b in basis[:-1]] + [basis[-1]]
-    minus_one = field.neg(field.one())
-    for i in range(len(cat)):
-        assert minus_one in cat._cat.radical_coords(i).entries
-        for c in range(len(cat)):
-            acts = cat.radical_action(i, i, c)
+    objects = [projective(alg, "*"), injective(alg, "*")]
+    for mixed in (False, True):
+        if mixed:
+            monkeypatch.setattr(approx, "hom_basis", _mixed_hom_basis)
+        cat = CatAlgebra(objects, verify=False)
+        n = len(cat)
+        for i in range(n):
+            basis = approx.hom_basis(objects[i], objects[i])
+            rad_coords = EndAlgebra(objects[i], basis).radical_coords()
+            assert (field.neg(field.one()) in rad_coords.entries) == mixed
+            ends = cat.hom(i, i)
+            assert coordinates_matrix(ends, basis).rank() == len(basis) == len(ends)
             rads = cat.radical_maps(i, i)
-            assert len(acts) == len(rads) > 0
-            for r, act in zip(rads, acts):
-                assert act == _action_reference(cat, r, i, i, c)
+            assert rads == ends[:len(rads)]
+            assert len(rads) == rad_coords.cols > 0
+            assert not any(r.is_isomorphism() for r in rads)
+            # the radical of the representable Hom(-, M_i), in coordinates
+            # on its ambient: the radical maps into M_i, object by object
+            rad = radical_subspaces(cat, full_subfunctor(cat, [int(c == i) for c in range(n)]))
+            for j in range(n):
+                maps = cat.radical_maps(j, i)
+                expected = (coordinates_matrix(maps, cat.hom(j, i)) if maps
+                            else Matrix.zero(field, len(cat.hom(j, i)), 0))
+                assert rad[j].cols == expected.cols
+                assert Matrix.hstack([rad[j], expected]).rank() == expected.cols
+
+
+# `io.payload_hash` of `global_dimension`'s (value, pds, betti tables),
+# recorded before the End bases listed their radicals first: betti numbers
+# and pds are invariants of the minimal resolution, not of the bases
+GLDIM_DIGESTS = [
+    pytest.param(lambda: _e1_generator("local_xy", GF(3)),
+                 "39b4b2409ac58aeea06674f6b616dc51d635536ab4948b35a611ac91e1b102a1",
+                 id="local_xy@GF(3)"),
+    pytest.param(lambda: _e1_generator("commutative_square_plus", GF(5)),
+                 "056ea487a0e284bf453b24ed5e4e0ef63e3c938158885ce27462dd1283ebd9fb",
+                 id="commutative_square_plus@GF(5)"),
+    pytest.param(lambda: _e1_generator("kronecker_tensor_a2", GF(5)),
+                 "434bd605a20d95cdca5cb79634f963771c5519669a7ccee83b0502a22923570f",
+                 id="kronecker_tensor_a2@GF(5)"),
+    pytest.param(lambda: _e1_generator("a3_rad_square", GF(5)),
+                 "ba42b85c93b50ce95ce8da0e3200b5c94ea6ab128c2043ead8f8c11f7a56b8f9",
+                 id="a3_rad_square@GF(5)"),
+    pytest.param(_kk_layering_objects,
+                 "7c8ed4fdb347747fca15ef84ccc64468b4d0662a4fa4fd831c9694e86afb34c5",
+                 id="KxK@GF(2)"),
+]
+
+
+@pytest.mark.parametrize("objects, digest", GLDIM_DIGESTS)
+def test_global_dimension_digests_are_pinned(objects, digest):
+    assert payload_hash(global_dimension(CatAlgebra(objects(), verify=False))) == digest

@@ -100,6 +100,9 @@ def test_malformed_payloads_raise_typed_errors(tmp_path):
         lattice_from_json(dict(lat_payload, rank=[1, 1]))
     with pytest.raises(InputError):
         lattice_from_json(dict(lat_payload, action={"a": [[[["1", [1.5]]]]]}))
+    for term in (["1"], ["1", [0], "x"]):
+        with pytest.raises(InputError):
+            lattice_from_json(dict(lat_payload, action={"a": [[[term]]]}))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(InputError):

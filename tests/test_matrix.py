@@ -111,6 +111,10 @@ def test_solve_zero_matrix_inconsistent():
     b = Matrix.column(GF(5), [1, 0])
     with pytest.raises(NoSolution):
         a.solve(b)
+    no_unknowns = Matrix.zero(GF(5), 2, 0)
+    with pytest.raises(NoSolution):
+        no_unknowns.solve(b)
+    assert no_unknowns.solve(Matrix.zero(GF(5), 2, 3)) == Matrix.zero(GF(5), 0, 3)
 
 
 def test_solve_consistent_random_f5_by_substitution():
