@@ -74,13 +74,18 @@ def injective_envelope(m: Module) -> ModuleMap:
     return ModuleMap(m, env.target, env.components, check=False)
 
 
-def min_projective_presentation(m: Module):
-    """(f: P1 -> P0, e: P0 -> m), both covers, kernel(e) inside rad P0."""
-    e = projective_cover(m)
-    ker, incl = kernel_of_map(e)
-    f_cover = projective_cover(ker)
-    f = f_cover.then(incl)
-    return f, e
+def projective_resolution(m: Module, length: int):
+    """Minimal projective resolution up to P_length: (projectives P_0..P_length,
+    differentials d_k: P_k -> P_{k-1} for k = 1..length, augmentation
+    P_0 -> m).  Every step is a projective cover of the previous kernel."""
+    aug = projective_cover(m)
+    projs, diffs, last = [aug.source], [], aug
+    for _ in range(length):
+        ker, incl = kernel_of_map(last)
+        last = projective_cover(ker)
+        projs.append(last.source)
+        diffs.append(last.then(incl))
+    return projs, diffs, aug
 
 
 def is_projective_module(m: Module) -> bool:
@@ -236,8 +241,8 @@ def tau(m: Module) -> Module:
         warnings.warn("tau: projective summands stripped", stacklevel=2)
     if core.is_zero():
         return zero_module(m.algebra)
-    f, _ = min_projective_presentation(core)
-    nf = nakayama_map(f)
+    _, diffs, _ = projective_resolution(core, 1)
+    nf = nakayama_map(diffs[0])
     return kernel_of_map(nf)[0]
 
 
@@ -255,8 +260,8 @@ def gamma(m: Module) -> Module:
     core, _ = strip_projective_summands(m)
     if core.is_zero():
         return zero_module(m.algebra)
-    f, _ = min_projective_presentation(core)
-    nf = nakayama_map(f)
+    _, diffs, _ = projective_resolution(core, 1)
+    nf = nakayama_map(diffs[0])
     return image_of_map(nf)[0]
 
 
@@ -273,6 +278,6 @@ def eta(m: Module) -> Module:
         raise NotTorsionless("eta needs a torsionless module")
     if m.is_zero():
         return zero_module(m.algebra.opposite())
-    f, _ = min_projective_presentation(m)
-    h = hom_lambda_transform(f)
+    _, diffs, _ = projective_resolution(m, 1)
+    h = hom_lambda_transform(diffs[0])
     return image_of_map(h)[0]

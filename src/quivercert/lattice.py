@@ -1,5 +1,6 @@
 """Polynomial-coefficient lattices, canonical self-extension sequences,
-Ext-class non-vanishing tests, and external (Kuenneth-style) products.
+Ext-class non-vanishing tests, external (Kuenneth-style) products, and
+the Odim witness.
 
 A lattice is a module over (algebra) x k[T_1..T_d] that is free over the
 polynomial ring: fibers are free of finite rank, arrows act by matrices
@@ -10,7 +11,11 @@ dropped.  Tensoring with a finite-length k[T]-module, given by commuting
 T-matrices, gives an ordinary module, and specializing T at a point is
 the case of 1x1 T-matrices.  Tensoring with the canonical length-2
 self-extension of a point gives degree-1 Ext classes whose
-non-vanishing is decided by exact linear algebra.
+non-vanishing is decided by exact linear algebra.  The witness for
+Odim >= n over A_1 (x) ... (x) A_n takes one such class per factor at
+each point and folds external products over them left to right, giving
+a degree-n class over the tensor algebra; one factor is the degree-1
+case.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from .algebra import BasicAlgebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, hom_basis, identity_map, in_span, kernel_of_map,
-    map_coordinates, map_from_coordinates, zero_map,
+    Module, ModuleMap, hom_basis, identity_map, in_span, map_coordinates,
+    map_from_coordinates, zero_map,
 )
-from .functors import projective_cover
+from .functors import projective_resolution
 
 MAX_POLY_DEGREE = 8
 MAX_VARIABLES = 2
@@ -152,26 +157,6 @@ def kronecker_family(algebra: BasicAlgebra) -> Lattice:
     return Lattice(algebra, 1, rank, {a.name: {(0,): one}, b.name: {(1,): one}}, check=False)
 
 
-def tensor_lattice(product_algebra: BasicAlgebra, left: Lattice, right: Lattice) -> Lattice:
-    """left (x) right over the tensor algebra, variables renumbered."""
-    if product_algebra.tensor_of is None:
-        raise LatticeError("target algebra is not a tensor product")
-    field = product_algebra.field
-    eye_l = {x: Matrix.identity(field, r) for x, r in left.rank.items()}
-    eye_r = {y: Matrix.identity(field, r) for y, r in right.rank.items()}
-    pad_l, pad_r = (0,) * right.d, (0,) * left.d
-    rank = {f"{x}.{y}": left.rank[x] * right.rank[y]
-            for x in left.rank for y in right.rank}
-    action = {}
-    for name, coeffs in left.action.items():
-        for y, eye in eye_r.items():
-            action[f"{name}.{y}"] = {e + pad_l: c.kron(eye) for e, c in coeffs.items()}
-    for name, coeffs in right.action.items():
-        for x, eye in eye_l.items():
-            action[f"{x}.{name}"] = {pad_r + e: eye.kron(c) for e, c in coeffs.items()}
-    return Lattice(product_algebra, left.d + right.d, rank, action)
-
-
 # -- extension classes -----------------------------------------------------------------
 
 @dataclass
@@ -242,25 +227,10 @@ def _lift_through(src: Module, through: ModuleMap, target: ModuleMap) -> ModuleM
     return map_from_coordinates(coords, basis) if basis else zero_map(src, through.source)
 
 
-def _resolution(module: Module, length: int):
-    """Minimal projective resolution data: (projectives, differentials,
-    augmentation) with differentials d_k: P_k -> P_{k-1}."""
-    e = projective_cover(module)
-    projs = [e.source]
-    diffs = []
-    current_ker, current_incl = kernel_of_map(e)
-    for _ in range(length):
-        cover = projective_cover(current_ker)
-        projs.append(cover.source)
-        diffs.append(cover.then(current_incl))
-        current_ker, current_incl = kernel_of_map(cover)
-    return projs, diffs, e
-
-
 def yoneda_cocycle(cls: ExtensionClass):
     """(cocycle phi_d: P_d -> left, resolution data) by comparison lifting."""
     d = cls.degree
-    projs, diffs, aug = _resolution(cls.right, d)
+    projs, diffs, aug = projective_resolution(cls.right, d)
     maps = cls.maps
     try:
         phi = _lift_through(projs[0], maps[-1], aug)
@@ -277,10 +247,10 @@ def cocycle_is_coboundary(phi_d: ModuleMap, last_diff: ModuleMap) -> bool:
                            for psi in hom_basis(last_diff.target, phi_d.target)])
 
 
-def ext_nonzero(cls: ExtensionClass, via: str = "auto") -> bool:
+def ext_nonzero(cls: ExtensionClass) -> bool:
     """Non-vanishing of the class: retraction search in degree 1,
-    cocycle-versus-coboundary in any degree."""
-    if cls.degree == 1 and via in ("auto", "retraction"):
+    cocycle-versus-coboundary in higher degrees."""
+    if cls.degree == 1:
         # split iff some r: mids[0] -> left retracts the injection
         composites = [cls.maps[0].then(r) for r in hom_basis(cls.mids[0], cls.left)]
         return not in_span(identity_map(cls.left), composites)
@@ -290,9 +260,20 @@ def ext_nonzero(cls: ExtensionClass, via: str = "auto") -> bool:
 
 # -- external products ----------------------------------------------------------------
 
+def _same_algebra(a: BasicAlgebra, b: BasicAlgebra) -> bool:
+    """Same quiver, relations and field; algebras built apart compare equal."""
+    return a is b or (a.field == b.field and a.quiver == b.quiver
+                      and a.relations == b.relations)
+
+
 def tensor_module(product_algebra: BasicAlgebra, m: Module, n: Module) -> Module:
     """m (x) n over the tensor algebra (fiber basis ordered (m, n)): arrow
     a.y acts by m_a (x) I and arrow x.b by I (x) n_b."""
+    factors = product_algebra.tensor_of
+    if factors is None:
+        raise LatticeError("target algebra is not a tensor product")
+    if not (_same_algebra(m.algebra, factors[0]) and _same_algebra(n.algebra, factors[1])):
+        raise LatticeError("module algebras differ from the tensor factors")
     field = product_algebra.field
     eye_m = {x: Matrix.identity(field, d) for x, d in m.dims.items()}
     eye_n = {y: Matrix.identity(field, d) for y, d in n.dims.items()}
@@ -368,49 +349,47 @@ def rational_points(field: Field, d: int):
 
 
 def odim_witness(lat: Lattice, points=None) -> dict:
-    """Per-point non-vanishing table for the degree-1 classes of a
-    one-variable lattice; witness for Odim >= 1 when all points pass."""
-    if lat.d != 1:
-        raise LatticeError("odim_witness covers one-variable lattices; use the "
-                           "external product route for d = 2")
-    points = points if points is not None else rational_points(lat.field, 1)
-    table = []
-    passed = 0
-    for pt in points:
-        cls = tensor_sequence(lat, pt[0])
-        nz = ext_nonzero(cls)
-        table.append({"point": [lat.field.format(c) for c in pt], "nonzero": nz})
-        passed += 1 if nz else 0
-    return {
-        "degree": 1,
-        "points": len(points),
-        "passed": passed,
-        "witness_for_odim_ge": 1 if passed == len(points) and points else 0,
-        "table": table,
-        "caveat": "density over Max R sampled at rational points only",
-    }
+    """The one-factor Kuenneth witness: degree-1 classes of a one-variable
+    lattice, a witness for Odim >= 1 when all points pass."""
+    return kunneth_witness(lat.algebra, lat, points=points)
 
 
-def kunneth_witness(product_algebra: BasicAlgebra, lat_a: Lattice, lat_b: Lattice,
-                    points=None) -> dict:
-    """Degree-2 non-vanishing over the tensor algebra at pairs of points."""
+def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=None) -> dict:
+    """Per-point non-vanishing table for the degree-n classes over
+    A_1 (x) ... (x) A_n, one one-variable lattice per factor; a witness for
+    Odim >= n when all points pass.
+
+    product_algebra is the left-nested tensor product (tensor_of =
+    (A_1 (x) ... (x) A_{n-1}, A_n), and so on down).  At a point
+    (a_1, ..., a_n) the class is the external product of the tensored
+    sequences of the lattices at a_1, ..., a_n, folded left to right over
+    those intermediate products; each factor builds one sequence per
+    coordinate value.
+    """
+    n = len(lattices)
+    algebras = [product_algebra]  # algebras[k] carries the first k + 1 factors
+    for _ in range(n - 1):
+        if algebras[0].tensor_of is None:
+            raise LatticeError(f"{n} lattices but fewer tensor factors in the algebra")
+        algebras.insert(0, algebras[0].tensor_of[0])
+    if not lattices or not _same_algebra(lattices[0].algebra, algebras[0]):
+        raise LatticeError("need one lattice per tensor factor, each over its factor")
     field = product_algebra.field
-    points = points if points is not None else rational_points(field, 2)
-    # one tensored sequence per coordinate value of each factor
-    seqs_a = {a: tensor_sequence(lat_a, a) for a in {pt[0] for pt in points}}
-    seqs_b = {b: tensor_sequence(lat_b, b) for b in {pt[1] for pt in points}}
+    points = points if points is not None else rational_points(field, n)
+    seqs = [{a: tensor_sequence(lat, a) for a in {pt[k] for pt in points}}
+            for k, lat in enumerate(lattices)]
     table = []
-    passed = 0
     for pt in points:
-        prod = external_product(product_algebra, seqs_a[pt[0]], seqs_b[pt[1]])
-        nz = ext_nonzero(prod)
-        table.append({"point": [field.format(c) for c in pt], "nonzero": nz})
-        passed += 1 if nz else 0
+        cls = seqs[0][pt[0]]
+        for k in range(1, n):
+            cls = external_product(algebras[k], cls, seqs[k][pt[k]])
+        table.append({"point": [field.format(c) for c in pt], "nonzero": ext_nonzero(cls)})
+    passed = sum(row["nonzero"] for row in table)
     return {
-        "degree": 2,
+        "degree": n,
         "points": len(points),
         "passed": passed,
-        "witness_for_odim_ge": 2 if passed == len(points) and points else 0,
+        "witness_for_odim_ge": n if passed == len(points) and points else 0,
         "table": table,
         "caveat": "density over Max R sampled at rational points only",
     }

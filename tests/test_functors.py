@@ -7,8 +7,8 @@ from quivercert import presets
 from quivercert.decompose import is_isomorphic
 from quivercert.functors import (
     NotProjective, eta, gamma, gamma_both_ways, injective_envelope,
-    is_injective_module, is_projective_module, min_projective_presentation,
-    nakayama_map, nakayama_module, projective_cover, sigma,
+    is_injective_module, is_projective_module, nakayama_map, nakayama_module,
+    projective_cover, projective_resolution, sigma,
     strip_projective_summands, tau,
 )
 from quivercert.module import (
@@ -43,12 +43,29 @@ def test_cover_kernel_inside_radical():
 
 def test_min_presentation_of_s2_over_a3():
     alg = presets.a3_rad_square(QQ)
-    f, e = min_projective_presentation(simple(alg, "2"))
+    projs, (f,), e = projective_resolution(simple(alg, "2"), 1)
     # P(1) -> P(2) -> S(2): rad P(2) = S(1) = P(1)
+    assert [p.dim_vector() for p in projs] == [(1, 1, 0), (1, 0, 0)]
     assert f.source.dim_vector() == (1, 0, 0)
     assert f.target.dim_vector() == (1, 1, 0)
     assert f.is_injective()
     assert f.then(e).is_zero()
+
+
+def test_projective_resolution_of_s3_over_a3(monkeypatch):
+    # P(1) -> P(2) -> P(3) -> S(3), then 0: one kernel per differential
+    from quivercert import functors
+    alg = presets.a3_rad_square(QQ)
+    kernels = []
+    monkeypatch.setattr(functors, "kernel_of_map",
+                        lambda f: kernels.append(f) or kernel_of_map(f))
+    projs, diffs, aug = projective_resolution(simple(alg, "3"), 3)
+    assert len(kernels) == len(diffs) == 3
+    assert [p.dim_vector() for p in projs] == [(0, 1, 1), (1, 1, 0), (1, 0, 0), (0, 0, 0)]
+    assert aug.is_surjective()
+    for d, e in zip(diffs, [aug] + diffs):
+        assert d.target is e.source
+        assert d.then(e).is_zero()
 
 
 def test_injective_envelope_of_simple():
@@ -86,7 +103,7 @@ def test_nakayama_preserves_direct_sums():
 
 def test_nakayama_of_presentation_map_of_s2():
     alg = presets.a3_rad_square(QQ)
-    f, _ = min_projective_presentation(simple(alg, "2"))
+    _, (f,), _ = projective_resolution(simple(alg, "2"), 1)
     nf = nakayama_map(f)
     assert nf.source.dim_vector() == injective(alg, "1").dim_vector()
     assert nf.target.dim_vector() == injective(alg, "2").dim_vector()

@@ -1,7 +1,7 @@
-"""Source hygiene: every name a `quivercert` module imports is read somewhere
-in that module (or re-exported through `__all__`), every top-level function
-and class and every method has a caller outside the tests, and sympy is
-loaded only by the one path that needs it."""
+"""Source hygiene: every name a `quivercert` module imports is read in a
+scope that does not rebind it (or re-exported through `__all__`), every
+top-level function and class and every method has a caller outside the
+tests, and sympy is loaded only by the one path that needs it."""
 
 import ast
 import re
@@ -15,23 +15,67 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "quivercert"
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """The nodes of a scope outside every scope nested in it; a nested scope
+    is listed as one node."""
+    out, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    """Imports that no read resolves to.  A read resolves to the innermost
+    enclosing scope that binds the name (parameter, assignment, definition or
+    import), so a local that shadows an import does not use it; methods do
+    not see their class body's names."""
+    imported, used = set(), set()
+
+    def visit(scope, env):
+        nodes = _own_nodes(scope)
+        local = dict(env)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = scope.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            local.update((p.arg, None) for p in params if p)
+        for node in nodes:
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                local[node.id] = None
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                local[node.name] = None
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                local[node.name] = None
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    key = (alias.asname or alias.name.split(".")[0], node.lineno)
+                    imported.add(key)
+                    local[key[0]] = key
+        used.update(local[node.id] for node in nodes
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and local.get(node.id))
+        inner = env if isinstance(scope, ast.ClassDef) else local
+        for node in nodes:
+            if isinstance(node, SCOPES):
+                visit(node, inner)
+        return local
+
+    module = visit(tree, {})
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read.update(ast.literal_eval(node.value))
-    return sorted(f"{name} (line {line})" for name, line in imported.items()
-                  if name not in read)
+            used.update(module.get(name) for name in ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported
+                  if (name, line) not in used)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -43,6 +87,14 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("from os import path, sep\nimport sys\n__all__ = ['sep']\n")
     assert _unused_imports(tree) == ["path (line 1)", "sys (line 2)"]
+
+
+def test_scan_ignores_reads_of_a_local_that_shadows_an_import():
+    tree = ast.parse(
+        "from dataclasses import field\nfrom os import path, sep\nimport sys\n\n\n"
+        "def f(field):\n    sep = '/'\n    return field, sep, lambda sys: sys\n\n\n"
+        "class C:\n    path = None\n\n    def m(self):\n        return path\n")
+    assert _unused_imports(tree) == ["field (line 1)", "sep (line 2)", "sys (line 3)"]
 
 
 # modules whose definitions are the public entry points themselves
@@ -59,7 +111,6 @@ KEPT = {
                                   "generic-point specialisation of ROADMAP item 4",
     "lattice.constant_lattice": "the split family whose Odim witness must fail at every point",
     "lattice.scale_class": "drives the bilinearity test of yoneda_cocycle",
-    "lattice.tensor_lattice": "a candidate for the n-factor Kunneth product (ROADMAP item 2)",
     "module.regular_module": "the regular module that the decompose and Hom tests start from",
     "quiver.maximal_path_length_from": "the reference that tier_function is checked against",
     "tiered.p1_check": "the (P1) hypothesis, planned for the E2 certificate (ROADMAP item 2)",

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 from math import prod
 
 import pytest
@@ -9,11 +8,13 @@ from quivercert import GF, QQ, Matrix
 from quivercert import presets
 from quivercert.decompose import is_indecomposable, is_isomorphic
 from quivercert.fields import field_name
-from quivercert.io import algebra_to_json, lattice_from_json, lattice_to_json
+from quivercert.algebra import tensor
+from quivercert.functors import projective_resolution
+from quivercert.io import algebra_to_json, lattice_from_json, lattice_to_json, payload_hash
 from quivercert.lattice import (
     ExtensionClass, Lattice, LatticeError, constant_lattice, eps_alpha, ext_nonzero,
     external_product, kronecker_family, kunneth_witness, odim_witness,
-    rational_points, scale_class, tensor_lattice, tensor_map, tensor_module,
+    rational_points, scale_class, tensor_map, tensor_module,
     tensor_sequence, yoneda_cocycle, cocycle_is_coboundary,
 )
 from quivercert.module import Module, identity_map, projective, simple, zero_map
@@ -65,7 +66,8 @@ def test_ext_nonzero_agreement_degree_one():
     lat = kronecker_family(alg)
     for a in range(5):
         cls = tensor_sequence(lat, a)
-        assert ext_nonzero(cls, via="retraction") == ext_nonzero(cls, via="cocycle")
+        phi, _, diffs = yoneda_cocycle(cls)
+        assert ext_nonzero(cls) == (not cocycle_is_coboundary(phi, diffs[0]))
 
 
 def test_yoneda_cocycle_failed_lift_is_lattice_error():
@@ -83,7 +85,8 @@ def test_constant_projective_lattice_splits():
     lat = constant_lattice(projective(alg, "1"))
     cls = tensor_sequence(lat, 2)
     assert not ext_nonzero(cls)
-    assert not ext_nonzero(cls, via="cocycle")
+    phi, _, diffs = yoneda_cocycle(cls)
+    assert cocycle_is_coboundary(phi, diffs[0])
 
 
 def test_eps_generates_one_dimensional_ext():
@@ -100,11 +103,8 @@ def test_eps_generates_one_dimensional_ext():
     assert cls.verify_exact()
     assert ext_nonzero(cls)
     from quivercert.module import hom_basis
-    from quivercert.functors import min_projective_presentation
     # Ext^1(S,S) dimension: cocycles mod coboundaries on the resolution
-    f, e = min_projective_presentation(s)
-    from quivercert.lattice import _resolution
-    projs, diffs, aug = _resolution(s, 2)
+    projs, diffs, aug = projective_resolution(s, 2)
     hom_p1 = hom_basis(projs[1], s)
     cocycles = [h for h in hom_p1]  # all are cocycles for this resolution shape
     cob_rank = 0
@@ -119,21 +119,6 @@ def test_eps_generates_one_dimensional_ext():
         cob_rank = mat.rank()
     cocycle_rank = len(hom_p1)
     assert cocycle_rank - cob_rank == 1
-
-
-def test_specialize_commutes_with_tensor():
-    for field in (GF(5), QQ):
-        kron = presets.kronecker(field)
-        kk = presets.kronecker_squared(field)
-        fam = kronecker_family(kron)
-        for right in (fam, constant_lattice(projective(kron, "1"))):
-            prod = tensor_lattice(kk, fam, right)
-            for a, b in product([0, 1, 3], [0, 2, "1/2"]):
-                direct = prod.specialize([a, b])
-                # both routes order the fibre at x.y as (x, y) pairs
-                via_modules = tensor_module(kk, fam.specialize([a]), right.specialize([b]))
-                assert direct.dims == via_modules.dims
-                assert direct.action == via_modules.action
 
 
 def test_external_product_nonzero_on_kk():
@@ -224,6 +209,8 @@ def test_odim_witness_constant_lattice_fails_everywhere():
     cert = odim_witness(lat)
     assert cert["passed"] == 0
     assert cert["witness_for_odim_ge"] == 0
+    with pytest.raises(LatticeError, match="one-variable"):
+        odim_witness(constant_lattice(projective(alg, "1"), d=2))
 
 
 def test_kunneth_witness_kk_over_f2():
@@ -235,6 +222,53 @@ def test_kunneth_witness_kk_over_f2():
     assert cert["points"] == 4
     assert cert["passed"] == 4
     assert cert["witness_for_odim_ge"] == 2
+
+
+def test_kunneth_witness_degree_three_on_kkk_over_f2():
+    field = GF(2)
+    kron = presets.kronecker(field)
+    lat = kronecker_family(kron)
+    cert = kunneth_witness(tensor(presets.kronecker_squared(field), kron), lat, lat, lat)
+    assert cert["degree"] == 3
+    assert cert["points"] == cert["passed"] == 8
+    assert cert["witness_for_odim_ge"] == 3
+
+
+# io.payload_hash of each witness over GF(7), recorded with the separate
+# degree-1 and degree-2 routines that the n-factor fold replaced
+WITNESS_DIGESTS = [
+    pytest.param(lambda lat, kk: odim_witness(lat),
+                 "a14c8524cd504794c510e72287429df3c4282811b134dcdb41e917cebb1769ed", id="odim@K"),
+    pytest.param(lambda lat, kk: kunneth_witness(kk, lat, lat),
+                 "00c29e2c9a0f18fc74c5934af344256705d305bcf2b01ece80ba6982279e7b63",
+                 id="kunneth@KxK"),
+]
+
+
+@pytest.mark.parametrize("witness, digest", WITNESS_DIGESTS)
+def test_witness_digests_are_pinned(witness, digest):
+    field = GF(7)
+    lat = kronecker_family(presets.kronecker(field))
+    assert payload_hash(witness(lat, presets.kronecker_squared(field))) == digest
+
+
+def test_kunneth_witness_rejects_lattices_off_the_tensor_factors():
+    field = GF(3)
+    fam = kronecker_family(presets.kronecker(field))
+    # K (x) A2: the second factor is not the lattice's algebra
+    with pytest.raises(LatticeError, match="tensor factors"):
+        kunneth_witness(presets.kronecker_tensor_a2(field), fam, fam)
+    # the same quivers over another field
+    with pytest.raises(LatticeError, match="tensor factor"):
+        kunneth_witness(presets.kronecker_squared(GF(5)), fam, fam)
+    # K alone has one factor, not two
+    with pytest.raises(LatticeError, match="fewer tensor factors"):
+        kunneth_witness(presets.kronecker(field), fam, fam)
+    # K (x) K has two factors, not one
+    with pytest.raises(LatticeError, match="one lattice per tensor factor"):
+        kunneth_witness(presets.kronecker_squared(field), fam)
+    with pytest.raises(LatticeError, match="not a tensor product"):
+        tensor_module(presets.kronecker(field), fam.specialize([0]), fam.specialize([1]))
 
 
 def test_lattice_rejects_bad_relations():
