@@ -11,11 +11,22 @@ dropped.  Tensoring with a finite-length k[T]-module, given by commuting
 T-matrices, gives an ordinary module, and specializing T at a point is
 the case of 1x1 T-matrices.  Tensoring with the canonical length-2
 self-extension of a point gives degree-1 Ext classes whose
-non-vanishing is decided by exact linear algebra.  The witness for
-Odim >= n over A_1 (x) ... (x) A_n takes one such class per factor at
-each point and folds external products over them left to right, giving
-a degree-n class over the tensor algebra; one factor is the degree-1
-case.
+non-vanishing is decided by exact linear algebra.
+
+The witness for Odim >= n over A_1 (x) ... (x) A_n uses the Kuenneth
+formula.  Each factor k resolves each of its point modules L_a once,
+P_n -> ... -> P_0 -> L_a, and lifts its self-extension to a cocycle
+phi_a: P_1 -> L_a.  At a point (a_1, ..., a_n) the total complex
+R = P^(1) (x) ... (x) P^(n), folded left to right, is a projective
+resolution of L_{a_1} (x) ... (x) L_{a_n} over the tensor algebra:
+R_k = (+)_{i+j=k} X_i (x) P_j with d = d_X (x) 1 + (-1)^i 1 (x) d_P and
+augmentation aug_X (x) aug_P.  The external product of the n classes is
+represented, up to sign, by phi_{a_1} (x) ... (x) phi_{a_n} on the
+(1, ..., 1) summand of R_n and zero on the others, so the point passes
+when that cocycle is not a coboundary.  Every complex the witness reads
+is checked (d d = 0, exact below its top degree); `external_product`
+and `ext_nonzero` on the spliced sequence are the independent route the
+tests compare with.  One factor is the degree-1 case.
 """
 
 from __future__ import annotations
@@ -26,8 +37,8 @@ from .algebra import BasicAlgebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, hom_basis, identity_map, in_span, map_coordinates,
-    map_from_coordinates, zero_map,
+    Module, ModuleMap, direct_sum, hom_basis, identity_map, in_span, map_coordinates,
+    map_from_coordinates, zero_map, zero_module,
 )
 from .functors import projective_resolution
 
@@ -159,6 +170,14 @@ def kronecker_family(algebra: BasicAlgebra) -> Lattice:
 
 # -- extension classes -----------------------------------------------------------------
 
+def _exact_at(f: ModuleMap, g: ModuleMap) -> bool:
+    """f followed by g is zero, and at every vertex the kernel of g is as
+    large as the image of f."""
+    if not f.then(g).is_zero():
+        return False
+    return all(m.cols - m.rank() == f.components[v].rank() for v, m in g.components.items())
+
+
 @dataclass
 class ExtensionClass:
     """0 -> left -> mids[0] -> ... -> mids[d-1] -> right -> 0."""
@@ -175,12 +194,8 @@ class ExtensionClass:
         comps = self.maps
         if not comps[0].is_injective() or not comps[-1].is_surjective():
             return False
-        for f, g in zip(comps, comps[1:]):
-            if not f.then(g).is_zero():
-                return False
-            for v in self.left.algebra.quiver.vertices:
-                if g.components[v].kernel_basis().cols != f.components[v].rank():
-                    return False
+        if not all(_exact_at(f, g) for f, g in zip(comps, comps[1:])):
+            return False
         self.exact = True
         return True
 
@@ -227,10 +242,10 @@ def _lift_through(src: Module, through: ModuleMap, target: ModuleMap) -> ModuleM
     return map_from_coordinates(coords, basis) if basis else zero_map(src, through.source)
 
 
-def yoneda_cocycle(cls: ExtensionClass):
-    """(cocycle phi_d: P_d -> left, resolution data) by comparison lifting."""
+def _lift_cocycle(cls: ExtensionClass, projs, diffs, aug) -> ModuleMap:
+    """phi_d: P_d -> left by comparison lifting along a projective
+    resolution of cls.right of length at least d."""
     d = cls.degree
-    projs, diffs, aug = projective_resolution(cls.right, d)
     maps = cls.maps
     try:
         phi = _lift_through(projs[0], maps[-1], aug)
@@ -238,7 +253,13 @@ def yoneda_cocycle(cls: ExtensionClass):
             phi = _lift_through(projs[k], maps[d - k], diffs[k - 1].then(phi))
     except NoSolution:
         raise LatticeError("cocycle lift failed") from None
-    return phi, projs, diffs
+    return phi
+
+
+def yoneda_cocycle(cls: ExtensionClass):
+    """(cocycle phi_d: P_d -> left, resolution data) by comparison lifting."""
+    projs, diffs, aug = projective_resolution(cls.right, cls.degree)
+    return _lift_cocycle(cls, projs, diffs, aug), projs, diffs
 
 
 def cocycle_is_coboundary(phi_d: ModuleMap, last_diff: ModuleMap) -> bool:
@@ -338,6 +359,98 @@ def scale_class(cls: ExtensionClass, c) -> ExtensionClass:
     return out
 
 
+# -- tensor products of resolutions ------------------------------------------------
+
+@dataclass
+class _Resolution:
+    """A projective resolution P_top -> ... -> P_0 -> end, cut off at
+    P_top, with a cocycle P_degree -> end."""
+
+    terms: list  # P_0, ..., P_top
+    diffs: list  # diffs[k - 1]: P_k -> P_{k-1}
+    aug: ModuleMap  # P_0 -> end
+    cocycle: ModuleMap
+    degree: int
+
+
+def _checked(res: _Resolution) -> _Resolution:
+    """res, once d d = 0 and the augmented complex is exact in degrees
+    0..top-1 (per-vertex ranks); LatticeError otherwise."""
+    maps = [res.aug] + res.diffs  # maps[k] leaves degree k
+    if not (res.aug.is_surjective()
+            and all(_exact_at(f, g) for f, g in zip(maps[1:], maps))):
+        raise LatticeError("resolution failed exactness")
+    return res
+
+
+def _factor_resolution(seq: ExtensionClass, top: int) -> _Resolution:
+    """The minimal resolution of seq.right up to P_top, with the degree-1
+    cocycle of seq on it."""
+    projs, diffs, aug = projective_resolution(seq.right, top)
+    return _checked(_Resolution(projs, diffs, aug, _lift_cocycle(seq, projs, diffs, aug), 1))
+
+
+def _block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
+               blocks: dict) -> ModuleMap:
+    """The map between the direct sums of src_parts and tgt_parts ({label:
+    module}, summed in label order) whose (t, s) block is blocks[t, s], a
+    map src_parts[s] -> tgt_parts[t], or zero when absent."""
+    if not src_parts or not tgt_parts:
+        return zero_map(source, target)
+    field = source.field
+    comps = {}
+    for v in source.algebra.quiver.vertices:
+        comps[v] = Matrix.vstack(
+            Matrix.hstack(blocks[t, s].components[v] if (t, s) in blocks
+                          else Matrix.zero(field, tp.dims[v], sp.dims[v])
+                          for s, sp in src_parts.items())
+            for t, tp in tgt_parts.items())
+    return ModuleMap(source, target, comps, check=False)
+
+
+def _sum_of(algebra: BasicAlgebra, parts: dict) -> Module:
+    """The direct sum of parts' modules; a lone part is its own sum."""
+    summands = list(parts.values())
+    if len(summands) == 1:
+        return summands[0]
+    return direct_sum(summands)[0] if summands else zero_module(algebra)
+
+
+def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution) -> _Resolution:
+    """The total complex of x (x) p over algebra, cut off at x's top degree:
+    R_k = (+)_{i+j=k} X_i (x) P_j, summands in order of i (zero ones left
+    out), with d = d_X (x) 1 + (-1)^i 1 (x) d_P and augmentation
+    aug_X (x) aug_P.  Its cocycle is x.cocycle (x) p.cocycle on the summand
+    (x.degree, p.degree) and zero on the others.  Checked as every
+    resolution is."""
+    minus = algebra.field.neg(algebra.field.one())
+    top = len(x.terms) - 1
+    parts = [{i: tensor_module(algebra, x.terms[i], p.terms[k - i]) for i in range(k + 1)
+              if not (x.terms[i].is_zero() or p.terms[k - i].is_zero())}
+             for k in range(top + 1)]
+    terms = [_sum_of(algebra, summands) for summands in parts]
+    diffs = []
+    for k in range(1, top + 1):
+        blocks = {}
+        for i, src in parts[k].items():  # the summand X_i (x) P_j, j = k - i
+            j = k - i
+            if i - 1 in parts[k - 1]:
+                blocks[i - 1, i] = tensor_map(src, parts[k - 1][i - 1], x.diffs[i - 1],
+                                              identity_map(p.terms[j]))
+            if i in parts[k - 1]:
+                d_p = p.diffs[j - 1].scale(minus) if i % 2 else p.diffs[j - 1]
+                blocks[i, i] = tensor_map(src, parts[k - 1][i], identity_map(x.terms[i]), d_p)
+        diffs.append(_block_map(terms[k], terms[k - 1], parts[k], parts[k - 1], blocks))
+    end = tensor_module(algebra, x.aug.target, p.aug.target)
+    degree = x.degree + p.degree
+    blocks = {}
+    if x.degree in parts[degree]:
+        blocks[0, x.degree] = tensor_map(parts[degree][x.degree], end, x.cocycle, p.cocycle)
+    cocycle = _block_map(terms[degree], end, parts[degree], {0: end}, blocks)
+    aug = tensor_map(terms[0], end, x.aug, p.aug)
+    return _checked(_Resolution(terms, diffs, aug, cocycle, degree))
+
+
 # -- witnesses -----------------------------------------------------------------------
 
 def rational_points(field: Field, d: int):
@@ -360,11 +473,16 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
     Odim >= n when all points pass.
 
     product_algebra is the left-nested tensor product (tensor_of =
-    (A_1 (x) ... (x) A_{n-1}, A_n), and so on down).  At a point
-    (a_1, ..., a_n) the class is the external product of the tensored
-    sequences of the lattices at a_1, ..., a_n, folded left to right over
-    those intermediate products; each factor builds one sequence per
-    coordinate value.
+    (A_1 (x) ... (x) A_{n-1}, A_n), and so on down).  Each factor k, at
+    each of its coordinate values a, resolves the end L_a of its tensored
+    sequence up to P_n and lifts the sequence to a cocycle phi_a: P_1 ->
+    L_a.  At a point (a_1, ..., a_n) the total complex of those
+    resolutions is folded left to right over the intermediate products,
+    one complex per distinct prefix (a_1, ..., a_k), with the differential
+    d_X (x) 1 + (-1)^i 1 (x) d_P on X_i (x) P_j.  The point passes when
+    phi_{a_1} (x) ... (x) phi_{a_n}, on the (1, ..., 1) summand of R_n, is
+    not a coboundary of d_n.  Each complex is checked (d d = 0, exact in
+    degrees 0..n-1) and raises LatticeError if not.
     """
     n = len(lattices)
     algebras = [product_algebra]  # algebras[k] carries the first k + 1 factors
@@ -376,14 +494,27 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
         raise LatticeError("need one lattice per tensor factor, each over its factor")
     field = product_algebra.field
     points = points if points is not None else rational_points(field, n)
-    seqs = [{a: tensor_sequence(lat, a) for a in {pt[k] for pt in points}}
-            for k, lat in enumerate(lattices)]
+    factors = [{a: _factor_resolution(tensor_sequence(lat, a), n)
+                for a in {pt[k] for pt in points}}
+               for k, lat in enumerate(lattices)]
+    prefixes = {}  # (a_1, ..., a_k) -> its total complex, for 1 < k < n
+
+    def fold(pt):
+        if len(pt) == 1:
+            return factors[0][pt[0]]
+        if pt in prefixes:
+            return prefixes[pt]
+        k = len(pt) - 1
+        out = _tensor_complex(algebras[k], fold(pt[:-1]), factors[k][pt[-1]])
+        if k < n - 1:
+            prefixes[pt] = out
+        return out
+
     table = []
     for pt in points:
-        cls = seqs[0][pt[0]]
-        for k in range(1, n):
-            cls = external_product(algebras[k], cls, seqs[k][pt[k]])
-        table.append({"point": [field.format(c) for c in pt], "nonzero": ext_nonzero(cls)})
+        res = fold(tuple(pt))
+        table.append({"point": [field.format(c) for c in pt],
+                      "nonzero": not cocycle_is_coboundary(res.cocycle, res.diffs[n - 1])})
     passed = sum(row["nonzero"] for row in table)
     return {
         "degree": n,

@@ -202,13 +202,16 @@ def test_eta_rejects_non_torsionless():
 def test_kunneth_witness_builds_each_projective_once(monkeypatch):
     # projective covers take their summands from the algebra's one list
     # of P(x); every name a quivercert module holds `projective` under is
-    # counted
+    # counted.  The witness resolves over K only (the P(x) over K (x) K
+    # are tensors of those), so no P(x) is built twice and each P(x)
+    # over K exactly once.
     import sys
     from quivercert import module as module_module
     from quivercert.lattice import kronecker_family, kunneth_witness
     field = GF(3)
     kk = presets.kronecker_squared(field)
-    lat = kronecker_family(presets.kronecker(field))
+    kron = presets.kronecker(field)
+    lat = kronecker_family(kron)
     original = module_module.projective
     built = []
 
@@ -220,4 +223,6 @@ def test_kunneth_witness_builds_each_projective_once(monkeypatch):
         if name.startswith("quivercert") and getattr(mod, "projective", None) is original:
             monkeypatch.setattr(mod, "projective", counting)
     assert kunneth_witness(kk, lat, lat)["passed"] == field.p ** 2
-    assert [x for alg, x in built if alg is kk] == list(kk.quiver.vertices)
+    keys = [(id(alg), x) for alg, x in built if alg is kk or alg is kron]
+    assert len(keys) == len(set(keys))
+    assert [x for alg, x in built if alg is kron] == list(kron.quiver.vertices)

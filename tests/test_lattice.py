@@ -17,7 +17,7 @@ from quivercert.lattice import (
     rational_points, scale_class, tensor_map, tensor_module,
     tensor_sequence, yoneda_cocycle, cocycle_is_coboundary,
 )
-from quivercert.module import Module, identity_map, projective, simple, zero_map
+from quivercert.module import Module, identity_map, injective, projective, simple, zero_map
 
 
 def test_kronecker_family_specializations():
@@ -388,6 +388,111 @@ def test_kunneth_witness_builds_each_point_sequence_once(monkeypatch):
         for pt in rational_points(field, 2)]
     assert cert["table"] == expected
     assert cert["passed"] == cert["points"] == field.p ** 2
+
+
+def _spliced_table(product_algebra, *lattices):
+    """The witness table by the independent route: per point, fold
+    external_product over the tensored sequences and ask ext_nonzero."""
+    algebras = [product_algebra]
+    for _ in lattices[1:]:
+        algebras.insert(0, algebras[0].tensor_of[0])
+    field = product_algebra.field
+    table = []
+    for pt in rational_points(field, len(lattices)):
+        cls = tensor_sequence(lattices[0], pt[0])
+        for k in range(1, len(lattices)):
+            cls = external_product(algebras[k], cls, tensor_sequence(lattices[k], pt[k]))
+        table.append({"point": [field.format(c) for c in pt], "nonzero": ext_nonzero(cls)})
+    return table
+
+
+def _kk_case(p, left, right):
+    kron = presets.kronecker(GF(p))
+    lats = {"fam": kronecker_family(kron), "P": constant_lattice(projective(kron, "1")),
+            "I": constant_lattice(injective(kron, "2"))}
+    return presets.kronecker_squared(GF(p)), (lats[left], lats[right])
+
+
+def _kkk_case():
+    kron = presets.kronecker(GF(2))
+    fam = kronecker_family(kron)
+    return tensor(presets.kronecker_squared(GF(2)), kron), (fam, fam, fam)
+
+
+def _ka2_k_case(ka2_first):
+    # L_a over K (x) A2 resolves as (1,1,2,2) <- (0,1,1,3) <- (0,0,0,1): P_2 is not zero
+    field = GF(3)
+    ka2, kron = presets.kronecker_tensor_a2(field), presets.kronecker(field)
+    factors = (ka2, kron) if ka2_first else (kron, ka2)
+    return tensor(*factors), tuple(kronecker_family(a) for a in factors)
+
+
+CROSS_CHECK_CASES = [
+    pytest.param(lambda p=p: _kk_case(p, "fam", "fam"), p * p, id=f"KxK@GF({p})")
+    for p in (2, 3, 5)
+] + [
+    pytest.param(_kkk_case, 8, id="KxKxK@GF(2)"),
+    pytest.param(lambda: _ka2_k_case(True), 9, id="(KxA2)xK@GF(3)"),
+    pytest.param(lambda: _ka2_k_case(False), 9, id="Kx(KxA2)@GF(3)"),
+] + [
+    pytest.param(lambda p=p, pair=pair: _kk_case(p, *pair), 0, id=f"{'x'.join(pair)}@GF({p})")
+    for p in (2, 3, 5) for pair in (("fam", "P"), ("P", "fam"), ("fam", "I"), ("I", "fam"))
+]
+
+
+@pytest.mark.parametrize("case, passed", CROSS_CHECK_CASES)
+def test_kunneth_witness_matches_the_spliced_route(case, passed):
+    product_algebra, lattices = case()
+    cert = kunneth_witness(product_algebra, *lattices)
+    assert cert["table"] == _spliced_table(product_algebra, *lattices)
+    assert cert["passed"] == passed
+
+
+def test_kunneth_witness_builds_one_complex_per_prefix(monkeypatch):
+    from quivercert import lattice as lattice_module
+    field = GF(3)
+    kron = presets.kronecker(field)
+    lat = kronecker_family(kron)
+    original = lattice_module._tensor_complex
+    degrees = []
+
+    def counting(algebra, x, p):
+        out = original(algebra, x, p)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(lattice_module, "_tensor_complex", counting)
+    cert = kunneth_witness(tensor(presets.kronecker_squared(field), kron), lat, lat, lat)
+    assert cert["passed"] == 27
+    assert sorted(degrees) == [2] * 9 + [3] * 27
+
+
+def test_kunneth_witness_resolves_each_coordinate_value_once(monkeypatch):
+    # one resolution of length 2 (three covers) per coordinate value per
+    # factor: O(p) covers, not O(p^2)
+    from quivercert import functors
+    field = GF(5)
+    lat = kronecker_family(presets.kronecker(field))
+    original = functors.projective_cover
+    calls = []
+    monkeypatch.setattr(functors, "projective_cover", lambda m: calls.append(m) or original(m))
+    assert kunneth_witness(presets.kronecker_squared(field), lat, lat)["passed"] == 25
+    assert len(calls) == 2 * field.p * 3
+
+
+def test_resolution_checks_fail_on_a_broken_complex():
+    from dataclasses import replace
+    from quivercert.lattice import _checked, _factor_resolution, _tensor_complex
+    field = GF(3)
+    ka2, kron = presets.kronecker_tensor_a2(field), presets.kronecker(field)
+    x = _factor_resolution(tensor_sequence(kronecker_family(ka2), 1), 2)
+    p = _factor_resolution(tensor_sequence(kronecker_family(kron), 2), 2)
+    assert not x.terms[2].is_zero()
+    no_p2 = replace(x, diffs=[x.diffs[0], zero_map(x.terms[2], x.terms[1])])
+    with pytest.raises(LatticeError, match="failed exactness"):
+        _checked(no_p2)  # not exact at P_1
+    with pytest.raises(LatticeError, match="failed exactness"):
+        _tensor_complex(tensor(ka2, kron), no_p2, p)  # nor is its tensor with p
 
 
 # -- property tests: kronecker has no relations, so any coefficients form a lattice --
