@@ -15,8 +15,8 @@ import warnings
 from .algebra import BasicAlgebra
 from .matrix import Matrix, complement_basis
 from .module import (
-    Module, ModuleMap, direct_sum, dual, dual_map, image_of_map, injective,
-    kernel_of_map, projectives, quotient, radical, zero_map, zero_module,
+    Module, ModuleMap, dual, dual_map, image_of_map, injective, kernel_of_map,
+    projective_sum, projectives, quotient, radical, sum_module, zero_map, zero_module,
 )
 from .decompose import decompose
 
@@ -32,34 +32,33 @@ class NotTorsionless(ValueError):
 # -- covers and presentations ---------------------------------------------------
 
 def projective_cover(m: Module) -> ModuleMap:
-    """Surjection P -> m with P built from top(m); kernel lies in rad P."""
+    """Surjection P -> m with P built from top(m); kernel lies in rad P.
+
+    P is `projective_sum(algebra, vertices)` over the vertices of a basis
+    of the top, in vertex order: one shared object per algebra and vertex
+    tuple (the zero module for m = 0), so every cover of every module
+    with the same top has the same source.  Only the surjection is built
+    here."""
     algebra, field = m.algebra, m.field
     if m.is_zero():
-        return zero_map(zero_module(algebra), m)
-    rad, rad_incl = radical(m)
-    reps = {v: complement_basis(rad_incl.components[v].column_space_basis())
-            for v in algebra.quiver.vertices}
-    summands = []
-    generators = []  # (vertex, column vector in m's fiber)
-    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
-        for c in range(reps[x].cols):
-            summands.append(p)
-            generators.append((x, reps[x].submatrix(range(m.dims[x]), [c])))
-    if not summands:
+        return zero_map(projective_sum(algebra, ()), m)
+    _, rad_incl = radical(m)
+    generators = []  # (vertex, column vector in m's fiber), one per summand of P
+    for x in algebra.quiver.vertices:
+        rep = complement_basis(rad_incl.components[x].column_space_basis())
+        generators.extend((x, rep.submatrix(range(m.dims[x]), [c])) for c in range(rep.cols))
+    if not generators:
         raise NotProjective("nonzero module equal to its radical")
-    cover, inclusions, _ = direct_sum(summands)
-    comps = {v: Matrix.zero(field, m.dims[v], cover.dims[v])
-             for v in algebra.quiver.vertices}
-    col_offset = {v: 0 for v in algebra.quiver.vertices}
-    for (x, gen), summand in zip(generators, summands):
-        for v in algebra.quiver.vertices:
-            base = col_offset[v]
-            for local, bidx in enumerate(summand.proj_info.labels[v]):
-                path = algebra.basis_paths[bidx[1]]
-                vec = gen if len(path) == 0 else m.path_action(path) @ gen
-                for r in range(m.dims[v]):
-                    comps[v][r, base + local] = vec[r, 0]
-            col_offset[v] += summand.dims[v]
+    cover = projective_sum(algebra, tuple(x for x, _ in generators))
+    comps = {}
+    for v in algebra.quiver.vertices:
+        comps[v] = Matrix.zero(field, m.dims[v], cover.dims[v])
+        for col, (k, bidx) in enumerate(cover.proj_info.labels[v]):
+            path = algebra.basis_paths[bidx]
+            gen = generators[k][1]
+            vec = gen if len(path) == 0 else m.path_action(path) @ gen
+            for r in range(m.dims[v]):
+                comps[v][r, col] = vec[r, 0]
     out = ModuleMap(cover, m, comps, check=False)
     if not out.is_surjective():
         raise NotProjective("projective cover construction failed to surject")
@@ -166,8 +165,8 @@ def hom_lambda_transform(f: ModuleMap) -> ModuleMap:
     p_op = dict(zip(op.quiver.vertices, projectives(op)))
     h_source_parts = [p_op[x] for x in tgt_info.vertices]
     h_target_parts = [p_op[x] for x in src_info.vertices]
-    h_source = direct_sum(h_source_parts)[0] if h_source_parts else zero_module(op)
-    h_target = direct_sum(h_target_parts)[0] if h_target_parts else zero_module(op)
+    h_source = projective_sum(op, tgt_info.vertices)
+    h_target = projective_sum(op, src_info.vertices)
     comps = {v: Matrix.zero(field, h_target.dims[v], h_source.dims[v])
              for v in op.quiver.vertices}
     for i, xi in enumerate(src_info.vertices):
@@ -202,7 +201,7 @@ def nakayama_module(p: Module) -> Module:
         raise NotProjective("Nakayama functor needs a structured projective")
     algebra = p.algebra
     parts = [injective(algebra, x) for x in p.proj_info.vertices]
-    return direct_sum(parts)[0] if parts else zero_module(algebra)
+    return sum_module(algebra, parts)
 
 
 def nakayama_map(f: ModuleMap) -> ModuleMap:
@@ -229,9 +228,7 @@ def strip_projective_summands(m: Module):
             keep.append(part)
     if not dropped:
         return m, []
-    if not keep:
-        return zero_module(m.algebra), dropped
-    return direct_sum(keep)[0], dropped
+    return sum_module(m.algebra, keep), dropped
 
 
 def tau(m: Module) -> Module:

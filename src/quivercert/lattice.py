@@ -37,8 +37,8 @@ from .algebra import BasicAlgebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, direct_sum, hom_basis, identity_map, in_span, map_coordinates,
-    map_from_coordinates, zero_map, zero_module,
+    Module, ModuleMap, hom_basis, identity_map, in_span, map_coordinates,
+    map_from_coordinates, sum_module, zero_map,
 )
 from .functors import projective_resolution
 
@@ -408,12 +408,40 @@ def _block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
     return ModuleMap(source, target, comps, check=False)
 
 
+def _term_cache(algebra: BasicAlgebra) -> dict:
+    """The total-complex terms built over algebra, cached on it as
+    `_complex_terms`: X (x) P under ("tensor", X, P) and a sum under
+    ("sum", part, ...).  Modules define no __eq__, so keys compare by
+    identity; the dict holds its keys, so no id in it is reused."""
+    cache = getattr(algebra, "_complex_terms", None)
+    if cache is None:
+        cache = algebra._complex_terms = {}
+    return cache
+
+
+def _tensor_term(algebra: BasicAlgebra, x: Module, p: Module) -> Module:
+    """tensor_module(algebra, x, p), built once per algebra and pair of
+    module objects; callers share it and must not mutate it."""
+    cache = _term_cache(algebra)
+    key = ("tensor", x, p)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = tensor_module(algebra, x, p)
+    return out
+
+
 def _sum_of(algebra: BasicAlgebra, parts: dict) -> Module:
-    """The direct sum of parts' modules; a lone part is its own sum."""
-    summands = list(parts.values())
+    """The direct sum of parts' modules in label order, built once per
+    algebra and tuple of module objects; a lone part is its own sum."""
+    summands = tuple(parts.values())
     if len(summands) == 1:
         return summands[0]
-    return direct_sum(summands)[0] if summands else zero_module(algebra)
+    cache = _term_cache(algebra)
+    key = ("sum",) + summands
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = sum_module(algebra, summands)
+    return out
 
 
 def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution) -> _Resolution:
@@ -422,10 +450,16 @@ def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution) -> _R
     out), with d = d_X (x) 1 + (-1)^i 1 (x) d_P and augmentation
     aug_X (x) aug_P.  Its cocycle is x.cocycle (x) p.cocycle on the summand
     (x.degree, p.degree) and zero on the others.  Checked as every
-    resolution is."""
+    resolution is.
+
+    The terms depend only on the term objects of x and p, which projective
+    covers share (`module.projective_sum`), so each X_i (x) P_j and each
+    R_k is taken from the cache on algebra (`_term_cache`), keyed by those
+    objects; every point with the same terms gets the same R_k.  The end
+    L (x) L', the maps and the check are built per call."""
     minus = algebra.field.neg(algebra.field.one())
     top = len(x.terms) - 1
-    parts = [{i: tensor_module(algebra, x.terms[i], p.terms[k - i]) for i in range(k + 1)
+    parts = [{i: _tensor_term(algebra, x.terms[i], p.terms[k - i]) for i in range(k + 1)
               if not (x.terms[i].is_zero() or p.terms[k - i].is_zero())}
              for k in range(top + 1)]
     terms = [_sum_of(algebra, summands) for summands in parts]

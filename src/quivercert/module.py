@@ -227,6 +227,22 @@ def projectives(algebra: BasicAlgebra) -> list[Module]:
     return cache
 
 
+def projective_sum(algebra: BasicAlgebra, vertices: tuple) -> Module:
+    """(+) P(x) for x in vertices, in that order, with its proj_info; the
+    zero module for no vertices.  Built once per algebra and vertex tuple
+    and cached on the algebra as `_projective_sums`, so equal tuples give
+    the same object; callers share these objects and must not mutate
+    them."""
+    cache = getattr(algebra, "_projective_sums", None)
+    if cache is None:
+        cache = algebra._projective_sums = {}
+    out = cache.get(vertices)
+    if out is None:
+        p = dict(zip(algebra.quiver.vertices, projectives(algebra)))
+        out = cache[vertices] = sum_module(algebra, [p[x] for x in vertices])
+    return out
+
+
 def injective(algebra: BasicAlgebra, x: str) -> Module:
     """Q(x) = dual of the opposite-algebra projective at x."""
     return dual(projective(algebra.opposite(), x))
@@ -251,12 +267,11 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 # -- sums ---------------------------------------------------------------------
 
-def direct_sum(summands):
-    """Returns (sum, inclusions, projections); empty input gives the zero
-    module over no algebra and is rejected."""
+def sum_module(algebra: BasicAlgebra, summands) -> Module:
+    """The direct sum of summands (modules over algebra), without the
+    inclusions and projections; the zero module for no summands."""
     if not summands:
-        raise ModuleError("direct_sum of nothing (pass the algebra's zero module)")
-    algebra = summands[0].algebra
+        return zero_module(algebra)
     field = algebra.field
     dims = {v: sum(s.dims[v] for s in summands) for v in algebra.quiver.vertices}
     action = {}
@@ -273,7 +288,18 @@ def direct_sum(summands):
                 labels[v].extend((offset + i, b) for i, b in s.proj_info.labels[v])
             offset += len(s.proj_info.vertices)
         proj_info = ProjInfo(tuple(verts), labels)
-    total = Module(algebra, dims, action, check=False, proj_info=proj_info)
+    return Module(algebra, dims, action, check=False, proj_info=proj_info)
+
+
+def direct_sum(summands):
+    """Returns (sum, inclusions, projections); empty input gives the zero
+    module over no algebra and is rejected."""
+    if not summands:
+        raise ModuleError("direct_sum of nothing (pass the algebra's zero module)")
+    algebra = summands[0].algebra
+    field = algebra.field
+    total = sum_module(algebra, summands)
+    dims = total.dims
     inclusions, projections = [], []
     for k, s in enumerate(summands):
         inc, prj = {}, {}

@@ -25,6 +25,28 @@ def test_projective_cover_of_simple():
         assert cover.is_surjective()
 
 
+def test_projective_cover_shares_one_source_per_top():
+    # S(1) and P(1) over K are not isomorphic but have the same top, so
+    # their covers share one source: the algebra's cached P(1), summed
+    # as a fresh direct_sum would sum it; another K gets its own
+    field = GF(3)
+    kron = presets.kronecker(field)
+    s1, p1 = simple(kron, "1"), projective(kron, "1")
+    assert not is_isomorphic(s1, p1)[0]
+    source = projective_cover(s1).source
+    assert projective_cover(p1).source is source
+    twice = direct_sum([s1, s1])[0]
+    pair = projective_cover(twice).source
+    for cover, fresh in ((source, direct_sum([projective(kron, "1")])[0]),
+                         (pair, direct_sum([projective(kron, "1")] * 2)[0])):
+        assert cover.dims == fresh.dims
+        assert cover.action == fresh.action
+        assert cover.proj_info == fresh.proj_info
+    assert projective_cover(direct_sum([p1, s1])[0]).source is pair
+    other = presets.kronecker(field)
+    assert projective_cover(simple(other, "1")).source is not source
+
+
 def test_cover_of_projective_is_isomorphism():
     alg = presets.commutative_square_plus(GF(3))
     p = projective(alg, "e")

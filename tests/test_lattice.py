@@ -480,6 +480,59 @@ def test_kunneth_witness_resolves_each_coordinate_value_once(monkeypatch):
     assert len(calls) == 2 * field.p * 3
 
 
+def _counting_tensor_module(monkeypatch):
+    from quivercert import lattice as lattice_module
+    original = lattice_module.tensor_module
+    calls = []
+
+    def counting(algebra, m, n):
+        calls.append(algebra)
+        return original(algebra, m, n)
+
+    monkeypatch.setattr(lattice_module, "tensor_module", counting)
+    return calls
+
+
+def test_kunneth_witness_builds_each_term_once_per_algebra(monkeypatch):
+    # over K every L_a resolves as P(2) -> P(1) on the same shared terms,
+    # so K (x) K builds its four X_i (x) P_j once and then one end
+    # L_a (x) L_b per point: 4 + 25 calls, and 25 on the next call
+    field = GF(5)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(presets.kronecker(field))
+    calls = _counting_tensor_module(monkeypatch)
+    first = kunneth_witness(kk, lat, lat)
+    assert first["passed"] == 25
+    assert len(calls) <= 29
+    del calls[:]
+    assert kunneth_witness(kk, lat, lat) == first
+    assert len(calls) == 25
+
+
+def test_kunneth_witness_shares_terms_across_prefixes(monkeypatch):
+    # K (x) K (x) K over GF(3): the prefix complexes' terms are cached
+    # sums, so the degree-3 terms are built once, not once per point
+    field = GF(3)
+    kron = presets.kronecker(field)
+    lat = kronecker_family(kron)
+    calls = _counting_tensor_module(monkeypatch)
+    assert kunneth_witness(tensor(presets.kronecker_squared(field), kron),
+                           lat, lat, lat)["passed"] == 27
+    assert len(calls) <= 46
+
+
+def test_kunneth_witness_terms_are_cached_per_algebra(monkeypatch):
+    # two K (x) K built apart share the factor terms over K but not the
+    # tensor terms: each builds its own, and the tables agree
+    field = GF(5)
+    lat = kronecker_family(presets.kronecker(field))
+    calls = _counting_tensor_module(monkeypatch)
+    certs = [kunneth_witness(presets.kronecker_squared(field), lat, lat) for _ in range(2)]
+    assert certs[0] == certs[1]
+    kk1, kk2 = dict.fromkeys(calls)
+    assert calls.count(kk1) == calls.count(kk2) <= 29
+
+
 def test_resolution_checks_fail_on_a_broken_complex():
     from dataclasses import replace
     from quivercert.lattice import _checked, _factor_resolution, _tensor_complex

@@ -2,9 +2,10 @@
 methods of `quivercert`; this checks that every name it targets still
 exists, that one traced decomposition records spans and restores every
 original, and that a traced gl.dim computes Gamma's composition tensor
-once per triple of objects, and that a traced torsionless closure
-decomposes few modules.  The tracer file is only read, never
-changed."""
+once per triple of objects, that a traced torsionless closure
+decomposes few modules, and that a traced Kuenneth witness builds each
+tensor term of its total complexes once.  The tracer file is only read,
+never changed."""
 
 import importlib
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from quivercert import GF, endcat, presets
 from quivercert import decompose as decompose_module
+from quivercert import lattice as lattice_module
 from quivercert.tiered import build_layering
 from quivercert.torsfin import enumerate_torsionless
 from quivercert.module import direct_sum, projective, simple
@@ -90,3 +92,22 @@ def test_traced_closure_decomposes_each_content_once():
     assert 0 < calls <= 44
     for owner, attr, original in t.patches:
         assert vars(owner)[attr] is original
+
+
+def test_traced_kunneth_witness_builds_each_term_once():
+    # K (x) K over GF(7): four shared X_i (x) P_j and one end per point,
+    # 4 + 49 tensor modules, not five per point
+    tracer = _load_tracer()
+    original = lattice_module.tensor_module
+    field = GF(7)
+    lat = lattice_module.kronecker_family(presets.kronecker(field))
+    t = tracer.Tracer()
+    with t:
+        assert lattice_module.tensor_module.qcbench_traced
+        cert = lattice_module.kunneth_witness(presets.kronecker_squared(field), lat, lat)
+    assert cert["passed"] == 49
+    calls = t.layer_metrics()["lattice.tensor_module.calls"][0]
+    assert 0 < calls <= 53
+    for owner, attr, original_obj in t.patches:
+        assert vars(owner)[attr] is original_obj
+    assert lattice_module.tensor_module is original
