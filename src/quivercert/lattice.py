@@ -14,19 +14,20 @@ self-extension of a point gives degree-1 Ext classes whose
 non-vanishing is decided by exact linear algebra.
 
 The witness for Odim >= n over A_1 (x) ... (x) A_n uses the Kuenneth
-formula.  Each factor k resolves each of its point modules L_a once,
-P_n -> ... -> P_0 -> L_a, and lifts its self-extension to a cocycle
-phi_a: P_1 -> L_a.  At a point (a_1, ..., a_n) the total complex
-R = P^(1) (x) ... (x) P^(n), folded left to right, is a projective
-resolution of L_{a_1} (x) ... (x) L_{a_n} over the tensor algebra:
-R_k = (+)_{i+j=k} X_i (x) P_j with d = d_X (x) 1 + (-1)^i 1 (x) d_P and
-augmentation aug_X (x) aug_P.  The external product of the n classes is
-represented, up to sign, by phi_{a_1} (x) ... (x) phi_{a_n} on the
-(1, ..., 1) summand of R_n and zero on the others, so the point passes
-when that cocycle is not a coboundary.  Every complex the witness reads
-is checked (d d = 0, exact below its top degree); `external_product`
-and `ext_nonzero` on the spliced sequence are the independent route the
-tests compare with.  One factor is the degree-1 case.
+formula.  Each lattice resolves each of its point modules L_a once,
+P_n -> ... -> P_0 -> L_a, however many factors it is given for, and
+lifts its self-extension to a cocycle phi_a: P_1 -> L_a.  At a point
+(a_1, ..., a_n) the total complex R = P^(1) (x) ... (x) P^(n), folded
+left to right, is a projective resolution of L_{a_1} (x) ... (x)
+L_{a_n} over the tensor algebra: R_k = (+)_{i+j=k} X_i (x) P_j with
+d = d_X (x) 1 + (-1)^i 1 (x) d_P and augmentation aug_X (x) aug_P.  The
+external product of the n classes is represented, up to sign, by
+phi_{a_1} (x) ... (x) phi_{a_n} on the (1, ..., 1) summand of R_n and
+zero on the others, so the point passes when that cocycle is not a
+coboundary.  Every complex the witness reads is checked (d d = 0, exact
+below its top degree); `external_product` and `ext_nonzero` on the
+spliced sequence are the independent route the tests compare with.  One
+factor is the degree-1 case.
 """
 
 from __future__ import annotations
@@ -170,12 +171,21 @@ def kronecker_family(algebra: BasicAlgebra) -> Lattice:
 
 # -- extension classes -----------------------------------------------------------------
 
-def _exact_at(f: ModuleMap, g: ModuleMap) -> bool:
-    """f followed by g is zero, and at every vertex the kernel of g is as
-    large as the image of f."""
-    if not f.then(g).is_zero():
+def _exact(maps: list, injective: bool) -> bool:
+    """The chain maps[0] -> maps[1] -> ... is exact at every inner term
+    (each composite of neighbours is zero and, at every vertex, the kernel
+    of the later map is as large as the image of the earlier), its last
+    map is surjective and, when injective is set, its first map injective.
+    Each map's per-vertex ranks are computed once."""
+    ranks = [{v: m.rank() for v, m in f.components.items()} for f in maps]
+    first, last = maps[0].components, maps[-1].components
+    if injective and any(r != first[v].cols for v, r in ranks[0].items()):
         return False
-    return all(m.cols - m.rank() == f.components[v].rank() for v, m in g.components.items())
+    if any(r != last[v].rows for v, r in ranks[-1].items()):
+        return False
+    return all(f.then(g).is_zero()
+               and all(m.cols - r_g[v] == r_f[v] for v, m in g.components.items())
+               for f, g, r_f, r_g in zip(maps, maps[1:], ranks, ranks[1:]))
 
 
 @dataclass
@@ -190,11 +200,7 @@ class ExtensionClass:
     exact: bool = False
 
     def verify_exact(self) -> bool:
-        chain = [self.left] + self.mids + [self.right]
-        comps = self.maps
-        if not comps[0].is_injective() or not comps[-1].is_surjective():
-            return False
-        if not all(_exact_at(f, g) for f, g in zip(comps, comps[1:])):
+        if not _exact(self.maps, injective=True):
             return False
         self.exact = True
         return True
@@ -376,9 +382,7 @@ class _Resolution:
 def _checked(res: _Resolution) -> _Resolution:
     """res, once d d = 0 and the augmented complex is exact in degrees
     0..top-1 (per-vertex ranks); LatticeError otherwise."""
-    maps = [res.aug] + res.diffs  # maps[k] leaves degree k
-    if not (res.aug.is_surjective()
-            and all(_exact_at(f, g) for f, g in zip(maps[1:], maps))):
+    if not _exact(res.diffs[::-1] + [res.aug], injective=False):
         raise LatticeError("resolution failed exactness")
     return res
 
@@ -444,7 +448,8 @@ def _sum_of(algebra: BasicAlgebra, parts: dict) -> Module:
     return out
 
 
-def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution) -> _Resolution:
+def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution,
+                    memo: dict) -> _Resolution:
     """The total complex of x (x) p over algebra, cut off at x's top degree:
     R_k = (+)_{i+j=k} X_i (x) P_j, summands in order of i (zero ones left
     out), with d = d_X (x) 1 + (-1)^i 1 (x) d_P and augmentation
@@ -455,8 +460,13 @@ def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution) -> _R
     The terms depend only on the term objects of x and p, which projective
     covers share (`module.projective_sum`), so each X_i (x) P_j and each
     R_k is taken from the cache on algebra (`_term_cache`), keyed by those
-    objects; every point with the same terms gets the same R_k.  The end
-    L (x) L', the maps and the check are built per call."""
+    objects; every point with the same terms gets the same R_k.  The block
+    d_X (x) 1 on X_i (x) P_j depends only on the map x.diffs[i-1] and the
+    term P_j, and (-1)^i 1 (x) d_P only on X_i, p.diffs[j-1] and the parity
+    of i: each is taken from memo, a dict the caller owns for the life of
+    one witness (keyed by those objects), or built when absent.  The end
+    L (x) L', the augmentation, the cocycle, the assembled differentials and
+    the check are built per call."""
     minus = algebra.field.neg(algebra.field.one())
     top = len(x.terms) - 1
     parts = [{i: _tensor_term(algebra, x.terms[i], p.terms[k - i]) for i in range(k + 1)
@@ -469,11 +479,17 @@ def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution) -> _R
         for i, src in parts[k].items():  # the summand X_i (x) P_j, j = k - i
             j = k - i
             if i - 1 in parts[k - 1]:
-                blocks[i - 1, i] = tensor_map(src, parts[k - 1][i - 1], x.diffs[i - 1],
-                                              identity_map(p.terms[j]))
+                key = ("d_X", x.diffs[i - 1], p.terms[j])
+                if key not in memo:
+                    memo[key] = tensor_map(src, parts[k - 1][i - 1], x.diffs[i - 1],
+                                           identity_map(p.terms[j]))
+                blocks[i - 1, i] = memo[key]
             if i in parts[k - 1]:
-                d_p = p.diffs[j - 1].scale(minus) if i % 2 else p.diffs[j - 1]
-                blocks[i, i] = tensor_map(src, parts[k - 1][i], identity_map(x.terms[i]), d_p)
+                key = ("d_P", x.terms[i], p.diffs[j - 1], i % 2)
+                if key not in memo:
+                    d_p = p.diffs[j - 1].scale(minus) if i % 2 else p.diffs[j - 1]
+                    memo[key] = tensor_map(src, parts[k - 1][i], identity_map(x.terms[i]), d_p)
+                blocks[i, i] = memo[key]
         diffs.append(_block_map(terms[k], terms[k - 1], parts[k], parts[k - 1], blocks))
     end = tensor_module(algebra, x.aug.target, p.aug.target)
     degree = x.degree + p.degree
@@ -507,15 +523,18 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
     Odim >= n when all points pass.
 
     product_algebra is the left-nested tensor product (tensor_of =
-    (A_1 (x) ... (x) A_{n-1}, A_n), and so on down).  Each factor k, at
-    each of its coordinate values a, resolves the end L_a of its tensored
-    sequence up to P_n and lifts the sequence to a cocycle phi_a: P_1 ->
-    L_a.  At a point (a_1, ..., a_n) the total complex of those
-    resolutions is folded left to right over the intermediate products,
-    one complex per distinct prefix (a_1, ..., a_k), with the differential
-    d_X (x) 1 + (-1)^i 1 (x) d_P on X_i (x) P_j.  The point passes when
-    phi_{a_1} (x) ... (x) phi_{a_n}, on the (1, ..., 1) summand of R_n, is
-    not a coboundary of d_n.  Each complex is checked (d d = 0, exact in
+    (A_1 (x) ... (x) A_{n-1}, A_n), and so on down).  Each lattice, at
+    each coordinate value a that it takes in a factor, resolves the end L_a
+    of its tensored sequence up to P_n once and lifts the sequence to a
+    cocycle phi_a: P_1 -> L_a; factors given the same Lattice object share
+    these resolutions.  At a point (a_1, ..., a_n) the total complex of
+    those resolutions is folded left to right over the intermediate
+    products, one complex per distinct prefix (a_1, ..., a_k), with the
+    differential d_X (x) 1 + (-1)^i 1 (x) d_P on X_i (x) P_j; each such
+    block is built once per call and shared by every complex that has it.
+    The point passes when phi_{a_1} (x) ... (x) phi_{a_n}, on the
+    (1, ..., 1) summand of R_n, is not a coboundary of d_n.  Each complex,
+    and each shared factor resolution once, is checked (d d = 0, exact in
     degrees 0..n-1) and raises LatticeError if not.
     """
     n = len(lattices)
@@ -528,25 +547,26 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
         raise LatticeError("need one lattice per tensor factor, each over its factor")
     field = product_algebra.field
     points = points if points is not None else rational_points(field, n)
-    factors = [{a: _factor_resolution(tensor_sequence(lat, a), n)
-                for a in {pt[k] for pt in points}}
-               for k, lat in enumerate(lattices)]
+    values = {}  # lattice -> the coordinate values of every factor it is given for
+    for k, lat in enumerate(lattices):
+        values.setdefault(lat, set()).update(pt[k] for pt in points)
+    resolved = {lat: {a: _factor_resolution(tensor_sequence(lat, a), n) for a in vals}
+                for lat, vals in values.items()}
+    factors = [resolved[lat] for lat in lattices]
     prefixes = {}  # (a_1, ..., a_k) -> its total complex, for 1 < k < n
-
-    def fold(pt):
-        if len(pt) == 1:
-            return factors[0][pt[0]]
-        if pt in prefixes:
-            return prefixes[pt]
-        k = len(pt) - 1
-        out = _tensor_complex(algebras[k], fold(pt[:-1]), factors[k][pt[-1]])
-        if k < n - 1:
-            prefixes[pt] = out
-        return out
+    memo = {}  # the differential blocks of every complex of this call
 
     table = []
     for pt in points:
-        res = fold(tuple(pt))
+        res = factors[0][pt[0]]
+        for k in range(1, n):  # fold left to right
+            prefix = tuple(pt[:k + 1])
+            if prefix in prefixes:
+                res = prefixes[prefix]
+            else:
+                res = _tensor_complex(algebras[k], res, factors[k][pt[k]], memo)
+                if k < n - 1:
+                    prefixes[prefix] = res
         table.append({"point": [field.format(c) for c in pt],
                       "nonzero": not cocycle_is_coboundary(res.cocycle, res.diffs[n - 1])})
     passed = sum(row["nonzero"] for row in table)

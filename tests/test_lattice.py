@@ -364,8 +364,9 @@ def test_external_product_degree_zero_on_either_side(order, zero_first):
 
 
 def test_kunneth_witness_builds_each_point_sequence_once(monkeypatch):
-    # each factor needs one tensored sequence per coordinate value: 2p in
-    # all, not two per point; the table matches the per-point route
+    # the two factors share one lattice, so it needs one tensored sequence
+    # per coordinate value: p in all, not one per factor or per point; the
+    # table matches the per-point route
     from quivercert import lattice as lattice_module
     field = GF(3)
     kk = presets.kronecker_squared(field)
@@ -379,7 +380,7 @@ def test_kunneth_witness_builds_each_point_sequence_once(monkeypatch):
 
     monkeypatch.setattr(lattice_module, "tensor_sequence", counting)
     cert = kunneth_witness(kk, lat, lat)
-    assert len(calls) == 2 * field.p
+    assert len(calls) == field.p
     monkeypatch.undo()
     expected = [
         {"point": [field.format(c) for c in pt],
@@ -427,6 +428,19 @@ def _ka2_k_case(ka2_first):
     return tensor(*factors), tuple(kronecker_family(a) for a in factors)
 
 
+def _dual_k_case(p, dual_first):
+    # over D = k[t]/(t^2) the lattice t -> [[0, 0], [T, 0]] has ends S (+) S
+    # at T = 0 (a nonzero class) and P elsewhere (a split one); S (+) S
+    # resolves by the one term object P (+) P in every degree, so the block
+    # (-1)^i 1 (x) d_P meets the same X_i at both parities of i
+    field = GF(p)
+    dual, kron = presets.truncated_polynomial(field, 2), presets.kronecker(field)
+    shift = Matrix.from_rows(field, [["0", "0"], ["1", "0"]])
+    lats = {dual: Lattice(dual, 1, {"*": 2}, {"t": {(1,): shift}}), kron: kronecker_family(kron)}
+    factors = (dual, kron) if dual_first else (kron, dual)
+    return tensor(*factors), tuple(lats[a] for a in factors)
+
+
 CROSS_CHECK_CASES = [
     pytest.param(lambda p=p: _kk_case(p, "fam", "fam"), p * p, id=f"KxK@GF({p})")
     for p in (2, 3, 5)
@@ -434,6 +448,10 @@ CROSS_CHECK_CASES = [
     pytest.param(_kkk_case, 8, id="KxKxK@GF(2)"),
     pytest.param(lambda: _ka2_k_case(True), 9, id="(KxA2)xK@GF(3)"),
     pytest.param(lambda: _ka2_k_case(False), 9, id="Kx(KxA2)@GF(3)"),
+] + [
+    pytest.param(lambda p=p, first=first: _dual_k_case(p, first), p,
+                 id=f"{'DxK' if first else 'KxD'}@GF({p})")
+    for p in (3, 5) for first in (True, False)
 ] + [
     pytest.param(lambda p=p, pair=pair: _kk_case(p, *pair), 0, id=f"{'x'.join(pair)}@GF({p})")
     for p in (2, 3, 5) for pair in (("fam", "P"), ("P", "fam"), ("fam", "I"), ("I", "fam"))
@@ -456,8 +474,8 @@ def test_kunneth_witness_builds_one_complex_per_prefix(monkeypatch):
     original = lattice_module._tensor_complex
     degrees = []
 
-    def counting(algebra, x, p):
-        out = original(algebra, x, p)
+    def counting(algebra, x, p, memo):
+        out = original(algebra, x, p, memo)
         degrees.append(out.degree)
         return out
 
@@ -468,8 +486,8 @@ def test_kunneth_witness_builds_one_complex_per_prefix(monkeypatch):
 
 
 def test_kunneth_witness_resolves_each_coordinate_value_once(monkeypatch):
-    # one resolution of length 2 (three covers) per coordinate value per
-    # factor: O(p) covers, not O(p^2)
+    # one resolution of length 2 (three covers) per coordinate value of the
+    # lattice that both factors share: p * 3 covers, not O(p^2)
     from quivercert import functors
     field = GF(5)
     lat = kronecker_family(presets.kronecker(field))
@@ -477,7 +495,7 @@ def test_kunneth_witness_resolves_each_coordinate_value_once(monkeypatch):
     calls = []
     monkeypatch.setattr(functors, "projective_cover", lambda m: calls.append(m) or original(m))
     assert kunneth_witness(presets.kronecker_squared(field), lat, lat)["passed"] == 25
-    assert len(calls) == 2 * field.p * 3
+    assert len(calls) == field.p * 3
 
 
 def _counting_tensor_module(monkeypatch):
@@ -533,6 +551,87 @@ def test_kunneth_witness_terms_are_cached_per_algebra(monkeypatch):
     assert calls.count(kk1) == calls.count(kk2) <= 29
 
 
+def _counting_tensor_map(monkeypatch):
+    from quivercert import lattice as lattice_module
+    original = lattice_module.tensor_map
+    calls = []
+
+    def counting(source, target, f, g):
+        calls.append((f, g))
+        return original(source, target, f, g)
+
+    monkeypatch.setattr(lattice_module, "tensor_map", counting)
+    return calls
+
+
+def test_kunneth_witness_builds_each_differential_block_once(monkeypatch):
+    # K (x) K over GF(5): per coordinate value, d_X (x) 1 on X_1 (x) P_0 and
+    # X_1 (x) P_1, and +-1 (x) d_P on X_0 (x) P_1 and X_1 (x) P_1, 4p blocks
+    # in all; then each point's augmentation and cocycle: 2p^2 + 4p = 70
+    # tensor maps, where building every block at every point takes 6p^2
+    field = GF(5)
+    lat = kronecker_family(presets.kronecker(field))
+    calls = _counting_tensor_map(monkeypatch)
+    assert kunneth_witness(presets.kronecker_squared(field), lat, lat)["passed"] == 25
+    assert len(calls) == 2 * 25 + 4 * 5
+
+
+def test_kunneth_witness_shares_blocks_across_prefixes(monkeypatch):
+    # K (x) K (x) K over GF(3): an augmentation and a cocycle per complex
+    # (27 points, 9 prefixes), 4 blocks per value at the first fold, and at
+    # the second 4 d_X (x) 1 blocks per prefix and 3 +-1 (x) d_P blocks per
+    # value: 72 + 12 + 36 + 9 = 129 tensor maps, where building every block
+    # in every complex takes 297
+    field = GF(3)
+    kron = presets.kronecker(field)
+    lat = kronecker_family(kron)
+    calls = _counting_tensor_map(monkeypatch)
+    assert kunneth_witness(tensor(presets.kronecker_squared(field), kron),
+                           lat, lat, lat)["passed"] == 27
+    assert len(calls) <= 129
+
+
+def test_kunneth_witness_keeps_its_blocks_for_one_call():
+    # the blocks live for one call: a second call leaves the term cache on
+    # K (x) K as the first left it (the four X_i (x) P_j and R_1), and
+    # lattices built apart give the table of one lattice passed twice
+    field = GF(5)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(kron)
+    first = kunneth_witness(kk, lat, lat)
+    assert len(kk._complex_terms) == 5
+    assert kunneth_witness(kk, lat, lat) == first
+    assert len(kk._complex_terms) == 5
+    assert kunneth_witness(kk, kronecker_family(kron), kronecker_family(kron)) == first
+
+
+def test_kunneth_witness_frees_its_resolutions_on_return(monkeypatch):
+    # nothing a call builds is held in a reference cycle: with the cyclic
+    # collector off, every factor resolution dies when the call returns
+    import gc
+    import weakref
+    from quivercert import lattice as lattice_module
+    original = lattice_module._factor_resolution
+    refs = []
+
+    def recording(seq, top):
+        out = original(seq, top)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(lattice_module, "_factor_resolution", recording)
+    field = GF(3)
+    lat = kronecker_family(presets.kronecker(field))
+    gc.disable()
+    try:
+        assert kunneth_witness(presets.kronecker_squared(field), lat, lat)["passed"] == 9
+        assert len(refs) == field.p
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
 def test_resolution_checks_fail_on_a_broken_complex():
     from dataclasses import replace
     from quivercert.lattice import _checked, _factor_resolution, _tensor_complex
@@ -545,7 +644,7 @@ def test_resolution_checks_fail_on_a_broken_complex():
     with pytest.raises(LatticeError, match="failed exactness"):
         _checked(no_p2)  # not exact at P_1
     with pytest.raises(LatticeError, match="failed exactness"):
-        _tensor_complex(tensor(ka2, kron), no_p2, p)  # nor is its tensor with p
+        _tensor_complex(tensor(ka2, kron), no_p2, p, {})  # nor is its tensor with p
 
 
 # -- property tests: kronecker has no relations, so any coefficients form a lattice --

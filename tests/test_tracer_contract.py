@@ -4,8 +4,9 @@ exists, that one traced decomposition records spans and restores every
 original, and that a traced gl.dim computes Gamma's composition tensor
 once per triple of objects, that a traced torsionless closure
 decomposes few modules, and that a traced Kuenneth witness builds each
-tensor term of its total complexes once.  The tracer file is only read,
-never changed."""
+tensor term of its total complexes once and one tensored sequence per
+coordinate value of a lattice its factors share.  The tracer file is only
+read, never changed."""
 
 import importlib
 import importlib.util
@@ -111,3 +112,19 @@ def test_traced_kunneth_witness_builds_each_term_once():
     for owner, attr, original_obj in t.patches:
         assert vars(owner)[attr] is original_obj
     assert lattice_module.tensor_module is original
+
+
+def test_traced_kunneth_witness_builds_each_sequence_once():
+    # K (x) K over GF(7) with one lattice for both factors: one tensored
+    # sequence per coordinate value, 7, not one per factor and value
+    tracer = _load_tracer()
+    field = GF(7)
+    lat = lattice_module.kronecker_family(presets.kronecker(field))
+    t = tracer.Tracer()
+    with t:
+        assert lattice_module.tensor_sequence.qcbench_traced
+        cert = lattice_module.kunneth_witness(presets.kronecker_squared(field), lat, lat)
+    assert cert["passed"] == 49
+    assert t.layer_metrics()["lattice.tensor_sequence.calls"][0] == field.p
+    for owner, attr, original in t.patches:
+        assert vars(owner)[attr] is original
