@@ -31,6 +31,15 @@ from .matrix import Matrix, NoSolution, complement_basis
 from .module import Module, coordinates_matrix, hom_basis
 from .torsfin import IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
+# hom_basis is re-exported: qcbench's tracer test checks that the alias
+# `endcat.hom_basis` is patched and restored.
+__all__ = [
+    "CatAlgebra", "DuplicateObject", "NotIndecomposable", "SubFunctor",
+    "auslander_generator", "cover_of_subfunctor", "full_subfunctor",
+    "global_dimension", "hom_basis", "layering_check", "radical_subspaces",
+    "simple_pd", "syzygy",
+]
+
 
 class NotIndecomposable(ValueError):
     pass
@@ -236,6 +245,27 @@ def auslander_generator(algebra, inventory: TorsionlessInventory | None = None,
 
 # -- the layering certificate (strongly quasi-hereditary route) --------------------
 
+def _first_outside_image(cat: CatAlgebra, incl, idx: int, sources: list[int]):
+    """The first j in `sources` with a radical map M_j -> M_idx whose image
+    leaves im incl at some vertex, or None (the test of `layering_check`;
+    incl is injective).  C_v is built at the first radical map, and only
+    where incl_v is not onto."""
+    cokernel = None
+    for jdx in sources:
+        rads = cat.radical_maps(jdx, idx)
+        if not rads:
+            continue
+        if cokernel is None:
+            cokernel = {v: iota.transpose().kernel_basis().transpose()
+                        for v, iota in incl.components.items() if iota.rows > iota.cols}
+        for v, c in cokernel.items():
+            if rads[0].components[v].cols:
+                image = Matrix.hstack([f.components[v] for f in rads])
+                if not (c @ image).is_zero():
+                    return jdx
+    return None
+
+
 def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dict:
     """Verify the factorization condition for an ordered layering.
 
@@ -247,6 +277,14 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
     <= layer(N) must factor through alpha(N); passing both certifies
     gldim Gamma <= len(layers).  This is the only check of alpha's
     summands: `tiered.build_layering` sets alpha N = rad N unchecked.
+
+    The inclusion iota must be injective (else the witness is "alpha map
+    not injective" and no factorization is tested).  Then f: N' -> N
+    factors through iota exactly when im f_v lies in im iota_v at every
+    vertex v: g_v = iota_v^-1 f_v is then defined, and it intertwines
+    because iota is an injective module map.  So the test is one product
+    per vertex, C_v [f_v for every radical f] = 0, where the rows of C_v
+    cut out im iota_v; the first failing N' is the witness.
     """
     n = len(cat)
     layer_of = {}
@@ -281,19 +319,13 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
                 if hit is None:
                     entry["alpha_in_lower_layers"] = False
                     entry["witness"] = f"alpha summand {part.dim_vector()} not in lower layers"
-        for jdx in range(n):
-            rads = cat.radical_maps(jdx, idx) if layer_of[jdx] <= level else []
-            if not rads:
-                continue
-            through_alpha = [g.then(alpha_incl) for g in hom_basis(cat.objects[jdx], alpha_mod)]
-            try:
-                coordinates_matrix(rads, through_alpha)
-            except NoSolution:
+        if entry["factorizations"]:
+            jdx = _first_outside_image(cat, alpha_incl, idx,
+                                       [j for j in range(n) if layer_of[j] <= level])
+            if jdx is not None:
                 entry["factorizations"] = False
                 entry["witness"] = {"from_object": jdx,
                                     "map_dims": list(cat.objects[jdx].dim_vector())}
-            if not entry["factorizations"]:
-                break
         if not (entry["factorizations"] and entry["alpha_in_lower_layers"]):
             all_pass = False
         results.append(entry)

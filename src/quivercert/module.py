@@ -347,7 +347,12 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     which is unique; so the basis -- for each non-pivot column fc in
     ascending order, e_fc - sum over pivots pc of R_pc[fc] e_pc -- is the
     kernel basis that the dense RREF of the stacked system gives, entry
-    for entry, whatever the order in which the constraints arrive."""
+    for entry, whatever the order in which the constraints arrive.
+
+    Hom is zero, and the result `[]`, when there are no unknowns (no
+    vertex where both m and n are nonzero) or as soon as every unknown
+    is a pivot column: the kernel is then zero whatever constraints are
+    left, so they are not built."""
     if m.algebra is not n.algebra:
         raise ModuleError("hom between different algebras")
     algebra, field = m.algebra, m.field
@@ -358,6 +363,8 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     for v in verts:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
+    if not total:
+        return []
     pivots = {}  # least column -> fully reduced row, 1 at that column
     for a in algebra.quiver.arrows:
         x, y = a.source, a.target
@@ -385,6 +392,8 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
                 for prow in [prow for prow in pivots.values() if lead in prow]:
                     _subtract_multiple(prow, prow[lead], row, p)
                 pivots[lead] = row
+                if len(pivots) == total:
+                    return []
     # kernel vector of free column fc: 1 at fc, -R_pc[fc] at each pivot pc
     minus = {}
     for pc, prow in pivots.items():

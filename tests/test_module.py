@@ -362,6 +362,7 @@ def assert_hom_basis_matches_dense(m, n):
     for f, g in zip(basis, reference):
         assert f.components == g.components
         ModuleMap(m, n, f.components, check=True)
+    return basis
 
 
 @st.composite
@@ -383,6 +384,22 @@ def kronecker_modules(draw, alg):
 def kronecker_pairs(draw):
     alg = draw(st.sampled_from(KRONECKER))
     return draw(kronecker_modules(alg)), draw(kronecker_modules(alg))
+
+
+@pytest.mark.parametrize("alg", KRONECKER, ids=lambda alg: str(alg.field))
+def test_hom_basis_exits_match_the_dense_route(alg):
+    # S(1) and S(2) share no vertex: there are no unknowns
+    m, n = simple(alg, "1"), simple(alg, "2")
+    assert assert_hom_basis_matches_dense(m, n) == []
+    # into P(1), whose a-action is injective: arrow a's constraints
+    # n_a f_1 = 0 already make f_1, the only unknown, a pivot, so the
+    # constraints of arrow b are never built
+    m, n = simple(alg, "1"), projective(alg, "1")
+    assert [a.name for a in alg.quiver.arrows] == ["a", "b"]
+    assert (m.dims, n.action["a"].rank()) == ({"1": 1, "2": 0}, n.dims["1"])
+    assert assert_hom_basis_matches_dense(m, n) == []
+    # the other way round Hom is the top of P(1)
+    assert len(assert_hom_basis_matches_dense(n, m)) == 1
 
 
 @settings(max_examples=60, deadline=None)

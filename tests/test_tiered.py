@@ -2,14 +2,15 @@ import sys
 
 import pytest
 
-from quivercert import GF, QQ
+from quivercert import GF, QQ, NoSolution
 from quivercert import presets
 from quivercert.algebra import tensor
 from quivercert.decompose import decompose, is_isomorphic
 from quivercert.endcat import CatAlgebra, global_dimension, layering_check
 from quivercert.decompose import is_indecomposable
+from quivercert.io import payload_hash
 from quivercert.module import (
-    injective, projective, socle, socle_series,
+    coordinates_matrix, hom_basis, injective, projective, socle, socle_series, zero_map,
 )
 from quivercert.tiered import (
     NotNicelyTiered, build_layering, find_embedding, p1_check, p2_check,
@@ -153,7 +154,91 @@ def test_layering_check_fails_ex84_middle():
     layering = build_layering(alg)
     cat = CatAlgebra(layering.objects, verify=False)
     cert = layering_check(cat, layering.layers, layering.alpha)
+    assert not cert["pass"] and cert["bound"] is None
+    failed = [e for e in cert["objects"] if not (e["factorizations"] and e["alpha_in_lower_layers"])]
+    assert [(e["object"], e["alpha_in_lower_layers"], e["witness"]) for e in failed] == [
+        (14, True, {"from_object": 7, "map_dims": [0, 0, 1, 0, 1, 0]})]
+
+
+def _k_power(factors):
+    alg = presets.kronecker_squared(GF(2))
+    for _ in range(factors - 2):
+        alg = tensor(alg, presets.kronecker(GF(2)))
+    return alg
+
+
+@pytest.mark.parametrize("factors, bound, digest", [
+    (2, 4, "71a769aade168327b2825ed05178c82a397103775aa84397f7a475960096ab8b"),
+    (3, 5, "632ebbe8d2d6cf3f62f7929bf108d241a6c668961849181a590bccdc875708b0"),
+    pytest.param(4, 6, "d2bdc9c34b9cdf8e641c2abc36977871f9f1b98383b79c9924add75cbc067a9f",
+                 marks=pytest.mark.slow),
+], ids=["KxK", "KxKxK", "K^4"])
+def test_layering_check_digests_are_pinned(factors, bound, digest):
+    # rep.dim K^(x)n <= n + 2: the layering of K^(x)n passes with n + 2 layers
+    layering = build_layering(_k_power(factors))
+    cert = layering_check(CatAlgebra(layering.objects, verify=False),
+                          layering.layers, layering.alpha)
+    assert cert["pass"] and cert["bound"] == bound
+    assert payload_hash(cert) == digest
+
+
+def test_layering_check_keeps_the_non_injective_alpha_witness():
+    # a zero inclusion fails at once; no factorization witness replaces it
+    layering = build_layering(presets.kronecker_squared(GF(2)))
+    alpha = dict(layering.alpha)
+    alpha_mod, incl = alpha[11]
+    alpha[11] = (alpha_mod, zero_map(alpha_mod, incl.target))
+    cert = layering_check(CatAlgebra(layering.objects, verify=False), layering.layers, alpha)
     assert not cert["pass"]
+    assert [(e["object"], e["factorizations"], e["alpha_in_lower_layers"], e["witness"])
+            for e in cert["objects"] if e["witness"]] == [
+        (11, False, True, "alpha map not injective")]
+
+
+def factorization_reference(cat, layers, alpha):
+    """Per object N, the first object M_j in a layer <= layer(N) with a
+    radical map M_j -> N outside the span of g.then(incl), g over a basis
+    of Hom(M_j, alpha N), or None: the route `layering_check` took before
+    its image test (reference)."""
+    layer_of = {i: level for level, members in enumerate(layers) for i in members}
+    out = []
+    for idx in range(len(cat)):
+        alpha_mod, incl = alpha[idx]
+        first = None
+        for jdx in range(len(cat)):
+            rads = cat.radical_maps(jdx, idx) if layer_of[jdx] <= layer_of[idx] else []
+            if not rads:
+                continue
+            through = [g.then(incl) for g in hom_basis(cat.objects[jdx], alpha_mod)]
+            try:
+                coordinates_matrix(rads, through)
+            except NoSolution:
+                first = jdx
+                break
+        out.append(first)
+    return out
+
+
+@pytest.mark.parametrize("name", ["ex84_middle", "ex84_left", "ex84_right", "a2",
+                                  "full_commutative_square", "kronecker_squared"])
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_layering_check_matches_the_factorization_reference(name, field):
+    # the real layering, the reversed one and all objects in one layer;
+    # the last two fail on every preset here, so both outcomes are compared
+    layering = build_layering(getattr(presets, name)(field))
+    n = len(layering.objects)
+    cat = CatAlgebra(layering.objects, verify=False)
+    for real, layers in ((True, layering.layers), (False, layering.layers[::-1]),
+                         (False, [list(range(n))])):
+        cert = layering_check(cat, layers, layering.alpha)
+        expected = factorization_reference(cat, layers, layering.alpha)
+        got = [e["witness"]["from_object"] if not e["factorizations"] else None
+               for e in cert["objects"]]
+        assert got == expected
+        for entry, jdx in zip(cert["objects"], expected):
+            if jdx is not None:
+                assert entry["witness"]["map_dims"] == list(cat.objects[jdx].dim_vector())
+        assert real or any(jdx is not None for jdx in expected)
 
 
 def test_not_nicely_tiered_error():
