@@ -11,22 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import BasicAlgebra
 from .decompose import EndAlgebra
 from .matrix import Matrix, complement_basis
 from .module import (
-    Module, ModuleMap, direct_sum, dual, hom_basis, kernel_of_map,
-    map_from_coordinates, map_vector, projectives, zero_map, zero_module,
+    Module, ModuleMap, block_map, dual, hom_basis, kernel_of_map, map_from_coordinates,
+    map_vector, projectives, sum_module,
 )
-
-
-def injectives(algebra: BasicAlgebra) -> list[Module]:
-    from .module import injective
-    cache = getattr(algebra, "_injective_modules", None)
-    if cache is None:
-        cache = [injective(algebra, x) for x in algebra.quiver.vertices]
-        algebra._injective_modules = cache
-    return cache
 
 
 def is_torsionless(m: Module) -> bool:
@@ -140,13 +130,7 @@ def right_add_approximation(summands: list[Module], x: Module,
         for f in reps:
             parts.append(m_i)
             maps.append(f)
-    if not parts:
-        z = zero_module(algebra)
-        approx = zero_map(z, x)
-        return ApproxResult(approx, z, zero_map(z, z), multiplicities)
-    total = direct_sum(parts)[0]
-    comps = {v: Matrix.hstack([f.components[v] for f in maps])
-             for v in algebra.quiver.vertices}
-    approx = ModuleMap(total, x, comps, check=False)
+    approx = block_map(sum_module(algebra, parts), x, dict(enumerate(parts)), {0: x},
+                       {(0, k): f for k, f in enumerate(maps)})
     kernel, incl = kernel_of_map(approx)
     return ApproxResult(approx, kernel, incl, multiplicities)

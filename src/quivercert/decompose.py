@@ -22,8 +22,8 @@ from random import Random
 from . import upoly
 from .matrix import Matrix
 from .module import (
-    Module, ModuleMap, direct_sum, hom_basis, identity_map, map_coordinates,
-    map_from_coordinates, map_vector, random_combination, submodule, zero_map,
+    Module, ModuleMap, block_map, hom_basis, identity_map, map_coordinates,
+    map_from_coordinates, map_vector, random_combination, submodule, sum_module, zero_map,
 )
 
 
@@ -328,7 +328,7 @@ class Decomposition:
     module: Module
     summands: list  # [(representative Module, multiplicity)]
     parts: list  # expanded module list matching witness block order
-    witness: ModuleMap  # direct_sum(parts) -> module, invertible
+    witness: ModuleMap  # sum_module(algebra, parts) -> module, invertible
 
 
 def decompose(m: Module) -> Decomposition:
@@ -358,23 +358,14 @@ def decompose(m: Module) -> Decomposition:
                 break
         if not placed:
             groups.append((n, [(n, incl, identity_map(n))]))
-    if not groups:
-        z = Module(m.algebra, {}, {}, check=False)
-        return Decomposition(m, [], [], zero_map(z, m))
-    parts = []
-    columns = {v: [] for v in m.algebra.quiver.vertices}
-    summands = []
+    parts, blocks, summands = [], {}, []
     for rep, members in groups:
         summands.append((rep, len(members)))
         for _, incl, iso in members:
+            blocks[0, len(parts)] = iso.then(incl)
             parts.append(rep)
-            comp = iso.then(incl)
-            for v in columns:
-                columns[v].append(comp.components[v])
-    total = direct_sum(parts)[0]
-    comps = {v: Matrix.hstack(cols) if cols else Matrix.zero(m.field, m.dims[v], 0)
-             for v, cols in columns.items()}
-    witness = ModuleMap(total, m, comps, check=False)
+    total = sum_module(m.algebra, parts)
+    witness = block_map(total, m, dict(enumerate(parts)), {0: m}, blocks)
     if not witness.is_isomorphism():
         raise Undecided("decomposition witness is not invertible")
     return Decomposition(m, summands, parts, witness)
@@ -416,40 +407,17 @@ def is_isomorphic(m: Module, n: Module, assume_indecomposable: bool = False):
 
 def _match_decompositions(dm: Decomposition, dn: Decomposition):
     available = list(range(len(dn.parts)))
-    pairing = []
+    blocks = {}
     for i, part in enumerate(dm.parts):
-        hit = None
         for j in available:
             ok, iso = is_isomorphic(part, dn.parts[j], assume_indecomposable=True)
             if ok:
-                hit = (j, iso)
+                available.remove(j)
+                blocks[j, i] = iso
                 break
-        if hit is None:
+        else:
             return None
-        available.remove(hit[0])
-        pairing.append((i, hit[0], hit[1]))
-    # witness: n_sum^-1 restricted blocks composed with isos, then m witness
-    total_m = direct_sum(dm.parts)[0]
-    field = total_m.field
-    blocks = {}
-    for v in total_m.algebra.quiver.vertices:
-        rows_n = sum(p.dims[v] for p in dn.parts)
-        mat = Matrix.zero(field, rows_n, total_m.dims[v])
-        col_off = 0
-        offsets_n = []
-        acc = 0
-        for p in dn.parts:
-            offsets_n.append(acc)
-            acc += p.dims[v]
-        for i, j, iso in pairing:
-            block = iso.components[v]
-            row0 = offsets_n[j]
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    mat[row0 + r, col_off + c] = block[r, c]
-            col_off += dm.parts[i].dims[v]
-        blocks[v] = mat
-    total_n = direct_sum(dn.parts)[0]
-    middle = ModuleMap(total_m, total_n, blocks, check=False)
-    inv_m = dm.witness.inverse()
-    return inv_m.then(middle).then(dn.witness)
+    # witness: m's witness inverted, the isos placed as blocks, then n's witness
+    middle = block_map(dm.witness.source, dn.witness.source, dict(enumerate(dm.parts)),
+                       dict(enumerate(dn.parts)), blocks)
+    return dm.witness.inverse().then(middle).then(dn.witness)

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .approx import AddCategory, injectives, projectives
+from .approx import AddCategory
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix, NoSolution, complement_basis
-from .module import Module, coordinates_matrix, hom_basis
-from .torsfin import IncompleteInventory, TorsionlessInventory, enumerate_torsionless
+from .module import Module, coordinates_matrix, hom_basis, injectives, projectives
+from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
 # hom_basis is re-exported: qcbench's tracer test checks that the alias
 # `endcat.hom_basis` is patched and restored.
@@ -230,7 +230,6 @@ def auslander_generator(algebra, inventory: TorsionlessInventory | None = None,
     if inv.status != "complete" and not assume_complete:
         raise IncompleteInventory(
             "Auslander generator needs a complete inventory (or assume_complete)")
-    from .torsfin import ClassList
     classes = ClassList()
     for m in inv.torsionless:
         classes.add(m)

@@ -15,10 +15,11 @@ import warnings
 from .algebra import BasicAlgebra
 from .matrix import Matrix, complement_basis
 from .module import (
-    Module, ModuleMap, dual, dual_map, image_of_map, injective, kernel_of_map,
+    Module, ModuleMap, block_map, dual, dual_map, image_of_map, injectives, kernel_of_map,
     projective_sum, projectives, quotient, radical, sum_module, zero_map, zero_module,
 )
 from .decompose import decompose
+from .approx import is_torsionless
 
 
 class NotProjective(ValueError):
@@ -167,8 +168,7 @@ def hom_lambda_transform(f: ModuleMap) -> ModuleMap:
     h_target_parts = [p_op[x] for x in src_info.vertices]
     h_source = projective_sum(op, tgt_info.vertices)
     h_target = projective_sum(op, src_info.vertices)
-    comps = {v: Matrix.zero(field, h_target.dims[v], h_source.dims[v])
-             for v in op.quiver.vertices}
+    blocks = {}
     for i, xi in enumerate(src_info.vertices):
         image_vec = f.components[xi].submatrix(range(f.target.dims[xi]), [src_pos[i]])
         # split the image over the target summands and their path labels
@@ -179,29 +179,21 @@ def hom_lambda_transform(f: ModuleMap) -> ModuleMap:
                 per_summand.setdefault(j, []).append((bidx, c))
         for j, coeffs in per_summand.items():
             elem = _reverse_element(algebra, op, coeffs)
-            if not elem:
-                continue
-            block = _left_multiplication(
-                op, elem, h_source_parts[j], tgt_info.vertices[j],
-                h_target_parts[i], xi)
-            for v in op.quiver.vertices:
-                row0 = sum(p.dims[v] for p in h_target_parts[:i])
-                col0 = sum(p.dims[v] for p in h_source_parts[:j])
-                b = block[v]
-                for r in range(b.rows):
-                    for c in range(b.cols):
-                        comps[v][row0 + r, col0 + c] = field.add(
-                            comps[v][row0 + r, col0 + c], b[r, c])
-    return ModuleMap(h_source, h_target, comps, check=False)
+            if elem:
+                comps = _left_multiplication(op, elem, h_source_parts[j], tgt_info.vertices[j],
+                                             h_target_parts[i], xi)
+                blocks[i, j] = ModuleMap(h_source_parts[j], h_target_parts[i], comps,
+                                         check=False)
+    return block_map(h_source, h_target, dict(enumerate(h_source_parts)),
+                     dict(enumerate(h_target_parts)), blocks)
 
 
 def nakayama_module(p: Module) -> Module:
     """nu(P) = (+) Q(x_i) for a structured projective."""
     if p.proj_info is None:
         raise NotProjective("Nakayama functor needs a structured projective")
-    algebra = p.algebra
-    parts = [injective(algebra, x) for x in p.proj_info.vertices]
-    return sum_module(algebra, parts)
+    q = dict(zip(p.algebra.quiver.vertices, injectives(p.algebra)))
+    return sum_module(p.algebra, [q[x] for x in p.proj_info.vertices])
 
 
 def nakayama_map(f: ModuleMap) -> ModuleMap:
@@ -270,7 +262,6 @@ def gamma_both_ways(m: Module):
 def eta(m: Module) -> Module:
     """Image of Hom(f, algebra) over the opposite algebra, f the minimal
     presentation; defined for torsionless modules up to projectives."""
-    from .approx import is_torsionless
     if not is_torsionless(m):
         raise NotTorsionless("eta needs a torsionless module")
     if m.is_zero():

@@ -33,12 +33,13 @@ factor is the degree-1 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import BasicAlgebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, hom_basis, identity_map, in_span, map_coordinates,
+    Module, ModuleMap, block_map, hom_basis, identity_map, in_span, map_coordinates,
     map_from_coordinates, sum_module, zero_map,
 )
 from .functors import projective_resolution
@@ -394,24 +395,6 @@ def _factor_resolution(seq: ExtensionClass, top: int) -> _Resolution:
     return _checked(_Resolution(projs, diffs, aug, _lift_cocycle(seq, projs, diffs, aug), 1))
 
 
-def _block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
-               blocks: dict) -> ModuleMap:
-    """The map between the direct sums of src_parts and tgt_parts ({label:
-    module}, summed in label order) whose (t, s) block is blocks[t, s], a
-    map src_parts[s] -> tgt_parts[t], or zero when absent."""
-    if not src_parts or not tgt_parts:
-        return zero_map(source, target)
-    field = source.field
-    comps = {}
-    for v in source.algebra.quiver.vertices:
-        comps[v] = Matrix.vstack(
-            Matrix.hstack(blocks[t, s].components[v] if (t, s) in blocks
-                          else Matrix.zero(field, tp.dims[v], sp.dims[v])
-                          for s, sp in src_parts.items())
-            for t, tp in tgt_parts.items())
-    return ModuleMap(source, target, comps, check=False)
-
-
 def _term_cache(algebra: BasicAlgebra) -> dict:
     """The total-complex terms built over algebra, cached on it as
     `_complex_terms`: X (x) P under ("tensor", X, P) and a sum under
@@ -490,13 +473,13 @@ def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution,
                     d_p = p.diffs[j - 1].scale(minus) if i % 2 else p.diffs[j - 1]
                     memo[key] = tensor_map(src, parts[k - 1][i], identity_map(x.terms[i]), d_p)
                 blocks[i, i] = memo[key]
-        diffs.append(_block_map(terms[k], terms[k - 1], parts[k], parts[k - 1], blocks))
+        diffs.append(block_map(terms[k], terms[k - 1], parts[k], parts[k - 1], blocks))
     end = tensor_module(algebra, x.aug.target, p.aug.target)
     degree = x.degree + p.degree
     blocks = {}
     if x.degree in parts[degree]:
         blocks[0, x.degree] = tensor_map(parts[degree][x.degree], end, x.cocycle, p.cocycle)
-    cocycle = _block_map(terms[degree], end, parts[degree], {0: end}, blocks)
+    cocycle = block_map(terms[degree], end, parts[degree], {0: end}, blocks)
     aug = tensor_map(terms[0], end, x.aug, p.aug)
     return _checked(_Resolution(terms, diffs, aug, cocycle, degree))
 
@@ -506,7 +489,6 @@ def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution,
 def rational_points(field: Field, d: int):
     if not field.is_prime_field:
         raise LatticeError("point enumeration needs a finite prime field")
-    from itertools import product
     return [tuple(field.from_int(c) for c in pt)
             for pt in product(range(field.p), repeat=d)]
 

@@ -12,10 +12,12 @@ Nakayama functor act combinatorially on maps between projectives.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 
 from .algebra import BasicAlgebra
-from .matrix import Matrix, NoSolution
+from .matrix import Matrix, NoSolution, complement_basis
 
 
 class ModuleError(ValueError):
@@ -76,10 +78,9 @@ class Module:
 
     def path_action(self, path) -> Matrix:
         """Matrix of a nonempty arrow-name sequence (first arrow acts first)."""
-        arrows = [self.algebra.quiver.arrow(name) for name in path]
-        m = self.action[arrows[0].name]
-        for a in arrows[1:]:
-            m = self.action[a.name] @ m
+        m = self.action[path[0]]
+        for name in path[1:]:
+            m = self.action[name] @ m
         return m
 
     def relation_defect(self):
@@ -94,8 +95,6 @@ class Module:
         return None
 
     def content_hash(self) -> str:
-        import hashlib
-        import json
         payload = {
             "dims": {v: self.dims[v] for v in self.algebra.quiver.vertices},
             "action": {a.name: self.action[a.name].to_strings()
@@ -227,6 +226,16 @@ def projectives(algebra: BasicAlgebra) -> list[Module]:
     return cache
 
 
+def injectives(algebra: BasicAlgebra) -> list[Module]:
+    """[Q(x) for x in the vertices], built once per algebra and cached on
+    it as `_injective_modules`, shared as `projectives` are."""
+    cache = getattr(algebra, "_injective_modules", None)
+    if cache is None:
+        cache = [injective(algebra, x) for x in algebra.quiver.vertices]
+        algebra._injective_modules = cache
+    return cache
+
+
 def projective_sum(algebra: BasicAlgebra, vertices: tuple) -> Module:
     """(+) P(x) for x in vertices, in that order, with its proj_info; the
     zero module for no vertices.  Built once per algebra and vertex tuple
@@ -244,13 +253,10 @@ def projective_sum(algebra: BasicAlgebra, vertices: tuple) -> Module:
 
 
 def injective(algebra: BasicAlgebra, x: str) -> Module:
-    """Q(x) = dual of the opposite-algebra projective at x."""
-    return dual(projective(algebra.opposite(), x))
-
-
-def regular_module(algebra: BasicAlgebra):
-    """(+) P(x) over all vertices, with the summand inclusions."""
-    return direct_sum(projectives(algebra))
+    """Q(x) = dual of the opposite-algebra projective at x, read from
+    `projectives(op)`."""
+    op = algebra.opposite()
+    return dual(dict(zip(op.quiver.vertices, projectives(op)))[x])
 
 
 def dual(m: Module) -> Module:
@@ -291,30 +297,22 @@ def sum_module(algebra: BasicAlgebra, summands) -> Module:
     return Module(algebra, dims, action, check=False, proj_info=proj_info)
 
 
-def direct_sum(summands):
-    """Returns (sum, inclusions, projections); empty input gives the zero
-    module over no algebra and is rejected."""
-    if not summands:
-        raise ModuleError("direct_sum of nothing (pass the algebra's zero module)")
-    algebra = summands[0].algebra
-    field = algebra.field
-    total = sum_module(algebra, summands)
-    dims = total.dims
-    inclusions, projections = [], []
-    for k, s in enumerate(summands):
-        inc, prj = {}, {}
-        for v in algebra.quiver.vertices:
-            before = sum(t.dims[v] for t in summands[:k])
-            inc_m = Matrix.zero(field, dims[v], s.dims[v])
-            prj_m = Matrix.zero(field, s.dims[v], dims[v])
-            for i in range(s.dims[v]):
-                inc_m[before + i, i] = field.one()
-                prj_m[i, before + i] = field.one()
-            inc[v] = inc_m
-            prj[v] = prj_m
-        inclusions.append(ModuleMap(s, total, inc, check=False))
-        projections.append(ModuleMap(total, s, prj, check=False))
-    return total, inclusions, projections
+def block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
+              blocks: dict) -> ModuleMap:
+    """The map between the direct sums of src_parts and tgt_parts ({label:
+    module}, summed in label order) whose (t, s) block is blocks[t, s], a
+    map src_parts[s] -> tgt_parts[t], or zero when absent."""
+    if not src_parts or not tgt_parts:
+        return zero_map(source, target)
+    field = source.field
+    comps = {}
+    for v in source.algebra.quiver.vertices:
+        comps[v] = Matrix.vstack(
+            Matrix.hstack(blocks[t, s].components[v] if (t, s) in blocks
+                          else Matrix.zero(field, tp.dims[v], sp.dims[v])
+                          for s, sp in src_parts.items())
+            for t, tp in tgt_parts.items())
+    return ModuleMap(source, target, comps, check=False)
 
 
 # -- hom spaces ----------------------------------------------------------------
@@ -536,7 +534,6 @@ def spanned_submodule(m: Module, vectors):
 
 def quotient(m: Module, incl: ModuleMap):
     """Quotient of m by the image of an inclusion; returns (quot, proj)."""
-    from .matrix import complement_basis
     algebra, field = m.algebra, m.field
     proj_comp, section = {}, {}
     dims = {}

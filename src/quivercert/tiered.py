@@ -14,12 +14,13 @@ decides whether alpha's summands lie in the lower layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from random import Random
 
 from .algebra import BasicAlgebra
 from .decompose import Undecided, is_indecomposable, is_isomorphic
 from .module import (
-    Module, hom_basis, hom_dim, injective, map_from_coordinates, projective,
+    Module, hom_basis, hom_dim, injectives, map_from_coordinates, projectives,
     radical, random_combination, socle_series,
 )
 from .quiver import NotTiered, nicely_tiered_check
@@ -90,12 +91,12 @@ def truncations(algebra: BasicAlgebra) -> list[Truncation]:
                                   [q_idx] if q_idx else []))
         indecomposable.append(None)
 
-    for x in algebra.quiver.vertices:
-        series = socle_series(projective(algebra, x))
+    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
+        series = socle_series(p)
         for t, (tp, _) in enumerate(series[1:], 2):
             absorb(tp, (x, t, len(series) - t), None)
-    for x in algebra.quiver.vertices:
-        for t, (tq, _) in enumerate(socle_series(injective(algebra, x)), 1):
+    for x, q in zip(algebra.quiver.vertices, injectives(algebra)):
+        for t, (tq, _) in enumerate(socle_series(q), 1):
             absorb(tq, None, (x, t))
     entries.sort(key=lambda e: (e.module.total_dim(), e.module.dim_vector(),
                                 e.module.content_hash()))
@@ -107,8 +108,8 @@ def p1_check(algebra: BasicAlgebra):
     a brick.  Returns (ok, witnesses)."""
     require_nicely_tiered(algebra)
     witnesses = []
-    for x in algebra.quiver.vertices:
-        series = socle_series(projective(algebra, x))
+    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
+        series = socle_series(p)
         if len(series) < 3:
             continue
         tp, _ = series[1]
@@ -138,7 +139,6 @@ def find_embedding(p: Module, q: Module):
         if cand.is_injective():
             return cand
     if field.is_prime_field and field.p ** len(maps) <= P2_EXHAUSTIVE_LIMIT:
-        from itertools import product
         for coeffs in product(range(field.p), repeat=len(maps)):
             cand = map_from_coordinates(coeffs, maps)
             if cand.is_injective():
@@ -152,8 +152,7 @@ def p2_check(algebra: BasicAlgebra):
     projectives.  Returns (ok, witnesses)."""
     require_nicely_tiered(algebra)
     tall = []
-    for x in algebra.quiver.vertices:
-        p = projective(algebra, x)
+    for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
         series = socle_series(p)
         if len(series) >= 3:
             tall.append((x, p, series[1][0]))

@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from random import Random
 
 from .algebra import BasicAlgebra
-from .approx import (
-    AddCategory, injectives, is_divisible, is_torsionless, right_add_approximation,
-)
+from .approx import AddCategory, is_divisible, is_torsionless, right_add_approximation
 from .decompose import decompose, is_indecomposable, is_isomorphic
 from .functors import gamma, is_injective_module, is_projective_module
 from .matrix import Matrix
 from .module import (
-    Module, direct_sum, dual, projectives, radical, random_scalar, simple, socle,
-    spanned_submodule, top,
+    Module, dual, injectives, projectives, radical, random_scalar, simple, socle,
+    spanned_submodule, sum_module, top,
 )
+
+CLOSURE_ROUNDS = 8
+CLOSURE_SAMPLES = 24
 
 
 class UnknownStrategy(ValueError):
@@ -120,8 +121,7 @@ class TorsionlessInventory:
         }
 
 
-def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
-                         rounds: int = 8, samples_per_round: int = 24) -> ClassList:
+def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int) -> ClassList:
     """Closure search for the indecomposable torsionless classes.
 
     `absorb` decomposes a module and lists its torsionless summands.  A
@@ -167,7 +167,7 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
                 sub, _ = spanned_submodule(p, {v: gen})
                 absorb(sub)
     stable = 0
-    for _ in range(rounds):
+    for _ in range(CLOSURE_ROUNDS):
         added = False
         # kernels of approximations of the simples by the current list
         current = classes.sorted_members()
@@ -178,10 +178,10 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int,
                 added = True
         # seeded random submodules of sums of current members
         current = classes.sorted_members()
-        for _ in range(samples_per_round):
+        for _ in range(CLOSURE_SAMPLES):
             t = rng.randrange(1, bound + 1)
             chosen = [current[rng.randrange(len(current))] for _ in range(t)]
-            big = direct_sum(chosen)[0]
+            big = sum_module(algebra, chosen)
             gens = _random_generators(big, rng, 2)
             if not gens:
                 continue
@@ -297,7 +297,7 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
             parts = [projs[rng.randrange(len(projs))] for _ in range(t)]
         else:
             parts = projs  # regular module: full coverage
-        big = direct_sum(parts)[0]
+        big = sum_module(algebra, parts)
         gens = _random_generators(big, rng, 3)
         if not gens:
             continue

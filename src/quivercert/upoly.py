@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 
 from .fields import QQ, Field
-from .matrix import Matrix
+from .matrix import Matrix, NoSolution
 
 
 def normalize(field: Field, coeffs) -> list:
@@ -203,7 +203,6 @@ def charpoly_coefficient(m: Matrix, k: int):
 
 def minpoly_matrix(m: Matrix) -> list:
     """Minimal polynomial via Krylov chains from standard basis vectors."""
-    from .matrix import NoSolution
     field = m.field
     n = m.rows
     result = [field.one()]

@@ -3,13 +3,11 @@ import pytest
 from quivercert import GF, QQ, Matrix
 from quivercert import approx as approx_module
 from quivercert import presets
-from quivercert.approx import (
-    injectives, is_divisible, is_torsionless, projectives, right_add_approximation,
-)
+from quivercert.approx import is_divisible, is_torsionless, right_add_approximation
 from quivercert.decompose import is_isomorphic
 from quivercert.module import (
-    Module, direct_sum, hom_basis, in_span, injective, projective, radical,
-    simple, socle, zero_module,
+    Module, hom_basis, in_span, injective, injectives, projective, projectives, radical,
+    simple, socle, sum_module, zero_module,
 )
 
 
@@ -152,7 +150,7 @@ def test_right_approximation_solves_each_hom_into_x_once(field, monkeypatch):
     # pair, so each Hom(M_j, X) is needed for every i
     alg = presets.local_xy(field)
     summands = [projective(alg, "*"), injective(alg, "*")]
-    x = direct_sum([simple(alg, "*"), injective(alg, "*")])[0]
+    x = sum_module(alg, [simple(alg, "*"), injective(alg, "*")])
     into_x = []
 
     def counting(m, n):

@@ -6,9 +6,10 @@ from quivercert import presets, upoly
 from quivercert.decompose import (
     EndAlgebra, QuotientAlgebra, decompose, is_indecomposable, is_isomorphic,
 )
+from quivercert.io import payload_hash
 from quivercert.module import (
-    Module, direct_sum, hom_basis, injective, map_coordinates, projective,
-    regular_module, simple, socle_series,
+    Module, hom_basis, injective, map_coordinates, projective, projective_sum, simple,
+    socle_series, sum_module,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -36,7 +37,7 @@ def test_end_radical_truncated_polynomial_char2():
     # End(regular k[t]/t^2) = k[t]/t^2 over F2: the trace form vanishes
     # identically, so the chain's second step must find rad = (t)
     alg = presets.truncated_polynomial(GF(2), 2)
-    reg, _, _ = regular_module(alg)
+    reg = projective_sum(alg, alg.quiver.vertices)
     end = EndAlgebra(reg)
     assert end.dim == 2
     assert end.radical_coords().cols == 1
@@ -45,7 +46,7 @@ def test_end_radical_truncated_polynomial_char2():
 def test_end_radical_matrix_algebra():
     alg = presets.a3_rad_square(GF(2))
     s2 = simple(alg, "2")
-    m = direct_sum([s2, s2])[0]
+    m = sum_module(alg, [s2, s2])
     end = EndAlgebra(m)
     assert end.dim == 4  # Mat_2(F_2)
     assert end.radical_coords().cols == 0
@@ -54,7 +55,7 @@ def test_end_radical_matrix_algebra():
 
 def test_end_radical_char_zero_truncated():
     alg = presets.truncated_polynomial(QQ, 3)
-    reg, _, _ = regular_module(alg)
+    reg = projective_sum(alg, alg.quiver.vertices)
     end = EndAlgebra(reg)
     assert end.dim == 3
     assert end.radical_coords().cols == 2
@@ -82,7 +83,7 @@ def test_indecomposable_projectives():
 
 def test_decompose_projective_plus_simple():
     alg = presets.a3_rad_square(QQ)
-    m = direct_sum([projective(alg, "2"), simple(alg, "3")])[0]
+    m = sum_module(alg, [projective(alg, "2"), simple(alg, "3")])
     dec = decompose(m)
     assert sum(k for _, k in dec.summands) == 2
     assert sorted(s.total_dim() for s, _ in dec.summands) == [1, 2]
@@ -91,7 +92,7 @@ def test_decompose_projective_plus_simple():
 
 def test_decompose_regular_a3rad2():
     alg = presets.a3_rad_square(QQ)
-    reg, _, _ = regular_module(alg)
+    reg = projective_sum(alg, alg.quiver.vertices)
     dec = decompose(reg)
     assert sum(k for _, k in dec.summands) == 3
     assert all(mult == 1 for _, mult in dec.summands)
@@ -102,7 +103,7 @@ def test_decompose_regular_a3rad2():
 def test_decompose_power_multiplicity():
     alg = presets.a3_rad_square(GF(3))
     p3 = projective(alg, "3")
-    m = direct_sum([p3, p3, p3])[0]
+    m = sum_module(alg, [p3, p3, p3])
     dec = decompose(m)
     assert dec.summands[0][1] == 3
     assert len(dec.summands) == 1
@@ -120,7 +121,7 @@ def test_decompose_deterministic_under_seed():
     # decompose takes no seed: two calls, and a content-equal copy of the
     # module, give the same summands
     alg = presets.commutative_square_plus(GF(3))
-    reg, _, _ = regular_module(alg)
+    reg = projective_sum(alg, alg.quiver.vertices)
     copy = Module(alg, dict(reg.dims), dict(reg.action))
     assert copy is not reg and copy.content_hash() == reg.content_hash()
     hashes = [[(s.content_hash(), k) for s, k in decompose(x).summands]
@@ -167,8 +168,8 @@ def test_isomorphism_after_base_change():
 def test_is_isomorphic_general_via_decompose():
     alg = presets.a3_rad_square(GF(2))
     p2, s3 = projective(alg, "2"), simple(alg, "3")
-    m = direct_sum([p2, s3])[0]
-    n = direct_sum([s3, p2])[0]
+    m = sum_module(alg, [p2, s3])
+    n = sum_module(alg, [s3, p2])
     ok, w = is_isomorphic(m, n)
     assert ok and w.is_isomorphism()
 
@@ -213,7 +214,7 @@ def reference_radical(end: EndAlgebra) -> Matrix:
 def _preset_modules(alg):
     verts = alg.quiver.vertices
     return ([projective(alg, x) for x in verts] + [injective(alg, x) for x in verts]
-            + [regular_module(alg)[0]])
+            + [projective_sum(alg, verts)])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -228,11 +229,11 @@ def test_radical_matches_total_matrix_reference(name, field):
 def test_radical_matches_reference_on_local_and_matrix_algebras():
     for field in FIELDS:
         for power in (2, 3, 5):
-            reg = regular_module(presets.truncated_polynomial(field, power))[0]
-            end = EndAlgebra(reg)
+            alg = presets.truncated_polynomial(field, power)
+            end = EndAlgebra(projective_sum(alg, alg.quiver.vertices))
             assert end.radical_coords() == reference_radical(end)
         s2 = simple(presets.a3_rad_square(field), "2")
-        end = EndAlgebra(direct_sum([s2, s2, s2])[0])
+        end = EndAlgebra(sum_module(s2.algebra, [s2, s2, s2]))
         assert end.radical_coords() == reference_radical(end)
 
 
@@ -263,8 +264,8 @@ def test_indecomposable_isomorphism_rejects_a_decomposable_idempotent():
     # End(S1 + S2) = k x k: the idempotent e1 lies outside the radical but
     # is not invertible, so it must not be returned as a witness
     alg = presets.a3_rad_square(GF(2))
-    m = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
-    n = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
+    m = sum_module(alg, [simple(alg, "1"), simple(alg, "2")])
+    n = sum_module(alg, [simple(alg, "1"), simple(alg, "2")])
     ok, witness = is_isomorphic(m, n, assume_indecomposable=True)
     assert not ok or witness.is_isomorphism()
 
@@ -329,10 +330,10 @@ def test_deterministic_candidates_split_with_no_random_draw(summands, field, mon
     # Frobenius-fixed element) and M_2(k) x k for S1 + S1 + S2
     if summands == "N+N":
         n = _companion_kronecker_module(field)
-        m = direct_sum([n, n])[0]
+        m = sum_module(n.algebra, [n, n])
     else:
         alg = presets.a3_rad_square(field)
-        m = direct_sum([simple(alg, x[1:]) for x in summands.split("+")])[0]
+        m = sum_module(alg, [simple(alg, x[1:]) for x in summands.split("+")])
     fixed, phis = [], []
     real_fixed = QuotientAlgebra.frobenius_fixed_basis
     real_split = decompose_module._split_along_poly
@@ -373,7 +374,7 @@ def test_rational_cube_of_a_quadratic_module_splits_with_no_random_draw(monkeypa
     # the End basis holds a lift of each unit of End/rad
     n = _companion_kronecker_module(QQ)
     monkeypatch.setattr(decompose_module, "random_combination", _no_random_draw)
-    dec = decompose(direct_sum([n, n, n])[0])
+    dec = decompose(sum_module(n.algebra, [n, n, n]))
     assert [k for _, k in dec.summands] == [3]
     assert is_isomorphic(n, dec.summands[0][0], assume_indecomposable=True)[0]
     assert dec.witness.is_isomorphism()
@@ -383,7 +384,7 @@ def test_random_fallback_is_drawn_from_a_fixed_seed(monkeypatch):
     # with the deterministic candidates taken away, the split comes from
     # the random combinations, and two calls draw the same ones
     alg = presets.a3_rad_square(GF(5))
-    m = direct_sum([simple(alg, "1"), simple(alg, "2")])[0]
+    m = sum_module(alg, [simple(alg, "1"), simple(alg, "2")])
     drawn = []
     real_random = decompose_module.random_combination
     monkeypatch.setattr(decompose_module, "_deterministic_candidates", lambda end: [])
@@ -405,8 +406,8 @@ def test_isomorphism_of_decomposables_by_matching_summands(monkeypatch):
     # invertible, the answer comes from matching decompositions
     alg = presets.a2(GF(2))
     s1, s2, p1 = simple(alg, "1"), simple(alg, "2"), projective(alg, "1")
-    m = direct_sum([s1, s1, s1, s2, s2, s2, p1])[0]
-    n = direct_sum([p1, s2, s2, s2, s1, s1, s1])[0]
+    m = sum_module(alg, [s1, s1, s1, s2, s2, s2, p1])
+    n = sum_module(alg, [p1, s2, s2, s2, s1, s1, s1])
     matched = []
     real_match = decompose_module._match_decompositions
 
@@ -420,4 +421,21 @@ def test_isomorphism_of_decomposables_by_matching_summands(monkeypatch):
     assert witness.source is m and witness.target is n
     assert witness.intertwines() and witness.is_isomorphism()
     assert matched
-    assert is_isomorphic(direct_sum([s1, s2])[0], p1) == (False, None)
+    assert is_isomorphic(sum_module(alg, [s1, s2]), p1) == (False, None)
+
+
+def test_matched_isomorphism_witness_digest_is_pinned(monkeypatch):
+    # S1 + P2 + S3 + I2 + S1 against a reordering: no basis map of Hom is
+    # invertible, so the witness comes from matching the decompositions;
+    # recorded as `payload_hash` of the components' strings
+    alg = presets.a3_rad_square(GF(3))
+    s1, p2, i2, s3 = simple(alg, "1"), projective(alg, "2"), injective(alg, "2"), simple(alg, "3")
+    matched = []
+    real_match = decompose_module._match_decompositions
+    monkeypatch.setattr(decompose_module, "_match_decompositions",
+                        lambda *args: matched.append(args) or real_match(*args))
+    ok, w = is_isomorphic(sum_module(alg, [s1, p2, s3, i2, s1]),
+                          sum_module(alg, [i2, s1, s3, s1, p2]))
+    assert ok and matched and w.intertwines() and w.is_isomorphism()
+    assert (payload_hash({v: w.components[v].to_strings() for v in alg.quiver.vertices})
+            == "1e0ef59f4b6a4cb3231543a95b164d087b5adb6e7cd1e2efc0fbde0d2e65d93b")

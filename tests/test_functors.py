@@ -11,9 +11,9 @@ from quivercert.functors import (
     projective_cover, projective_resolution, sigma,
     strip_projective_summands, tau,
 )
+from quivercert.io import payload_hash
 from quivercert.module import (
-    direct_sum, dual, injective, kernel_of_map, projective, radical, simple,
-    socle, top,
+    dual, injective, kernel_of_map, projective, radical, simple, socle, sum_module, top,
 )
 
 
@@ -28,21 +28,21 @@ def test_projective_cover_of_simple():
 def test_projective_cover_shares_one_source_per_top():
     # S(1) and P(1) over K are not isomorphic but have the same top, so
     # their covers share one source: the algebra's cached P(1), summed
-    # as a fresh direct_sum would sum it; another K gets its own
+    # as a fresh sum_module would sum it; another K gets its own
     field = GF(3)
     kron = presets.kronecker(field)
     s1, p1 = simple(kron, "1"), projective(kron, "1")
     assert not is_isomorphic(s1, p1)[0]
     source = projective_cover(s1).source
     assert projective_cover(p1).source is source
-    twice = direct_sum([s1, s1])[0]
+    twice = sum_module(kron, [s1, s1])
     pair = projective_cover(twice).source
-    for cover, fresh in ((source, direct_sum([projective(kron, "1")])[0]),
-                         (pair, direct_sum([projective(kron, "1")] * 2)[0])):
+    for cover, fresh in ((source, sum_module(kron, [projective(kron, "1")])),
+                         (pair, sum_module(kron, [projective(kron, "1")] * 2))):
         assert cover.dims == fresh.dims
         assert cover.action == fresh.action
         assert cover.proj_info == fresh.proj_info
-    assert projective_cover(direct_sum([p1, s1])[0]).source is pair
+    assert projective_cover(sum_module(kron, [p1, s1])).source is pair
     other = presets.kronecker(field)
     assert projective_cover(simple(other, "1")).source is not source
 
@@ -117,9 +117,9 @@ def test_nakayama_on_projectives():
 
 def test_nakayama_preserves_direct_sums():
     alg = presets.a3_rad_square(QQ)
-    p = direct_sum([projective(alg, "2"), projective(alg, "3")])[0]
+    p = sum_module(alg, [projective(alg, "2"), projective(alg, "3")])
     nu_p = nakayama_module(p)
-    expected = direct_sum([injective(alg, "2"), injective(alg, "3")])[0]
+    expected = sum_module(alg, [injective(alg, "2"), injective(alg, "3")])
     assert nu_p.dim_vector() == expected.dim_vector()
 
 
@@ -131,6 +131,34 @@ def test_nakayama_of_presentation_map_of_s2():
     assert nf.target.dim_vector() == injective(alg, "2").dim_vector()
     assert nf.intertwines()
     assert not nf.is_zero()
+
+
+# nu of the minimal presentation of (+) S(x) + rad P(x_0), recorded as
+# `payload_hash` of the components' strings; the presentation maps have
+# two to seven summands on each side
+NAKAYAMA_DIGESTS = [
+    pytest.param(presets.a3_rad_square, QQ,
+                 "4b6e87f7fb787ed8101b24fa388e0afbe849099da4208d48803165d63ada5688", id="a3@QQ"),
+    pytest.param(presets.commutative_square_plus, GF(3),
+                 "cbd25664559e1e263b572ccb1c887bca6b54378ca47f39bf74dba818de16b9a7",
+                 id="square@GF(3)"),
+    pytest.param(presets.kronecker, GF(2),
+                 "151b795048ded054820670a24548bad1608d956cbfd5a1e7b99100a9e77fb078",
+                 id="kronecker@GF(2)"),
+    pytest.param(presets.ex84_left, GF(5),
+                 "f4b4a876f6c1b792d88c70acf7b2a96c96f6247463f45533076dda69b74e73d6",
+                 id="ex84_left@GF(5)"),
+]
+
+
+@pytest.mark.parametrize("preset, field, digest", NAKAYAMA_DIGESTS)
+def test_nakayama_map_digests_are_pinned(preset, field, digest):
+    alg = preset(field)
+    verts = alg.quiver.vertices
+    m = sum_module(alg, [simple(alg, x) for x in verts] + [radical(projective(alg, verts[0]))[0]])
+    _, (f,), _ = projective_resolution(m, 1)
+    nf = nakayama_map(f)
+    assert payload_hash({v: nf.components[v].to_strings() for v in verts}) == digest
 
 
 def test_nakayama_requires_structure():
@@ -165,7 +193,7 @@ def test_sigma_of_injective_is_zero():
 
 def test_tau_strips_projectives_with_warning():
     alg = presets.a3_rad_square(QQ)
-    m = direct_sum([simple(alg, "2"), projective(alg, "3")])[0]
+    m = sum_module(alg, [simple(alg, "2"), projective(alg, "3")])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         t = tau(m)

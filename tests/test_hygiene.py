@@ -111,7 +111,6 @@ KEPT = {
                                   "generic-point specialisation of ROADMAP item 4",
     "lattice.constant_lattice": "the split family whose Odim witness must fail at every point",
     "lattice.scale_class": "drives the bilinearity test of yoneda_cocycle",
-    "module.regular_module": "the regular module that the decompose and Hom tests start from",
     "quiver.maximal_path_length_from": "the reference that tier_function is checked against",
     "tiered.p1_check": "the (P1) hypothesis, planned for the E2 certificate (ROADMAP item 2)",
     "tiered.p2_check": "the (P2) hypothesis, planned for the E2 certificate (ROADMAP item 2)",
@@ -205,12 +204,13 @@ SYMPY_GUARD = """
 import sys
 from quivercert import GF, QQ, presets, upoly
 from quivercert.decompose import decompose
-from quivercert.module import regular_module
+from quivercert.module import projective_sum
 
 calls = []
 factor_poly = upoly.factor_poly
 upoly.factor_poly = lambda *args: calls.append(args) or factor_poly(*args)
-reg, _, _ = regular_module(presets.a3_rad_square(GF(3)))
+alg = presets.a3_rad_square(GF(3))
+reg = projective_sum(alg, alg.quiver.vertices)
 assert sum(k for _, k in decompose(reg).summands) == 3
 assert calls, "decompose did not factor a polynomial"
 assert upoly.factor_poly(QQ, [-2, 1, 1]) == [([-1, 1], 1), ([2, 1], 1)]

@@ -11,7 +11,7 @@ from quivercert.io import (
     module_to_json, payload_hash, save_algebra, save_lattice,
 )
 from quivercert.lattice import LatticeError, kronecker_family
-from quivercert.module import ModuleError, projective, regular_module
+from quivercert.module import ModuleError, projective, projective_sum
 
 PRESETS = (
     presets.a3_rad_square, presets.kronecker, presets.commutative_square_plus,
@@ -42,7 +42,7 @@ def test_algebra_file_round_trip(tmp_path):
 
 def test_module_round_trip_on_projectives(tmp_path):
     alg = presets.commutative_square_plus(GF(5))
-    reg, _, _ = regular_module(alg)
+    reg = projective_sum(alg, alg.quiver.vertices)
     for m in [projective(alg, x) for x in alg.quiver.vertices] + [reg]:
         payload = module_to_json(m)
         back = module_from_json(json.loads(json.dumps(payload)), alg)

@@ -5,10 +5,10 @@ import pytest
 from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import presets
 from quivercert.module import (
-    ModuleError, coordinates_matrix, direct_sum, dual, hom_basis, hom_dim,
-    identity_map, image_of_map, in_span, injective, kernel_of_map, map_coordinates,
-    map_from_coordinates, map_vector, projective, quotient, radical,
-    regular_module, simple, socle, socle_series, spanned_submodule, top, zero_map,
+    ModuleError, block_map, coordinates_matrix, dual, hom_basis, hom_dim, identity_map,
+    image_of_map, in_span, injective, kernel_of_map, map_coordinates, map_from_coordinates,
+    map_vector, projective, projective_sum, quotient, radical, simple, socle, socle_series,
+    spanned_submodule, sum_module, top, zero_map,
 )
 
 
@@ -26,7 +26,7 @@ def test_projective_dimensions_a3():
 def test_regular_module_has_algebra_dimension():
     for alg in (presets.a3_rad_square(QQ), presets.commutative_square_plus(GF(2)),
                 presets.local_xy(GF(3)), presets.kronecker_tensor_a2(GF(5))):
-        reg, _, _ = regular_module(alg)
+        reg = projective_sum(alg, alg.quiver.vertices)
         assert reg.total_dim() == alg.dim
 
 
@@ -132,7 +132,7 @@ def test_top_of_projective_is_simple():
 
 def test_socle_series_exhausts_at_loewy_length():
     for alg in (presets.a3_rad_square(QQ), presets.local_xy(GF(3))):
-        reg, _, _ = regular_module(alg)
+        reg = projective_sum(alg, alg.quiver.vertices)
         series = socle_series(reg)
         assert len(series) == alg.loewy_length
         full, _ = series[-1]
@@ -162,20 +162,27 @@ def test_solid_projectives_on_nicely_tiered_fixture():
     assert layers[2] == p.dim_vector()
 
 
-def test_direct_sum_witnesses():
+def test_block_map_places_blocks_in_label_order():
+    # P2 + S1 -> P2 + P2 with the socle inclusion S1 -> P2 in block (0, 1)
+    # and the identity of P2 in block (1, 0); the absent blocks read as zero
     alg = presets.a3_rad_square(QQ)
     p2, s1 = projective(alg, "2"), simple(alg, "1")
-    total, incs, prjs = direct_sum([p2, s1])
-    assert total.dim_vector() == (2, 1, 0)
-    assert incs[0].then(prjs[0]).components["2"].is_identity()
-    assert incs[0].then(prjs[1]).is_zero()
-    for inc in incs:
-        assert inc.intertwines()
+    (inc,) = hom_basis(s1, p2)
+    src, tgt = {0: p2, 1: s1}, {0: p2, 1: p2}
+    source, target = sum_module(alg, [p2, s1]), sum_module(alg, [p2, p2])
+    f = block_map(source, target, src, tgt, {(0, 1): inc, (1, 0): identity_map(p2)})
+    assert f.source is source and f.target is target
+    assert f.components["1"] == Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+    assert f.components["2"] == Matrix.from_rows(QQ, [[0], [1]])
+    assert f.intertwines()
+    zero = sum_module(alg, [])
+    for g in (block_map(zero, target, {}, tgt, {}), block_map(source, zero, src, {}, {})):
+        assert g.is_zero() and g.intertwines()
 
 
 def test_spanned_submodule_closure():
     alg = presets.local_xy(GF(3))
-    reg, _, _ = regular_module(alg)
+    reg = projective_sum(alg, alg.quiver.vertices)
     gen = Matrix.zero(GF(3), 5, 1)
     gen[1, 0] = 1  # basis path "x"
     sub, incl = spanned_submodule(reg, {"*": gen})
@@ -418,7 +425,7 @@ def sums_of_standard_modules(draw, alg):
     picks = draw(st.lists(st.tuples(st.sampled_from(sorted(STANDARD)),
                                     st.sampled_from(alg.quiver.vertices)),
                           min_size=1, max_size=3))
-    total, _, _ = direct_sum([STANDARD[kind](alg, x) for kind, x in picks])
+    total = sum_module(alg, [STANDARD[kind](alg, x) for kind, x in picks])
     return total
 
 
@@ -468,6 +475,6 @@ def test_hom_basis_equals_dense_route_on_loops(data):
 def test_hom_is_additive_over_direct_sums(data):
     alg = data.draw(st.sampled_from(KRONECKER))
     m, m2, n = (data.draw(kronecker_modules(alg)) for _ in range(3))
-    total, _, _ = direct_sum([m, m2])
+    total = sum_module(alg, [m, m2])
     assert hom_dim(total, n) == hom_dim(m, n) + hom_dim(m2, n)
     assert hom_dim(n, total) == hom_dim(n, m) + hom_dim(n, m2)

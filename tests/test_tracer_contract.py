@@ -18,7 +18,7 @@ from quivercert import decompose as decompose_module
 from quivercert import lattice as lattice_module
 from quivercert.tiered import build_layering
 from quivercert.torsfin import enumerate_torsionless
-from quivercert.module import direct_sum, projective, simple
+from quivercert.module import projective, simple, sum_module
 
 TRACER = Path(__file__).resolve().parents[1] / "qcbench" / "tracer.py"
 
@@ -48,7 +48,7 @@ def test_traced_decompose_records_spans_and_restores():
         "radical_coords": vars(decompose_module.EndAlgebra)["radical_coords"],
     }
     alg = presets.a3_rad_square(GF(3))
-    m = direct_sum([projective(alg, "2"), simple(alg, "3"), simple(alg, "3")])[0]
+    m = sum_module(alg, [projective(alg, "2"), simple(alg, "3"), simple(alg, "3")])
     t = tracer.Tracer()
     with t:
         assert decompose_module.decompose.qcbench_traced
