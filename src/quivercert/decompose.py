@@ -10,7 +10,10 @@ module is split by Fitting's lemma along deterministic candidate
 endomorphisms (lifts of Frobenius-fixed or primitive elements of a
 commutative End/rad, then the End basis); random combinations from a
 fixed seed are only the last resort, so a decomposition is a function of
-the module's content.
+the module's content.  A module on which every arrow acts by zero needs
+no End algebra: it is the direct sum of the lines of its vertex bases,
+each a simple module, and a 1-dimensional module is indecomposable, so
+that split is exact.
 """
 
 from __future__ import annotations
@@ -332,9 +335,25 @@ class Decomposition:
 
 
 def decompose(m: Module) -> Decomposition:
-    """Full decomposition into indecomposables with an invertible witness."""
+    """Full decomposition into indecomposables with an invertible witness.
+
+    When every arrow acts by zero, the line spanned by each basis vector
+    at a vertex v is a submodule, a copy of the simple S(v); m is the
+    direct sum of these lines, and a 1-dimensional module is
+    indecomposable, so they are the summands and no End algebra is built.
+    Otherwise pieces are split (`split_once`) until End/rad of each is a
+    division algebra.  Either way the summands are grouped into
+    isomorphism classes and the witness is checked to be invertible.
+    """
     found = []  # (module, inclusion into m)
-    stack = [(m, identity_map(m))]
+    if all(mat.is_zero() for mat in m.action.values()):
+        stack = []
+        for v, d in m.dims.items():
+            basis = Matrix.identity(m.field, d)
+            found.extend(submodule(m, {v: basis.submatrix(range(d), [k])}, check=False)
+                         for k in range(d))
+    else:
+        stack = [(m, identity_map(m))]
     while stack:
         n, incl = stack.pop()
         if n.is_zero():

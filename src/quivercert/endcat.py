@@ -272,7 +272,11 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
     alpha: object index -> (Module, inclusion ModuleMap into the object).
     Every summand of alpha(N) must be isomorphic to an object in a
     strictly lower layer (`alpha_in_lower_layers`, with the summand's
-    dims as witness), and every radical map N' -> N with N' in a layer
+    dims as witness).  The summands are matched once per isomorphism
+    class: `decompose` has already shown each summand isomorphic to its
+    class representative, so testing the representative is the same test,
+    and the last failing representative has the dims of the last failing
+    summand.  Every radical map N' -> N with N' in a layer
     <= layer(N) must factor through alpha(N); passing both certifies
     gldim Gamma <= len(layers).  This is the only check of alpha's
     summands: `tiered.build_layering` sets alpha N = rad N unchecked.
@@ -305,8 +309,7 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
             if not alpha_incl.is_injective():
                 entry["factorizations"] = False
                 entry["witness"] = "alpha map not injective"
-            dec = decompose(alpha_mod)
-            for part in dec.parts:
+            for part, _ in decompose(alpha_mod).summands:
                 hit = None
                 for jdx in range(n):
                     if layer_of[jdx] < level:

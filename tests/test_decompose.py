@@ -1,15 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercert import GF, QQ, Matrix
 from quivercert import decompose as decompose_module
 from quivercert import presets, upoly
 from quivercert.decompose import (
-    EndAlgebra, QuotientAlgebra, decompose, is_indecomposable, is_isomorphic,
+    EndAlgebra, QuotientAlgebra, _division_algebra_check, decompose, is_indecomposable,
+    is_isomorphic, split_once,
 )
 from quivercert.io import payload_hash
 from quivercert.module import (
     Module, hom_basis, injective, map_coordinates, projective, projective_sum, simple,
-    socle_series, sum_module,
+    socle_series, spanned_submodule, sum_module,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -439,3 +441,79 @@ def test_matched_isomorphism_witness_digest_is_pinned(monkeypatch):
     assert ok and matched and w.intertwines() and w.is_isomorphism()
     assert (payload_hash({v: w.components[v].to_strings() for v in alg.quiver.vertices})
             == "1e0ef59f4b6a4cb3231543a95b164d087b5adb6e7cd1e2efc0fbde0d2e65d93b")
+
+
+def decompose_reference(m):
+    """[(representative, multiplicity)] from Fitting splits through End(M)
+    on every module, zero action included: the loop `decompose` ran
+    before its zero-action route (reference)."""
+    found, stack = [], [m]
+    while stack:
+        n = stack.pop()
+        if n.is_zero():
+            continue
+        end = EndAlgebra(n)
+        if _division_algebra_check(end.semisimple_quotient()):
+            found.append(n)
+        else:
+            stack.extend(piece for piece, _ in split_once(n, end))
+    found.sort(key=lambda n: (n.total_dim(), n.dim_vector(), n.content_hash()))
+    summands = []
+    for n in found:
+        for k, (rep, count) in enumerate(summands):
+            if is_isomorphic(rep, n, assume_indecomposable=True)[0]:
+                summands[k] = (rep, count + 1)
+                break
+        else:
+            summands.append((n, 1))
+    return summands
+
+
+PROPERTY_FIELDS = (GF(2), GF(3), QQ)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_zero_action_decomposes_into_its_vertex_lines(data):
+    name = data.draw(st.sampled_from(("kronecker_squared", "ex84_middle")))
+    alg = getattr(presets, name)(data.draw(st.sampled_from(PROPERTY_FIELDS)))
+    dims = {v: data.draw(st.integers(0, 2)) for v in alg.quiver.vertices}
+    m = Module(alg, dims, {})
+    dec = decompose(m)
+    assert dec.witness.is_isomorphism()
+    verts = sorted((v for v in alg.quiver.vertices if dims[v]),
+                   key=lambda v: simple(alg, v).dim_vector())
+    got = [(rep.content_hash(), k) for rep, k in dec.summands]
+    assert got == [(simple(alg, v).content_hash(), dims[v]) for v in verts]
+    reference = decompose_reference(m)
+    assert got == [(rep.content_hash(), k) for rep, k in reference]
+    assert [part.content_hash() for part in dec.parts] == [
+        rep.content_hash() for rep, k in reference for _ in range(k)]
+
+
+@st.composite
+def submodules_of_projective_sums(draw):
+    """The submodule of a sum of 1-3 projectives spanned by nonzero
+    vectors at 1-3 vertices."""
+    name = draw(st.sampled_from(("a3_rad_square", "kronecker", "a2", "kronecker_squared",
+                                 "commutative_square_plus", "ex84_middle")))
+    alg = getattr(presets, name)(draw(st.sampled_from(PROPERTY_FIELDS)))
+    total = projective_sum(alg, tuple(draw(st.lists(st.sampled_from(alg.quiver.vertices),
+                                                    min_size=1, max_size=3))))
+    entry = st.integers(-1, 1).map(alg.field.element)
+    gens = {}
+    occupied = [v for v in alg.quiver.vertices if total.dims[v]]
+    for v in draw(st.lists(st.sampled_from(occupied), min_size=1, max_size=3, unique=True)):
+        vec = [draw(entry) for _ in range(total.dims[v])]
+        vec[draw(st.integers(0, total.dims[v] - 1))] = alg.field.one()
+        gens[v] = Matrix.column(alg.field, vec)
+    return spanned_submodule(total, gens)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(submodules_of_projective_sums())
+def test_decompose_witness_is_invertible_onto_indecomposables(m):
+    dec = decompose(m)
+    assert dec.witness.source.dim_vector() == m.dim_vector()
+    assert dec.witness.intertwines() and dec.witness.is_isomorphism()
+    assert all(is_indecomposable(part) for part in dec.parts)

@@ -5,7 +5,7 @@ import pytest
 from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import presets
 from quivercert.module import (
-    ModuleError, block_map, coordinates_matrix, dual, hom_basis, hom_dim, identity_map,
+    ModuleError, block_map, coordinates_matrix, dual, dual_map, hom_basis, hom_dim, identity_map,
     image_of_map, in_span, injective, kernel_of_map, map_coordinates, map_from_coordinates,
     map_vector, projective, projective_sum, quotient, radical, simple, socle, socle_series,
     spanned_submodule, sum_module, top, zero_map,
@@ -478,3 +478,25 @@ def test_hom_is_additive_over_direct_sums(data):
     total = sum_module(alg, [m, m2])
     assert hom_dim(total, n) == hom_dim(m, n) + hom_dim(m2, n)
     assert hom_dim(n, total) == hom_dim(n, m) + hom_dim(n, m2)
+
+
+DUAL_PRESETS = ("a3_rad_square", "kronecker", "commutative_square_plus", "local_xy",
+                "kronecker_tensor_a2", "kronecker_squared", "ex84_middle", "one_vertex")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_double_dual_is_the_identity(data):
+    # opposite() caches both directions, so D D lands on the same algebra
+    field = data.draw(st.sampled_from(FIELDS))
+    alg = getattr(presets, data.draw(st.sampled_from(DUAL_PRESETS)))(field)
+    m = data.draw(base_changes(data.draw(sums_of_standard_modules(alg))))
+    n = data.draw(sums_of_standard_modules(alg))
+    dd = dual(dual(m))
+    assert dd.algebra is alg and dd.content_hash() == m.content_hash()
+    basis = hom_basis(m, n)
+    coords = [data.draw(st.integers(-2, 2).map(field.element)) for _ in basis]
+    f = map_from_coordinates(coords, basis) if basis else zero_map(m, n)
+    ff = dual_map(dual_map(f))
+    assert ff.source.algebra is alg and ff.target.content_hash() == n.content_hash()
+    assert ff.components == f.components

@@ -5,7 +5,7 @@ import pytest
 from quivercert import GF, QQ, NoSolution
 from quivercert import presets
 from quivercert.algebra import tensor
-from quivercert.decompose import decompose, is_isomorphic
+from quivercert.decompose import decompose, is_isomorphic, split_once
 from quivercert.endcat import CatAlgebra, global_dimension, layering_check
 from quivercert.decompose import is_indecomposable
 from quivercert.io import payload_hash
@@ -160,10 +160,10 @@ def test_layering_check_fails_ex84_middle():
         (14, True, {"from_object": 7, "map_dims": [0, 0, 1, 0, 1, 0]})]
 
 
-def _k_power(factors):
-    alg = presets.kronecker_squared(GF(2))
+def _k_power(factors, field=GF(2)):
+    alg = presets.kronecker_squared(field)
     for _ in range(factors - 2):
-        alg = tensor(alg, presets.kronecker(GF(2)))
+        alg = tensor(alg, presets.kronecker(field))
     return alg
 
 
@@ -180,6 +180,53 @@ def test_layering_check_digests_are_pinned(factors, bound, digest):
                           layering.layers, layering.alpha)
     assert cert["pass"] and cert["bound"] == bound
     assert payload_hash(cert) == digest
+
+
+# `payload_hash` of the reversed and the one-layer `layering_check` results;
+# the certificate holds no field, so K(x)K has the same pair over every field
+FAILING_DIGESTS = {
+    2: ("837f142cfa14429b6b697ca59ae1ec95a4d7ca8be17960283ffb222b12e953b3",
+        "14a39936f6d268905bdb824f579dadb12df67d4e2bd1689897f8c989e833e9de"),
+    3: ("8aa3391de4e8be70581f395c1dcdb870fd93b8db3199a9d1ecc933f340247f9e",
+        "5aa9ffa2b0cb6a17b96cf2c10751d0e3b792c84b415d25ab5ce4b92cdb0e55bc"),
+}
+
+
+@pytest.mark.parametrize("factors, field", [(2, GF(2)), (2, GF(3)), (2, QQ), (3, GF(2))],
+                         ids=["KxK@GF(2)", "KxK@GF(3)", "KxK@Q", "KxKxK@GF(2)"])
+def test_failing_layering_check_digests_are_pinned(factors, field):
+    # both layerings fail, many objects on a semisimple alpha whose
+    # summands lie in no lower layer
+    layering = build_layering(_k_power(factors, field))
+    cat = CatAlgebra(layering.objects, verify=False)
+    certs = [layering_check(cat, layers, layering.alpha)
+             for layers in (layering.layers[::-1], [list(range(len(cat)))])]
+    assert not any(cert["pass"] for cert in certs)
+    assert all(any(not e["alpha_in_lower_layers"] for e in cert["objects"]) for cert in certs)
+    assert tuple(payload_hash(cert) for cert in certs) == FAILING_DIGESTS[factors]
+
+
+@pytest.mark.parametrize("factors", [2, 3], ids=["KxK", "KxKxK"])
+def test_layering_check_splits_no_semisimple_alpha(factors, monkeypatch):
+    # every alpha of the real layering decomposes with no Fitting split
+    layering = build_layering(_k_power(factors))
+    cat = CatAlgebra(layering.objects, verify=False)
+    calls = _count_calls(monkeypatch, split_once)
+    cert = layering_check(cat, layering.layers, layering.alpha)
+    assert cert["pass"] and cert["bound"] == factors + 2
+    assert calls == []
+
+
+@pytest.mark.slow
+def test_layering_bound_equals_global_dimension_kkk():
+    # E2 at n = 3: the layering bound 5 is the gl.dim of its objects
+    layering = build_layering(_k_power(3))
+    cat = CatAlgebra(layering.objects, verify=False)
+    cert = layering_check(cat, layering.layers, layering.alpha)
+    value, pds, _ = global_dimension(cat)
+    assert cert["pass"]
+    assert cert["bound"] == value == 5
+    assert None not in pds
 
 
 def test_layering_check_keeps_the_non_injective_alpha_witness():
@@ -320,6 +367,7 @@ def test_layering_check_reports_alpha_outside_lower_layers():
     entry = next(e for e in cert["objects"] if e["object"] == moved)
     assert entry["layer"] == 0
     assert entry["alpha_in_lower_layers"] is False
-    summands = {part.dim_vector() for part in decompose(layering.alpha[moved][0]).parts}
-    assert entry["witness"] in {f"alpha summand {d} not in lower layers" for d in summands}
+    assert [part.dim_vector() for part in decompose(layering.alpha[moved][0]).parts] == [
+        (0, 2, 2, 1)]
+    assert entry["witness"] == "alpha summand (0, 2, 2, 1) not in lower layers"
     assert all(e["alpha_in_lower_layers"] for e in cert["objects"] if e["object"] != moved)
