@@ -19,6 +19,12 @@ coordinates at object i are ordered by object c, then by basis map of
 Hom(M_i, M_c), then by copy; so the rows of block c of k vectors, read
 row-major, form a hom(i, c) x (mults[c] k) matrix, and one product with
 T_k moves every copy and every vector along h_k at once (`_pullback`).
+
+The first syzygy of the simple functor at c, rad Hom(-, M_c), is the
+radical prefix of each hom(i, c) (`simple_pd`).  In each later step
+(`syzygy`), one rref of [radical images | K(i)] per object i picks the
+cover's generators from K(i) at its pivots past the images, and its rank
+is dim K(i) exactly when the radical lies in K(i).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 from .approx import AddCategory
 from .decompose import is_indecomposable, is_isomorphic, decompose
-from .matrix import Matrix, NoSolution, complement_basis
+from .matrix import Matrix, NoSolution
 from .module import Module, coordinates_matrix, hom_basis, injectives, projectives
 from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory, enumerate_torsionless
 
@@ -35,8 +41,7 @@ from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory, enume
 # `endcat.hom_basis` is patched and restored.
 __all__ = [
     "CatAlgebra", "DuplicateObject", "NotIndecomposable", "SubFunctor",
-    "auslander_generator", "cover_of_subfunctor", "full_subfunctor",
-    "global_dimension", "hom_basis", "layering_check", "radical_subspaces",
+    "auslander_generator", "global_dimension", "hom_basis", "layering_check",
     "simple_pd", "syzygy",
 ]
 
@@ -123,49 +128,26 @@ def _pullback(cat: CatAlgebra, mults, i: int, j: int, h: int, vecs: Matrix) -> M
     return Matrix(cat.field, rows, width, out)
 
 
-def full_subfunctor(cat: CatAlgebra, mults) -> SubFunctor:
-    spaces = [Matrix.identity(cat.field, sum(len(cat.hom(i, c)) * mult
-                                             for c, mult in enumerate(mults)))
-              for i in range(len(cat))]
-    return SubFunctor(list(mults), spaces)
-
-
-def radical_subspaces(cat: CatAlgebra, sub: SubFunctor) -> list[Matrix]:
-    """Per object i: basis (in sub coordinates) of the radical subfunctor
-    rad K(i) = sum of images K(r), r radical into i."""
+def syzygy(cat: CatAlgebra, sub: SubFunctor):
+    """(next subfunctor, betti vector) for one minimal-cover step: the
+    cover (+)_i Hom(-, M_i)^betti[i] has one copy per generator of sub at
+    i outside rad K(i), the span of the K(j) moved along the radical maps
+    M_i -> M_j; Phi_j maps its ambient at j onto sub's coordinates K(j),
+    and its kernel is the next subfunctor."""
     n = len(cat)
-    out = []
-    for i in range(n):
-        k_i = sub.dim_at(i)
-        if k_i == 0:
-            out.append(Matrix.zero(cat.field, 0, 0))
-            continue
+    generators = []
+    for i, space in enumerate(sub.spaces):
         images = [_pullback(cat, sub.mults, i, j, r, sub.spaces[j])
-                  for j in range(n) if sub.dim_at(j)
+                  for j in range(n) if space.cols and sub.dim_at(j)
                   for r in range(len(cat.radical_maps(i, j)))]
-        if not images:
-            out.append(Matrix.zero(cat.field, k_i, 0))
-            continue
-        try:
-            coords = sub.spaces[i].solve(Matrix.hstack(images))
-        except NoSolution:  # pragma: no cover - radical is a subfunctor
-            raise RuntimeError("radical escaped the subfunctor")
-        out.append(coords.column_space_basis())
-    return out
-
-
-def cover_of_subfunctor(cat: CatAlgebra, sub: SubFunctor):
-    """(cover matrices Phi_j, betti vector).
-
-    The cover is (+)_i Hom(-, M_i)^betti[i], one copy per generator of
-    sub at i outside its radical; Phi_j maps its ambient at j onto sub's
-    coordinates K(j).
-    """
-    n = len(cat)
-    rad = radical_subspaces(cat, sub)
-    generators = [sub.spaces[i] @ complement_basis(rad[i]) if sub.dim_at(i) else None
-                  for i in range(n)]
-    betti = [0 if g is None else g.cols for g in generators]
+        if images:
+            width = sum(m.cols for m in images)
+            _, pivots, rank = Matrix.hstack(images + [space]).rref()
+            if rank != space.cols:
+                raise RuntimeError("radical escaped the subfunctor")
+            space = space.submatrix(range(space.rows), [c - width for c in pivots if c >= width])
+        generators.append(space)
+    betti = [g.cols for g in generators]
     phis = []
     for j in range(n):
         cols = [_pullback(cat, sub.mults, j, i, h, generators[i])
@@ -179,12 +161,6 @@ def cover_of_subfunctor(cat: CatAlgebra, sub: SubFunctor):
         else:
             coords = Matrix.zero(cat.field, sub.dim_at(j), 0)
         phis.append(coords)
-    return phis, betti
-
-
-def syzygy(cat: CatAlgebra, sub: SubFunctor):
-    """(next subfunctor, betti vector) for one minimal-cover step."""
-    phis, betti = cover_of_subfunctor(cat, sub)
     return SubFunctor(betti, [phi.kernel_basis() for phi in phis]), betti
 
 
@@ -193,7 +169,12 @@ def simple_pd(cat: CatAlgebra, c: int, cutoff: int):
     object c via iterated minimal covers."""
     mults = [1 if i == c else 0 for i in range(len(cat))]
     betti_table = [mults]
-    omega = SubFunctor(mults, radical_subspaces(cat, full_subfunctor(cat, mults)))
+    spaces = []  # rad Hom(-, M_c): the radical prefix of each hom(i, c)
+    for i in range(len(cat)):
+        size = len(cat.hom(i, c))
+        spaces.append(Matrix.identity(cat.field, size).submatrix(
+            range(size), range(len(cat.radical_maps(i, c)))))
+    omega = SubFunctor(mults, spaces)
     k = 0
     while True:
         if omega.is_zero():

@@ -46,7 +46,7 @@ def projective_cover(m: Module) -> ModuleMap:
     _, rad_incl = radical(m)
     generators = []  # (vertex, column vector in m's fiber), one per summand of P
     for x in algebra.quiver.vertices:
-        rep = complement_basis(rad_incl.components[x].column_space_basis())
+        rep = complement_basis(rad_incl.components[x])
         generators.extend((x, rep.submatrix(range(m.dims[x]), [c])) for c in range(rep.cols))
     if not generators:
         raise NotProjective("nonzero module equal to its radical")

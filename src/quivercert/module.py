@@ -562,8 +562,7 @@ def kernel_of_map(f: ModuleMap):
 
 def image_of_map(f: ModuleMap):
     """Image submodule of the target with inclusion."""
-    spaces = {v: f.components[v].column_space_basis() for v in f.components}
-    return submodule(f.target, spaces, check=False)
+    return submodule(f.target, f.components, check=False)
 
 
 # -- radical / socle machinery ---------------------------------------------------
@@ -574,8 +573,7 @@ def radical(m: Module):
     spans = {v: Matrix.zero(field, m.dims[v], 0) for v in algebra.quiver.vertices}
     for a in algebra.quiver.arrows:
         spans[a.target] = Matrix.hstack([spans[a.target], m.action[a.name]])
-    spaces = {v: spans[v].column_space_basis() for v in spans}
-    return submodule(m, spaces, check=False)
+    return submodule(m, spans, check=False)
 
 
 def socle(m: Module):

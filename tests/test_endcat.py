@@ -11,7 +11,7 @@ import pytest
 from quivercert import GF, QQ, Matrix, approx, presets
 from quivercert.decompose import EndAlgebra
 from quivercert.endcat import (
-    CatAlgebra, auslander_generator, full_subfunctor, global_dimension, radical_subspaces,
+    CatAlgebra, SubFunctor, _pullback, auslander_generator, global_dimension, syzygy,
 )
 from quivercert.io import payload_hash
 from quivercert.module import (
@@ -88,15 +88,19 @@ def test_endomorphism_basis_lists_the_radical_first(field, monkeypatch):
             assert rads == ends[:len(rads)]
             assert len(rads) == rad_coords.cols > 0
             assert not any(r.is_isomorphism() for r in rads)
-            # the radical of the representable Hom(-, M_i), in coordinates
-            # on its ambient: the radical maps into M_i, object by object
-            rad = radical_subspaces(cat, full_subfunctor(cat, [int(c == i) for c in range(n)]))
+            # the radical of the representable Hom(-, M_i) at j, the images
+            # of its ambients under the radical maps out of M_j, is spanned
+            # by the first columns of the identity on hom(j, i)
+            # (`simple_pd`'s first syzygy)
+            mults = [int(c == i) for c in range(n)]
             for j in range(n):
-                maps = cat.radical_maps(j, i)
-                expected = (coordinates_matrix(maps, cat.hom(j, i)) if maps
-                            else Matrix.zero(field, len(cat.hom(j, i)), 0))
-                assert rad[j].cols == expected.cols
-                assert Matrix.hstack([rad[j], expected]).rank() == expected.cols
+                size, prefix = len(cat.hom(j, i)), len(cat.radical_maps(j, i))
+                images = [_pullback(cat, mults, j, k, r, Matrix.identity(field, len(cat.hom(k, i))))
+                          for k in range(n) for r in range(len(cat.radical_maps(j, k)))]
+                first = Matrix.identity(field, size).submatrix(range(size), range(prefix))
+                span = Matrix.hstack(images + [first])
+                assert span.rank() == prefix
+                assert span.submatrix(range(size), range(span.cols - prefix)).rank() == prefix
 
 
 # `io.payload_hash` of `global_dimension`'s (value, pds, betti tables),
@@ -124,3 +128,17 @@ GLDIM_DIGESTS = [
 @pytest.mark.parametrize("objects, digest", GLDIM_DIGESTS)
 def test_global_dimension_digests_are_pinned(objects, digest):
     assert payload_hash(global_dimension(CatAlgebra(objects(), verify=False))) == digest
+
+
+def test_syzygy_rejects_a_space_that_is_not_a_subfunctor():
+    # the representable Hom(-, M_1) with its space at object 8 cut down to
+    # the last of its two columns: both maps M_8 -> M_1 are radical, so the
+    # radical maps out of M_8 pull the full spaces elsewhere back onto both
+    cat = CatAlgebra(_kk_layering_objects(), verify=False)
+    n = len(cat)
+    mults = [int(c == 1) for c in range(n)]
+    spaces = [Matrix.identity(cat.field, len(cat.hom(i, 1))) for i in range(n)]
+    size = spaces[8].rows
+    spaces[8] = spaces[8].submatrix(range(size), [size - 1])
+    with pytest.raises(RuntimeError, match="radical escaped the subfunctor"):
+        syzygy(cat, SubFunctor(mults, spaces))

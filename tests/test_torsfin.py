@@ -195,6 +195,33 @@ def test_e1_auslander_generator_gldim_at_most_three_on_ex84(name, field):
     assert value is not None and value <= 3
 
 
+@pytest.mark.parametrize("field, digest", [
+    pytest.param(GF(2), "8b9d0a89b7c51788f450a9dc4dd9a2f3b91e8166c7850c5aa19cb4149fc07e7f",
+                 id="GF(2)"),
+    pytest.param(GF(3), "f4c32bbd663ef1a0313f44dcf6a23f4fec16cb4b60fb5a71da3d2fed68d6addf",
+                 id="GF(3)"),
+])
+def test_e1_kronecker_squared_gldim_is_four(field, digest):
+    # K x K is not torsionless-finite and its rep.dim is 4, so the bounded
+    # inventory misses classes, the gamma check says so, and the generator
+    # from it has gl.dim End = 4, above the bound 3 of torsionless-finite
+    # algebras; the digest is `io.payload_hash` of (value, pds, betti tables),
+    # and `auslander_generator` has already kept one module per class
+    from quivercert.endcat import CatAlgebra, auslander_generator, global_dimension
+    from quivercert.io import payload_hash
+    alg = presets.kronecker_squared(field)
+    inv = enumerate_torsionless(alg)
+    assert inv.status == "bounded"
+    gamma = gamma_bijection_check(alg, inv, assume_complete=True)
+    assert not gamma["pass"]
+    assert {f["kind"] for f in gamma["failures"]} == {
+        "divisible_classes_unmatched", "gamma_misses_inventory"}
+    generator = auslander_generator(alg, inv, assume_complete=True)
+    result = global_dimension(CatAlgebra(generator, verify=False))
+    assert result[0] == 4
+    assert payload_hash(result) == digest
+
+
 def test_closure_decomposes_each_content_once(monkeypatch):
     # the opposite side can produce equal content hashes, so contents are
     # grouped by algebra; a repeated content cannot add a class
