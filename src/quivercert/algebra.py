@@ -109,7 +109,7 @@ class BasicAlgebra:
     """
 
     def __init__(self, quiver, field, relations, basis_paths, reduce_map, loewy_length,
-                 max_len, flags=(), tensor_of=None):
+                 max_len, tensor_of=None):
         self.quiver = quiver
         self.field = field
         self.relations = tuple(relations)
@@ -120,7 +120,6 @@ class BasicAlgebra:
         self.reduce_map = reduce_map  # path key -> tuple[(basis index, coeff)]
         self.loewy_length = loewy_length
         self.max_len = max_len
-        self.flags = frozenset(flags)
         self.tensor_of = tensor_of
         self._opposite = None
         self._arrow_by_name = {a.name: a for a in quiver.arrows}
@@ -199,8 +198,7 @@ class BasicAlgebra:
                 Relation.build([(c, tuple(reversed(p))) for c, p in r.terms])
                 for r in self.relations
             ]
-            op = build_algebra(self.quiver.opposite(), self.field, op_relations, self.max_len,
-                               flags=self.flags)
+            op = build_algebra(self.quiver.opposite(), self.field, op_relations, self.max_len)
             if op.dim != self.dim:
                 raise NotAdmissible("opposite algebra changed dimension")
             op._opposite = self
@@ -249,7 +247,7 @@ def _sandwiches(quiver, field, rel, paths_by_len, pair_filter):
 
 
 def build_algebra(quiver: Quiver, field: Field, relations, max_len: int = 30,
-                  flags=(), tensor_of=None) -> BasicAlgebra:
+                  tensor_of=None) -> BasicAlgebra:
     """Construct the path-algebra quotient with its reduced path basis.
 
     Raises NotAdmissible when paths of length max_len survive reduction
@@ -260,8 +258,8 @@ def build_algebra(quiver: Quiver, field: Field, relations, max_len: int = 30,
     for r in relations:
         r.validate(quiver, field)
     if all(r.is_homogeneous() for r in relations):
-        return _build_graded(quiver, field, relations, max_len, flags, tensor_of)
-    return _build_filtered(quiver, field, relations, max_len, flags, tensor_of)
+        return _build_graded(quiver, field, relations, max_len, tensor_of)
+    return _build_filtered(quiver, field, relations, max_len, tensor_of)
 
 
 def _expand_pivots(field, current, reduced, pivots, free, free_index):
@@ -279,14 +277,14 @@ def _expand_pivots(field, current, reduced, pivots, free, free_index):
     return entries
 
 
-def _build_graded(quiver, field, relations, max_len, flags, tensor_of):
+def _build_graded(quiver, field, relations, max_len, tensor_of):
     paths_by_len = {0: _paths_of_length(quiver, 0), 1: _paths_of_length(quiver, 1)}
     basis_paths = list(paths_by_len[0]) + list(paths_by_len[1])
     reduce_map = {path_key(p): ((i, field.one()),) for i, p in enumerate(basis_paths)}
 
     if not paths_by_len[1]:
         return BasicAlgebra(quiver, field, relations, paths_by_len[0], {}, 1,
-                            max_len, flags, tensor_of)
+                            max_len, tensor_of)
 
     length = 1
     current = paths_by_len[1]
@@ -332,10 +330,10 @@ def _build_graded(quiver, field, relations, max_len, flags, tensor_of):
         basis_paths.extend(current[k] for k in free)
         reduce_map.update(_expand_pivots(field, current, reduced, pivots, free, free_index))
     return BasicAlgebra(quiver, field, relations, basis_paths, reduce_map, loewy_length,
-                        max_len, flags, tensor_of)
+                        max_len, tensor_of)
 
 
-def _build_filtered(quiver, field, relations, max_len, flags, tensor_of):
+def _build_filtered(quiver, field, relations, max_len, tensor_of):
     """Whole-space reduction for relations with mixed term lengths.
 
     Exact under the caller-certified max_len bound: ideal products with
@@ -380,7 +378,7 @@ def _build_filtered(quiver, field, relations, max_len, flags, tensor_of):
         raise NotAdmissible(
             f"paths of length {max_len} survive; raise max_len or fix the relations")
     return BasicAlgebra(quiver, field, relations, basis_paths, reduce_map, top_len + 1,
-                        max_len, flags, tensor_of)
+                        max_len, tensor_of)
 
 
 def tensor(a: BasicAlgebra, b: BasicAlgebra) -> BasicAlgebra:

@@ -212,8 +212,9 @@ class QuotientAlgebra:
         return out
 
 
-def _division_algebra_check(s: QuotientAlgebra) -> bool:
-    """S semisimple: decide whether S is a division algebra."""
+def _division_algebra_check(s: QuotientAlgebra) -> bool | None:
+    """S semisimple: True if S is a division algebra (proved), False if
+    not (a witness found), None when neither is settled."""
     if s.dim == 1:
         return True
     if s.is_commutative():
@@ -222,18 +223,16 @@ def _division_algebra_check(s: QuotientAlgebra) -> bool:
         xi = _primitive_element(s)
         if xi is not None:
             return upoly.is_irreducible(s.field, s.minpoly(xi))
-        # no primitive element found; fall through to the coarse check
-    # noncommutative (or stubborn) case: over GF(p) a noncommutative
-    # semisimple algebra is never division; over Q test the spanning set
-    # for zero divisors
-    if s.field.is_prime_field and not s.is_commutative():
+    elif s.field.is_prime_field:
+        # a finite division ring is commutative (Wedderburn)
         return False
+    # over Q a zero-divisor unit disproves it; invertible units prove nothing
     for i in range(s.dim):
         unit = [s.field.zero()] * s.dim
         unit[i] = s.field.one()
         if not s.mult_operator(unit).is_invertible():
             return False
-    return True
+    return None
 
 
 def _primitive_element(s: QuotientAlgebra):
@@ -261,8 +260,10 @@ def is_indecomposable(m: Module) -> bool:
     if m.is_zero():
         return False
     end = EndAlgebra(m)
-    s = end.semisimple_quotient()
-    return _division_algebra_check(s)
+    verdict = _division_algebra_check(end.semisimple_quotient())
+    if verdict is None:
+        split_once(m, end)  # raises Undecided when no split is found
+    return bool(verdict)
 
 
 # -- splitting ------------------------------------------------------------------
@@ -282,7 +283,7 @@ def _split_along_poly(m: Module, phi: ModuleMap, factors):
         for v in m.algebra.quiver.vertices:
             mat = upoly.eval_matrix(field, fpow, phi.components[v])
             spaces[v] = mat.kernel_basis()
-        pieces.append(submodule(m, spaces, check=False))
+        pieces.append(submodule(m, spaces))
     total = sum(p.total_dim() for p, _ in pieces)
     if total != m.total_dim() or any(p.total_dim() == 0 for p, _ in pieces):
         raise Undecided("Fitting split failed to partition the module")
@@ -341,16 +342,17 @@ def decompose(m: Module) -> Decomposition:
     at a vertex v is a submodule, a copy of the simple S(v); m is the
     direct sum of these lines, and a 1-dimensional module is
     indecomposable, so they are the summands and no End algebra is built.
-    Otherwise pieces are split (`split_once`) until End/rad of each is a
-    division algebra.  Either way the summands are grouped into
-    isomorphism classes and the witness is checked to be invertible.
+    Otherwise pieces are split (`split_once`) until End/rad of each is
+    proved a division algebra, or Undecided is raised.  Either way the
+    summands are grouped into isomorphism classes and the witness is
+    checked to be invertible.
     """
     found = []  # (module, inclusion into m)
     if all(mat.is_zero() for mat in m.action.values()):
         stack = []
         for v, d in m.dims.items():
             basis = Matrix.identity(m.field, d)
-            found.extend(submodule(m, {v: basis.submatrix(range(d), [k])}, check=False)
+            found.extend(submodule(m, {v: basis.submatrix(range(d), [k])})
                          for k in range(d))
     else:
         stack = [(m, identity_map(m))]

@@ -35,7 +35,7 @@ from .approx import AddCategory
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix, NoSolution
 from .module import Module, coordinates_matrix, hom_basis, injectives, projectives
-from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory, enumerate_torsionless
+from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory
 
 # hom_basis is re-exported: qcbench's tracer test checks that the alias
 # `endcat.hom_basis` is patched and restored.
@@ -203,18 +203,17 @@ def global_dimension(cat: CatAlgebra, cutoff: int | None = None):
 
 # -- Auslander generator ---------------------------------------------------------
 
-def auslander_generator(algebra, inventory: TorsionlessInventory | None = None,
-                        assume_complete: bool = False, seed: int = 0) -> list[Module]:
+def auslander_generator(algebra, inventory: TorsionlessInventory,
+                        assume_complete: bool = False) -> list[Module]:
     """Union of the torsionless and divisible inventories, deduplicated;
     verified to contain every projective and injective."""
-    inv = inventory or enumerate_torsionless(algebra, seed=seed)
-    if inv.status != "complete" and not assume_complete:
+    if inventory.status != "complete" and not assume_complete:
         raise IncompleteInventory(
             "Auslander generator needs a complete inventory (or assume_complete)")
     classes = ClassList()
-    for m in inv.torsionless:
+    for m in inventory.torsionless:
         classes.add(m)
-    for m in inv.divisible:
+    for m in inventory.divisible:
         classes.add(m)
     members = classes.sorted_members()
     for p in projectives(algebra) + injectives(algebra):

@@ -55,8 +55,6 @@ def algebra_to_json(algebra: BasicAlgebra) -> dict:
                       for rel in algebra.relations],
         "max_path_length": algebra.max_len,
     }
-    if algebra.flags:
-        payload["flags"] = sorted(algebra.flags)
     if algebra.tensor_of is not None:
         payload["tensor_of"] = [algebra_to_json(f) for f in algebra.tensor_of]
     return payload
@@ -79,8 +77,7 @@ def algebra_from_json(payload: dict, field_override=None) -> BasicAlgebra:
         relations = [Relation.build([(t["coeff"], tuple(t["path"])) for t in rel])
                      for rel in payload.get("relations", [])]
         return build_algebra(quiver, field, relations,
-                             _int(payload.get("max_path_length", 30), "max_path_length"),
-                             flags=payload.get("flags", ()))
+                             _int(payload.get("max_path_length", 30), "max_path_length"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra payload: {exc}") from exc
 

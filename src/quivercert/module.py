@@ -481,11 +481,11 @@ def random_combination(basis: list[ModuleMap], rng, bound: int) -> ModuleMap:
 
 # -- sub and quotient structures ----------------------------------------------
 
-def submodule(m: Module, subspaces, check: bool = True):
+def submodule(m: Module, subspaces):
     """Submodule on given fiber subspaces (columns of each Matrix).
 
-    The spaces must be arrow-stable; induced action is solved exactly.
-    Returns (sub, inclusion).
+    The spaces must be arrow-stable, or the exact solve for the induced
+    action raises ModuleError.  Returns (sub, inclusion).
     """
     algebra, field = m.algebra, m.field
     bases = {}
@@ -502,8 +502,8 @@ def submodule(m: Module, subspaces, check: bool = True):
             action[a.name] = bases[a.target].solve(mapped)
         except NoSolution:
             raise ModuleError(f"subspaces not stable under arrow {a.name}") from None
-    sub = Module(algebra, dims, action, check=check)
-    incl = ModuleMap(sub, m, dict(bases), check=check)
+    sub = Module(algebra, dims, action, check=False)
+    incl = ModuleMap(sub, m, dict(bases), check=False)
     return sub, incl
 
 
@@ -529,7 +529,7 @@ def spanned_submodule(m: Module, vectors):
             if joined.cols != spans[a.target].cols:
                 spans[a.target] = joined
                 changed = True
-    return submodule(m, spans, check=False)
+    return submodule(m, spans)
 
 
 def quotient(m: Module, incl: ModuleMap):
@@ -557,12 +557,12 @@ def quotient(m: Module, incl: ModuleMap):
 def kernel_of_map(f: ModuleMap):
     """Kernel submodule with inclusion (exact per vertex)."""
     spaces = {v: f.components[v].kernel_basis() for v in f.components}
-    return submodule(f.source, spaces, check=False)
+    return submodule(f.source, spaces)
 
 
 def image_of_map(f: ModuleMap):
     """Image submodule of the target with inclusion."""
-    return submodule(f.target, f.components, check=False)
+    return submodule(f.target, f.components)
 
 
 # -- radical / socle machinery ---------------------------------------------------
@@ -573,7 +573,7 @@ def radical(m: Module):
     spans = {v: Matrix.zero(field, m.dims[v], 0) for v in algebra.quiver.vertices}
     for a in algebra.quiver.arrows:
         spans[a.target] = Matrix.hstack([spans[a.target], m.action[a.name]])
-    return submodule(m, spans, check=False)
+    return submodule(m, spans)
 
 
 def socle(m: Module):
@@ -586,7 +586,7 @@ def socle(m: Module):
             spaces[v] = Matrix.vstack(outgoing).kernel_basis()
         else:
             spaces[v] = Matrix.identity(field, m.dims[v])
-    return submodule(m, spaces, check=False)
+    return submodule(m, spaces)
 
 
 def top(m: Module):

@@ -1,13 +1,13 @@
 """Inventories of indecomposable torsionless/divisible modules, class
 detection, sampling verification, and the gamma-bijection certificate.
 
-Enumeration strategies: radical-square-zero and hereditary algebras get
-certified complete lists (projectives plus torsionless simples, resp.
-projectives alone); everything else runs a closure search seeded from
-projectives, their radicals and principal submodules, extended by
-kernels of approximations and seeded random submodules, and is reported
-with status "bounded" -- the search has no general termination
-certificate.
+Enumeration routes, chosen by `detect_class`: radical-square-zero and
+hereditary algebras get certified complete lists (projectives plus
+torsionless simples, resp. projectives alone); everything else runs a
+closure search seeded from projectives, their radicals and principal
+submodules, extended by kernels of approximations and seeded random
+submodules, and is reported with status "bounded" -- the search has no
+general termination certificate.
 """
 
 from __future__ import annotations
@@ -27,10 +27,7 @@ from .module import (
 
 CLOSURE_ROUNDS = 8
 CLOSURE_SAMPLES = 24
-
-
-class UnknownStrategy(ValueError):
-    pass
+CLOSURE_BOUND = 3  # most summands in one sampled sum of listed classes
 
 
 class IncompleteInventory(ValueError):
@@ -51,8 +48,6 @@ def detect_class(algebra: BasicAlgebra) -> set[str]:
             break
     if hereditary:
         tags.add("hereditary")
-    if "special_biserial" in algebra.flags:
-        tags.add("special_biserial_input")
     return tags
 
 
@@ -121,7 +116,7 @@ class TorsionlessInventory:
         }
 
 
-def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int) -> ClassList:
+def _torsionless_closure(algebra: BasicAlgebra, seed: int) -> ClassList:
     """Closure search for the indecomposable torsionless classes.
 
     `absorb` decomposes a module and lists its torsionless summands.  A
@@ -179,7 +174,7 @@ def _torsionless_closure(algebra: BasicAlgebra, bound: int, seed: int) -> ClassL
         # seeded random submodules of sums of current members
         current = classes.sorted_members()
         for _ in range(CLOSURE_SAMPLES):
-            t = rng.randrange(1, bound + 1)
+            t = rng.randrange(1, CLOSURE_BOUND + 1)
             chosen = [current[rng.randrange(len(current))] for _ in range(t)]
             big = sum_module(algebra, chosen)
             gens = _random_generators(big, rng, 2)
@@ -209,54 +204,40 @@ def _random_generators(big: Module, rng: Random, max_count: int) -> dict:
     return gens
 
 
-def enumerate_torsionless(algebra: BasicAlgebra, strategy: str = "auto",
-                          bound: int = 3, seed: int = 0) -> TorsionlessInventory:
+def enumerate_torsionless(algebra: BasicAlgebra, seed: int = 0) -> TorsionlessInventory:
     """Torsionless and divisible inventories; the divisible side is always
     obtained by dualizing the enumeration over the opposite algebra."""
-    if strategy not in ("auto", "rad_square_zero", "hereditary", "bounded_search"):
-        raise UnknownStrategy(strategy)
     tags = detect_class(algebra)
-    chosen = strategy
-    if strategy == "auto":
-        if "rad_square_zero" in tags:
-            chosen = "rad_square_zero"
-        elif "hereditary" in tags:
-            chosen = "hereditary"
-        else:
-            chosen = "bounded_search"
-    elif strategy == "rad_square_zero" and "rad_square_zero" not in tags:
-        raise UnknownStrategy("algebra is not radical-square-zero")
-    elif strategy == "hereditary" and "hereditary" not in tags:
-        raise UnknownStrategy("algebra is not hereditary")
-
-    tors = _torsionless_side(algebra, chosen, bound, seed)
-    op = algebra.opposite()
-    op_strategy = chosen  # the class tags are opposite-invariant for these two
-    op_tors = _torsionless_side(op, op_strategy, bound, seed)
+    if "rad_square_zero" in tags:
+        route = "rad_square_zero"
+    elif "hereditary" in tags:
+        route = "hereditary"
+    else:
+        route = "bounded_search"
+    tors = _torsionless_side(algebra, route, seed)
+    # the class tags are opposite-invariant, so the opposite takes the same route
+    op_tors = _torsionless_side(algebra.opposite(), route, seed)
     divis = ClassList()
     for m in op_tors.sorted_members():
         divis.add(dual(m))
-    status = "complete" if chosen in ("rad_square_zero", "hereditary") else "bounded"
+    status = "bounded" if route == "bounded_search" else "complete"
     return TorsionlessInventory(
         algebra, tors.sorted_members(), divis.sorted_members(),
-        status, chosen, bound, seed)
+        status, route, CLOSURE_BOUND, seed)
 
 
-def _torsionless_side(algebra: BasicAlgebra, strategy: str, bound: int, seed: int) -> ClassList:
+def _torsionless_side(algebra: BasicAlgebra, route: str, seed: int) -> ClassList:
+    if route == "bounded_search":
+        return _torsionless_closure(algebra, seed)
     classes = ClassList()
-    if strategy == "rad_square_zero":
-        for p in projectives(algebra):
-            classes.add(p)
+    for p in projectives(algebra):
+        classes.add(p)
+    if route == "rad_square_zero":
         for x in algebra.quiver.vertices:
             s = simple(algebra, x)
             if is_torsionless(s):
                 classes.add(s)
-        return classes
-    if strategy == "hereditary":
-        for p in projectives(algebra):
-            classes.add(p)
-        return classes
-    return _torsionless_closure(algebra, bound, seed)
+    return classes
 
 
 # -- verification -----------------------------------------------------------------
@@ -283,7 +264,9 @@ def verify_inventory(algebra: BasicAlgebra, inv: TorsionlessInventory,
                              "dims": list(p.dim_vector())})
     divis = ClassList()
     for m in inv.divisible:
-        divis.add(m)
+        if not divis.add(m):
+            failures.append({"kind": "duplicate_divisible_class",
+                             "dims": list(m.dim_vector())})
     for q in injectives(algebra):
         if not divis.contains(q):
             failures.append({"kind": "injective_missing",

@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quivercert import GF, QQ, Matrix
 from quivercert import decompose as decompose_module
 from quivercert import presets, upoly
 from quivercert.decompose import (
-    EndAlgebra, QuotientAlgebra, _division_algebra_check, decompose, is_indecomposable,
-    is_isomorphic, split_once,
+    EndAlgebra, QuotientAlgebra, Undecided, _division_algebra_check, decompose,
+    is_indecomposable, is_isomorphic, split_once,
 )
+from quivercert.endcat import CatAlgebra, NotIndecomposable
 from quivercert.io import payload_hash
 from quivercert.module import (
     Module, hom_basis, injective, map_coordinates, projective, projective_sum, simple,
@@ -517,3 +518,34 @@ def test_decompose_witness_is_invertible_onto_indecomposables(m):
     assert dec.witness.source.dim_vector() == m.dim_vector()
     assert dec.witness.intertwines() and dec.witness.is_isomorphism()
     assert all(is_indecomposable(part) for part in dec.parts)
+
+
+def test_rational_projective_square_in_a_new_basis_decomposes():
+    # P(1) + P(1) over Q with a new basis at vertex 2: End/rad = M_2(Q),
+    # and each of its basis units is invertible, which proves nothing
+    alg = presets.kronecker(QQ)
+    m = Module(alg, {"1": 2, "2": 4},
+               {"a": Matrix.from_rows(QQ, [[0, -1], [1, 0], [-1, 0], [-1, 1]]),
+                "b": Matrix.from_rows(QQ, [[1, 0], [0, -1], [0, -1], [1, 0]])})
+    assert not is_indecomposable(m)
+    dec = decompose(m)
+    assert len(dec.parts) == 2
+    assert all(is_isomorphic(part, projective(alg, "1"))[0] for part in dec.parts)
+    with pytest.raises(NotIndecomposable):
+        CatAlgebra([m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+def test_twisted_rational_projective_square_never_comes_out_whole(entries):
+    alg = presets.kronecker(QQ)
+    g = Matrix.from_rows(QQ, [entries[4 * i:4 * i + 4] for i in range(4)])
+    assume(g.is_invertible())
+    square = projective_sum(alg, ("1", "1"))
+    m = Module(alg, square.dims, {name: g @ mat for name, mat in square.action.items()})
+    try:
+        dec = decompose(m)
+    except Undecided:
+        return
+    assert len(dec.parts) == 2
+    assert all(is_isomorphic(part, projective(alg, "1"))[0] for part in dec.parts)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a `quivercert` module imports is read in a
 scope that does not rebind it (or re-exported through `__all__`), every
 top-level function and class and every method has a caller outside the
-tests, and sympy is loaded only by the one path that needs it."""
+tests, every optional parameter is set by some call outside the tests,
+and sympy is loaded only by the one path that needs it."""
 
 import ast
 import re
@@ -171,12 +172,18 @@ def _dead_definitions(sources: dict[str, str], checked: set[str]) -> list[str]:
     return sorted(dead)
 
 
-def test_every_definition_has_a_caller_outside_the_tests():
+def _sources() -> tuple[dict[str, str], set[str]]:
+    """The sources of `quivercert` and `qcbench` by module, and the
+    `quivercert` modules that are not entry points."""
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     checked = set(sources) - ENTRY_POINTS
     sources.update({f"qcbench/{p.name}": p.read_text()
                     for p in (ROOT / "qcbench").glob("*.py")})
-    assert _dead_definitions(sources, checked) == sorted(KEPT)
+    return sources, checked
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    assert _dead_definitions(*_sources()) == sorted(KEPT)
 
 
 def test_scan_flags_a_dead_definition():
@@ -198,6 +205,85 @@ def test_scan_flags_a_dead_method():
         "b": "from a import Thing\n\nThing().called()\n",
     }
     assert _dead_definitions(sources, {"a"}) == ["a.Thing.dead"]
+
+
+# optional parameters that no call outside the tests sets, each kept for a
+# stated reason
+OPTIONS_KEPT = {
+    "endcat.global_dimension(cutoff)": "Auslander's criterion runs it at cutoff 2 "
+                                       "(ROADMAP item 7)",
+    "lattice.constant_lattice(d)": "the split family in d variables; the tests check "
+                                   "that its Odim witness fails at d = 2 too",
+    "lattice.external_product(order)": "the mirror splice, which the tests check is "
+                                       "cohomologous to the default one up to sign",
+    "torsfin.enumerate_torsionless(seed)": "the search seed each inventory records; "
+                                           "inventories are compared across seeds "
+                                           "(ROADMAP item 1)",
+}
+
+
+def _optional_parameters(tree: ast.Module):
+    """(name, parameter, positional index or None) of each optional
+    parameter of a top-level function, and of a class's `__init__` under
+    the class name with `self` skipped."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            args, skip = node.args, 0
+        elif isinstance(node, ast.ClassDef):
+            init = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                    and f.name == "__init__"]
+            if not init:
+                continue
+            args, skip = init[0].args, 1
+        else:
+            continue
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        yield from ((node.name, a.arg, k - skip)
+                    for k, a in enumerate(positional[first:], first))
+        yield from ((node.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _unset_options(sources: dict[str, str], checked: set[str]) -> list[str]:
+    """`module.name(parameter)` of each optional parameter in a checked
+    module that no call in any source sets, by keyword or by position.  A
+    call is matched by the called name alone; `*args` and `**kwargs` set
+    everything."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    keywords, widths = {}, {}  # called name -> keywords set / most positional args
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            widths[name] = max(widths.get(name, 0),
+                               float("inf") if starred else len(call.args))
+    unset = []
+    for module in checked:
+        for name, param, index in _optional_parameters(trees[module]):
+            given = keywords.get(name, set())
+            if (param not in given and None not in given
+                    and (index is None or widths.get(name, 0) <= index)):
+                unset.append(f"{module}.{name}({param})")
+    return sorted(unset)
+
+
+def test_every_option_is_set_outside_the_tests():
+    assert _unset_options(*_sources()) == sorted(OPTIONS_KEPT)
+
+
+def test_scan_flags_a_never_set_option():
+    sources = {
+        "a": ("def f(x, y=1, z=2, *, w=3, u=4):\n    pass\n\n\n"
+              "class C:\n    def __init__(self, s=0, t=0):\n        pass\n\n\n"
+              "def g(v=0):\n    pass\n"),
+        "b": "from a import C, f, g\n\nf(0, 5, w=1)\nC(1)\ng(**{})\n",
+    }
+    assert _unset_options(sources, {"a"}) == ["a.C(t)", "a.f(u)", "a.f(z)"]
 
 
 SYMPY_GUARD = """

@@ -4,7 +4,7 @@ from quivercert import GF, QQ
 from quivercert import presets
 from quivercert.module import projective
 from quivercert.torsfin import (
-    IncompleteInventory, TorsionlessInventory, UnknownStrategy, detect_class,
+    IncompleteInventory, TorsionlessInventory, detect_class,
     enumerate_torsionless, gamma_bijection_check, verify_inventory,
 )
 
@@ -13,14 +13,6 @@ def test_detect_class_tags():
     assert detect_class(presets.a3_rad_square(QQ)) == {"rad_square_zero"}
     assert detect_class(presets.kronecker(QQ)) == {"rad_square_zero", "hereditary"}
     assert detect_class(presets.commutative_square_plus(QQ)) == set()
-
-
-def test_detect_special_biserial_flag_echo():
-    from quivercert.algebra import build_algebra
-    from quivercert.quiver import Quiver
-    q = Quiver.build(["1", "2"], [("a", "1", "2")])
-    alg = build_algebra(q, QQ, [], flags=["special_biserial"])
-    assert "special_biserial_input" in detect_class(alg)
 
 
 def test_inventory_a3rad2_counts():
@@ -41,8 +33,11 @@ def test_inventory_hereditary_kronecker():
     assert inv.status == "complete"
     simples_t = [m for m in inv.torsionless if m.total_dim() == 1]
     assert len(inv.torsionless) == 2  # P(1), P(2) = S(2); S(2) dedups with P(2)
-    inv_h = enumerate_torsionless(alg, strategy="hereditary")
-    assert len(inv_h.torsionless) == 2
+    # hereditary but not radical-square-zero: the projectives alone
+    alg = presets.ex84_left(GF(3))
+    inv = enumerate_torsionless(alg)
+    assert (inv.status, inv.strategy) == ("complete", "hereditary")
+    assert len(inv.torsionless) == len(alg.quiver.vertices)
 
 
 def test_inventory_commutative_square_counts():
@@ -59,15 +54,6 @@ def test_inventory_local_xy_counts():
     assert inv.status == "bounded"
     assert len(inv.torsionless) == 5
     assert len(inv.divisible) == 5
-
-
-def test_unknown_strategy_rejected():
-    alg = presets.a3_rad_square(QQ)
-    with pytest.raises(UnknownStrategy):
-        enumerate_torsionless(alg, strategy="magic")
-    with pytest.raises(UnknownStrategy):
-        enumerate_torsionless(presets.commutative_square_plus(QQ),
-                              strategy="rad_square_zero")
 
 
 def test_verify_inventory_passes_on_fixtures():
@@ -87,6 +73,16 @@ def test_verify_inventory_fails_on_empty():
     assert not cert["pass"]
     kinds = {f["kind"] for f in cert["failures"]}
     assert "projective_missing" in kinds
+
+
+def test_verify_inventory_flags_a_repeated_divisible_class():
+    alg = presets.a3_rad_square(QQ)
+    inv = enumerate_torsionless(alg)
+    repeated = TorsionlessInventory(alg, inv.torsionless, inv.divisible + inv.divisible[:1],
+                                    inv.status, inv.strategy)
+    cert = verify_inventory(alg, repeated, samples=5, seed=0)
+    assert cert["failures"] == [{"kind": "duplicate_divisible_class",
+                                 "dims": list(inv.divisible[0].dim_vector())}]
 
 
 def test_verify_inventory_fails_on_truncated_kron_a2():
