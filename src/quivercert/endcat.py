@@ -9,32 +9,44 @@ minimal covers.  Gamma is never realized as a path-algebra quotient.
 Gamma's composition is stored as a tensor on the Hom bases: for each
 triple (i, j, c), `CatAlgebra.compose_into` gives one matrix T_k per
 basis map h_k of Hom(M_i, M_j), the matrix of g -> h_k.then(g):
-Hom(M_j, M_c) -> Hom(M_i, M_c), from one multi-column solve; the
-CatAlgebra caches it (`composition`).  Each Hom basis lists the radical
-maps first (`AddCategory`), so the radical of Gamma acts by the first
-matrices of each tensor.
+Hom(M_j, M_c) -> Hom(M_i, M_c), and the CatAlgebra caches it
+(`composition`).  Coordinates on a basis are read, not solved for: each
+Hom(M_i, M_c) basis has a set of entries at which it is invertible (on a
+`hom_basis`, its free columns, where it is the identity), so T_k needs
+only those entries of the products g_v h_v.  Each Hom basis lists the
+radical maps first (`AddCategory`), so the radical of Gamma acts by the
+first matrices of each tensor.
 
 A subfunctor lives on (+)_c Hom(-, M_c)^mults[c].  Its ambient
 coordinates at object i are ordered by object c, then by basis map of
 Hom(M_i, M_c), then by copy; so the rows of block c of k vectors, read
 row-major, form a hom(i, c) x (mults[c] k) matrix, and one product with
 T_k moves every copy and every vector along h_k at once (`_pullback`).
+Each space K(i) also records the rows at which it is the identity, so the
+coordinates of a vector of K(i) are its entries at those rows.
 
 The first syzygy of the simple functor at c, rad Hom(-, M_c), is the
-radical prefix of each hom(i, c) (`simple_pd`).  In each later step
-(`syzygy`), one rref of [radical images | K(i)] per object i picks the
-cover's generators from K(i) at its pivots past the images, and its rank
-is dim K(i) exactly when the radical lies in K(i).
+radical prefix of each hom(i, c), the identity at its first rows
+(`simple_pd`).  In each later step (`syzygy`), one rref of
+[radical images | K(i)] per object i picks the cover's generators from
+K(i) at its pivots past the images, and its rank is dim K(i) exactly when
+the radical lies in K(i).  Phi_j, the cover's map onto K(j) in K(j)'s
+coordinates, is the cover images at K(j)'s identity rows, and one rref of
+Phi_j gives the next K(j) and its identity rows, Phi_j's free columns.
+Nothing checks that the cover images lie in K(j), which holds when every
+K(j) is a subfunctor; `global_dimension` checks instead that each
+finished resolution satisfies the Euler identity of an exact sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .approx import AddCategory
 from .decompose import is_indecomposable, is_isomorphic, decompose
-from .matrix import Matrix, NoSolution
-from .module import Module, coordinates_matrix, hom_basis, injectives, projectives
+from .matrix import Matrix
+from .module import Module, hom_basis, injectives, map_vector, projectives
 from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory
 
 # hom_basis is re-exported: qcbench's tracer test checks that the alias
@@ -74,6 +86,7 @@ class CatAlgebra(AddCategory):
         super().__init__(objects)
         self.field = self.algebra.field
         self._compose = {}
+        self._readers = {}
 
     def __len__(self):
         return len(self.objects)
@@ -85,17 +98,65 @@ class CatAlgebra(AddCategory):
             self._compose[key] = self.compose_into(i, j, c)
         return self._compose[key]
 
+    def _reader(self, i: int, c: int):
+        """(positions, inverse), cached: the entries (v, r, s) of a map
+        M_i -> M_c at which the Hom(M_i, M_c) basis B is invertible, and
+        the inverse of B there, or None where B is the identity there.
+        The positions are the pivots of one rref of the basis's map
+        vectors taken right to left; on a `hom_basis`, whose maps are
+        e_fc - sum R_pc[fc] e_pc with pc < fc, they are its free columns
+        fc.  A map f in the span has coordinates inverse @ f[positions]."""
+        key = (i, c)
+        if key not in self._readers:
+            basis = self.hom(i, c)
+            positions, inverse = [], None
+            if basis:
+                vecs = [map_vector(f) for f in basis]
+                length = len(vecs[0])
+                _, pivots, _ = Matrix(self.field, len(vecs), length,
+                                      [x for vec in vecs for x in reversed(vec)]).rref()
+                flat = sorted(length - 1 - q for q in pivots)
+                at = Matrix(self.field, len(flat), len(vecs),
+                            [vec[q] for q in flat for vec in vecs])
+                if not at.is_identity():
+                    inverse = at.inverse()
+                source, target = self.objects[i], self.objects[c]
+                start = 0
+                for v in self.algebra.quiver.vertices:
+                    width, size = source.dims[v], source.dims[v] * target.dims[v]
+                    positions.extend((v, *divmod(q - start, width))
+                                     for q in flat if start <= q < start + size)
+                    start += size
+            self._readers[key] = positions, inverse
+        return self._readers[key]
+
     def compose_into(self, i: int, j: int, c: int) -> list[Matrix]:
         """One matrix T_k per basis map h_k of Hom(M_i, M_j): the matrix of
         g -> h_k.then(g): Hom(M_j, M_c) -> Hom(M_i, M_c) on the Hom bases.
-        Every product is solved against the Hom(M_i, M_c) basis at once."""
+        No product h_k.then(g) is formed: only its entries (g_v h_v)[r, s]
+        at the `_reader` positions of Hom(M_i, M_c), each one dot product,
+        and the coordinates are those entries (times the reader's inverse
+        where the basis is not the identity there)."""
         left, right, target = self.hom(i, j), self.hom(j, c), self.hom(i, c)
         width = len(right)
         if not left or not right:
             return [Matrix.zero(self.field, len(target), width) for _ in left]
-        coords = coordinates_matrix([h.then(g) for h in left for g in right], target)
-        return [coords.submatrix(range(coords.rows), range(k * width, (k + 1) * width))
-                for k in range(len(left))]
+        positions, inverse = self._reader(i, c)
+        p, zero, middle = self.field.p, self.field.zero(), self.objects[j].dims
+        entries = [[] for _ in left]
+        for v, r, s in positions:
+            size, stride = middle[v], self.objects[i].dims[v]
+            rows = [g.components[v].entries[r * size:(r + 1) * size] for g in right]
+            for out, h in zip(entries, left):
+                col = h.components[v].entries[s::stride]
+                if p:
+                    out.extend(sum(map(mul, row, col)) % p for row in rows)
+                else:
+                    out.extend(sum(map(mul, row, col), zero) for row in rows)
+        tensor = [Matrix(self.field, len(positions), width, out) for out in entries]
+        if inverse is None:
+            return tensor
+        return [inverse @ t for t in tensor]
 
 
 @dataclass
@@ -104,6 +165,7 @@ class SubFunctor:
 
     mults: list  # per object c: copies of Hom(-, M_c)
     spaces: list  # per object i: Matrix (ambient F(i) dim x k_i)
+    identity_rows: list  # per object i: the k_i rows where spaces[i] is I
 
     def dim_at(self, i: int) -> int:
         return self.spaces[i].cols
@@ -133,7 +195,10 @@ def syzygy(cat: CatAlgebra, sub: SubFunctor):
     cover (+)_i Hom(-, M_i)^betti[i] has one copy per generator of sub at
     i outside rad K(i), the span of the K(j) moved along the radical maps
     M_i -> M_j; Phi_j maps its ambient at j onto sub's coordinates K(j),
-    and its kernel is the next subfunctor."""
+    read off the images of the generators at K(j)'s identity rows, and its
+    kernel, the identity at Phi_j's free columns, is the next subfunctor.
+    The images are not checked to lie in K(j): sub must be a subfunctor,
+    as every syzygy is (`global_dimension` checks the finished table)."""
     n = len(cat)
     generators = []
     for i, space in enumerate(sub.spaces):
@@ -148,20 +213,20 @@ def syzygy(cat: CatAlgebra, sub: SubFunctor):
             space = space.submatrix(range(space.rows), [c - width for c in pivots if c >= width])
         generators.append(space)
     betti = [g.cols for g in generators]
-    phis = []
+    spaces, rows = [], []
     for j in range(n):
         cols = [_pullback(cat, sub.mults, j, i, h, generators[i])
                 for i in range(n) if betti[i]
                 for h in range(len(cat.hom(j, i)))]
         if cols:
-            try:
-                coords = sub.spaces[j].solve(Matrix.hstack(cols))
-            except NoSolution:  # pragma: no cover - generated inside K
-                raise RuntimeError("cover image escaped the subfunctor")
+            images = Matrix.hstack(cols)
+            phi = images.submatrix(sub.identity_rows[j], range(images.cols))
         else:
-            coords = Matrix.zero(cat.field, sub.dim_at(j), 0)
-        phis.append(coords)
-    return SubFunctor(betti, [phi.kernel_basis() for phi in phis]), betti
+            phi = Matrix.zero(cat.field, sub.dim_at(j), 0)
+        space, free = phi.kernel_and_free()
+        spaces.append(space)
+        rows.append(free)
+    return SubFunctor(betti, spaces, rows), betti
 
 
 def simple_pd(cat: CatAlgebra, c: int, cutoff: int):
@@ -169,12 +234,12 @@ def simple_pd(cat: CatAlgebra, c: int, cutoff: int):
     object c via iterated minimal covers."""
     mults = [1 if i == c else 0 for i in range(len(cat))]
     betti_table = [mults]
-    spaces = []  # rad Hom(-, M_c): the radical prefix of each hom(i, c)
+    spaces, rows = [], []  # rad Hom(-, M_c): the radical prefix of each hom(i, c)
     for i in range(len(cat)):
-        size = len(cat.hom(i, c))
-        spaces.append(Matrix.identity(cat.field, size).submatrix(
-            range(size), range(len(cat.radical_maps(i, c)))))
-    omega = SubFunctor(mults, spaces)
+        size, prefix = len(cat.hom(i, c)), range(len(cat.radical_maps(i, c)))
+        spaces.append(Matrix.identity(cat.field, size).submatrix(range(size), prefix))
+        rows.append(list(prefix))
+    omega = SubFunctor(mults, spaces, rows)
     k = 0
     while True:
         if omega.is_zero():
@@ -186,8 +251,30 @@ def simple_pd(cat: CatAlgebra, c: int, cutoff: int):
         k += 1
 
 
+def _check_euler(cat: CatAlgebra, pds, tables):
+    """Raise RuntimeError unless every finished resolution of a simple
+    functor S_c has the dimensions of an exact sequence: at each object j,
+    sum_k (-1)^k sum_i betti_k[i] dim Hom(M_j, M_i) = dim S_c(M_j), which
+    is dim End(M_c)/rad when j = c and 0 otherwise.  Every Hom basis it
+    reads was built by `simple_pd`'s first syzygies."""
+    n = len(cat)
+    sizes = [[len(cat.hom(j, i)) for i in range(n)] for j in range(n)]
+    for c, (pd, table) in enumerate(zip(pds, tables)):
+        if pd is None:
+            continue
+        euler = [sum(betti[i] if k % 2 == 0 else -betti[i] for k, betti in enumerate(table))
+                 for i in range(n)]
+        top = len(cat.hom(c, c)) - len(cat.radical_maps(c, c))
+        for j in range(n):
+            if sum(map(mul, sizes[j], euler)) != (top if j == c else 0):
+                raise RuntimeError(
+                    f"the resolution of the simple functor at {c} is not exact at object {j}")
+
+
 def global_dimension(cat: CatAlgebra, cutoff: int | None = None):
-    """(value or None if above cutoff, per-object pd list, betti tables)."""
+    """(value or None if above cutoff, per-object pd list, betti tables);
+    raises RuntimeError when a finished betti table fails the Euler
+    identity (`_check_euler`)."""
     if cutoff is None:
         cutoff = 2 * len(cat) + 2
     pds = []
@@ -196,6 +283,7 @@ def global_dimension(cat: CatAlgebra, cutoff: int | None = None):
         pd, table = simple_pd(cat, c, cutoff)
         pds.append(pd)
         tables.append(table)
+    _check_euler(cat, pds, tables)
     if any(pd is None for pd in pds):
         return None, pds, tables
     return max(pds), pds, tables

@@ -3,8 +3,8 @@
 Scalars are decimal strings ("3", "-7/2") everywhere.  Matrices are
 row-major nested lists; a matrix for an arrow x -> y has dim(y) rows
 and dim(x) columns.  Polynomial lattice entries are lists of
-[coefficient, exponent list] terms.  Missing keys and wrongly typed
-values raise InputError.
+[coefficient, exponent list] terms.  Missing keys, unknown algebra keys
+and wrongly typed values raise InputError.
 """
 
 from __future__ import annotations
@@ -60,8 +60,17 @@ def algebra_to_json(algebra: BasicAlgebra) -> dict:
     return payload
 
 
+ALGEBRA_KEYS = {"field", "vertices", "arrows", "relations", "max_path_length", "tensor_of"}
+
+
 def algebra_from_json(payload: dict, field_override=None) -> BasicAlgebra:
+    """The algebra of an `algebra_to_json` payload; a key outside
+    ALGEBRA_KEYS, here or in a `tensor_of` factor, raises InputError, so
+    that the payload's hash is a function of the algebra it loads."""
     try:
+        unknown = set(payload) - ALGEBRA_KEYS
+        if unknown:
+            raise InputError(f"unknown algebra keys: {sorted(unknown)}")
         field = field_from_name(field_override or payload["field"])
         if payload.get("tensor_of"):
             factors = [algebra_from_json(f, field_override=field_name(field))

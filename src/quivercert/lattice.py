@@ -32,7 +32,7 @@ factor is the degree-1 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import BasicAlgebra
@@ -198,7 +198,7 @@ class ExtensionClass:
     mids: list
     right: Module
     maps: list  # left -> mids[0], ..., mids[-1] -> right
-    exact: bool = False
+    exact: bool = field(default=False, init=False)  # set by verify_exact
 
     def verify_exact(self) -> bool:
         if not _exact(self.maps, injective=True):

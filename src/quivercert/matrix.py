@@ -224,7 +224,8 @@ class Matrix:
         return out
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        entries = [self[i, j] for i in row_idx for j in col_idx]
+        e, width, col_idx = self.entries, self.cols, list(col_idx)
+        entries = [e[i * width + j] for i in row_idx for j in col_idx]
         return Matrix(self.field, len(row_idx), len(col_idx), entries)
 
     # -- row reduction ----------------------------------------------------------
@@ -276,16 +277,24 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of the null space {x : A x = 0}."""
+        return self.kernel_and_free()[0]
+
+    def kernel_and_free(self) -> tuple["Matrix", list]:
+        """(kernel basis, free columns): column k of the basis is 1 at the
+        k-th non-pivot column fc of the rref, 0 at the other non-pivot
+        columns and -R[r, fc] at the r-th pivot column, so the basis is the
+        identity on the rows listed."""
         reduced, pivots, rank = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        F = self.field
-        out = Matrix.zero(F, self.cols, len(free))
+        F, cols, width = self.field, self.cols, len(free)
+        out = Matrix.zero(F, cols, width)
+        e, red = out.entries, reduced.entries
         for k, fc in enumerate(free):
-            out[fc, k] = F.one()
+            e[fc * width + k] = F.one()
             for r, pc in enumerate(pivots):
-                out[pc, k] = F.neg(reduced[r, fc])
-        return out
+                e[pc * width + k] = F.neg(red[r * cols + fc])
+        return out, free
 
     def column_space_basis(self) -> "Matrix":
         """Columns of the original matrix at pivot positions of its rref."""

@@ -8,10 +8,11 @@ with `map_coordinates`, which is how the tensor is defined.
 
 import pytest
 
-from quivercert import GF, QQ, Matrix, approx, presets
+from quivercert import GF, QQ, Matrix, approx, endcat, presets
 from quivercert.decompose import EndAlgebra
 from quivercert.endcat import (
-    CatAlgebra, SubFunctor, _pullback, auslander_generator, global_dimension, syzygy,
+    CatAlgebra, SubFunctor, _pullback, auslander_generator, global_dimension, simple_pd,
+    syzygy,
 )
 from quivercert.io import payload_hash
 from quivercert.module import (
@@ -40,14 +41,17 @@ def _kk_layering_objects():
     return build_layering(presets.kronecker_squared(GF(2))).objects
 
 
-@pytest.mark.parametrize("objects", [
+COMPOSE_OBJECTS = [
     pytest.param(lambda: _e1_generator("a3_rad_square", QQ), id="a3_rad_square@Q"),
     pytest.param(lambda: _e1_generator("kronecker_tensor_a2", GF(5)),
                  id="kronecker_tensor_a2@GF(5)"),
     pytest.param(_kk_layering_objects, id="KxK@GF(2)"),
     # the only generator here whose End rings have nonzero radicals
     pytest.param(lambda: _e1_generator("local_xy", GF(3)), id="local_xy@GF(3)"),
-])
+]
+
+
+@pytest.mark.parametrize("objects", COMPOSE_OBJECTS)
 def test_compose_tensor_matches_its_definition(objects):
     cat = CatAlgebra(objects(), verify=False)
     n = len(cat)
@@ -59,6 +63,14 @@ def test_compose_tensor_matches_its_definition(objects):
                 for h, block in zip(cat.hom(i, j), tensor):
                     assert block == _action_reference(cat, h, i, j, c)
     assert cat.composition(0, 0, 0) is cat.composition(0, 0, 0)
+
+
+@pytest.mark.parametrize("objects", COMPOSE_OBJECTS)
+def test_compose_tensor_matches_its_definition_on_mixed_bases(objects, monkeypatch):
+    # bases that are not reduced: the tensor is read through the inverse of
+    # each basis at its reader positions
+    monkeypatch.setattr(approx, "hom_basis", _mixed_hom_basis)
+    test_compose_tensor_matches_its_definition(objects)
 
 
 def _mixed_hom_basis(m, n):
@@ -138,7 +150,52 @@ def test_syzygy_rejects_a_space_that_is_not_a_subfunctor():
     n = len(cat)
     mults = [int(c == 1) for c in range(n)]
     spaces = [Matrix.identity(cat.field, len(cat.hom(i, 1))) for i in range(n)]
+    rows = [list(range(space.rows)) for space in spaces]
     size = spaces[8].rows
     spaces[8] = spaces[8].submatrix(range(size), [size - 1])
+    rows[8] = [size - 1]
     with pytest.raises(RuntimeError, match="radical escaped the subfunctor"):
-        syzygy(cat, SubFunctor(mults, spaces))
+        syzygy(cat, SubFunctor(mults, spaces, rows))
+
+
+@pytest.mark.parametrize("objects", [
+    pytest.param(lambda: _e1_generator("local_xy", GF(3)), id="local_xy@GF(3)"),
+    pytest.param(_kk_layering_objects, id="KxK@GF(2)"),
+])
+def test_every_syzygy_is_the_identity_at_its_rows(objects, monkeypatch):
+    # Phi_j is read off K(j)'s identity rows, so they must stay the
+    # identity at every step of every resolution
+    seen = []
+
+    def recorded(cat, sub):
+        out = syzygy(cat, sub)
+        seen.extend([sub, out[0]])
+        return out
+
+    monkeypatch.setattr(endcat, "syzygy", recorded)
+    _, pds, _ = global_dimension(CatAlgebra(objects(), verify=False))
+    assert None not in pds and len(seen) == 2 * sum(pds) > 0
+    for sub in seen:
+        for space, rows in zip(sub.spaces, sub.identity_rows):
+            assert len(rows) == space.cols
+            assert space.submatrix(rows, range(space.cols)).is_identity()
+
+
+def test_global_dimension_rejects_a_betti_table_that_is_not_exact(monkeypatch):
+    # betti_1[0] of the first resolution of length one or more, one too
+    # large, breaks the Euler identity at every object j with a map
+    # M_j -> M_0 (M_0 itself at least)
+    changed = []
+
+    def bumped(cat, c, cutoff):
+        pd, table = simple_pd(cat, c, cutoff)
+        if pd and not changed:
+            table[1][0] += 1
+            changed.append(c)
+        return pd, table
+
+    objects = _e1_generator("local_xy", GF(3))
+    global_dimension(CatAlgebra(objects, verify=False))
+    monkeypatch.setattr(endcat, "simple_pd", bumped)
+    with pytest.raises(RuntimeError, match="is not exact at object"):
+        global_dimension(CatAlgebra(objects, verify=False))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a `quivercert` module imports is read in a
 scope that does not rebind it (or re-exported through `__all__`), every
 top-level function and class and every method has a caller outside the
-tests, every optional parameter is set by some call outside the tests,
+tests, every optional parameter (dataclass fields with a default too) is
+set by some call outside the tests,
 and sympy is loaded only by the one path that needs it."""
 
 import ast
@@ -222,10 +223,33 @@ OPTIONS_KEPT = {
 }
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_options(node: ast.ClassDef):
+    """(parameter, positional index) of each optional `__init__` parameter
+    that a dataclass generates: the fields with a default, counted among
+    the fields that `init=False` does not take out of `__init__`."""
+    index = 0
+    for f in node.body:
+        if not (isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)):
+            continue
+        call = f.value if getattr(getattr(f.value, "func", None), "id", None) == "field" else None
+        keywords = {k.arg: k.value for k in call.keywords} if call else {}
+        if getattr(keywords.get("init"), "value", True) is False:
+            continue
+        if f.value is not None and (call is None or {"default", "default_factory"} & set(keywords)):
+            yield f.target.id, index
+        index += 1
+
+
 def _optional_parameters(tree: ast.Module):
     """(name, parameter, positional index or None) of each optional
-    parameter of a top-level function, and of a class's `__init__` under
-    the class name with `self` skipped."""
+    parameter of a top-level function, and of a class's `__init__` (its
+    own, with `self` skipped, or the one `@dataclass` generates) under the
+    class name."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             args, skip = node.args, 0
@@ -233,6 +257,8 @@ def _optional_parameters(tree: ast.Module):
             init = [f for f in node.body if isinstance(f, ast.FunctionDef)
                     and f.name == "__init__"]
             if not init:
+                if _is_dataclass(node):
+                    yield from ((node.name, name, k) for name, k in _dataclass_options(node))
                 continue
             args, skip = init[0].args, 1
         else:
@@ -284,6 +310,18 @@ def test_scan_flags_a_never_set_option():
         "b": "from a import C, f, g\n\nf(0, 5, w=1)\nC(1)\ng(**{})\n",
     }
     assert _unset_options(sources, {"a"}) == ["a.C(t)", "a.f(u)", "a.f(z)"]
+
+
+def test_scan_flags_a_never_set_dataclass_field():
+    # `init=False` fields are not parameters and take no position
+    sources = {
+        "a": ("@dataclass\nclass D:\n    x: int\n    done: bool = field(default=False, "
+              "init=False)\n    y: int = 0\n    z: list = field(default_factory=list)\n"
+              "    w: int = field()\n    u: int = 1\n\n\n"
+              "@dataclass(frozen=True)\nclass E:\n    v: int = 0\n"),
+        "b": "from a import D, E\n\nD(0, 1)\nD(0, u=2, w=3)\nE()\n",
+    }
+    assert _unset_options(sources, {"a"}) == ["a.D(z)", "a.E(v)"]
 
 
 SYMPY_GUARD = """

@@ -4,7 +4,7 @@ import pytest
 
 from quivercert import GF, QQ, FieldError
 from quivercert import presets
-from quivercert.algebra import MalformedRelation
+from quivercert.algebra import MalformedRelation, tensor
 from quivercert.io import (
     InputError, algebra_from_json, algebra_to_json, lattice_from_json,
     lattice_to_json, load_algebra, load_lattice, load_module, module_from_json,
@@ -38,6 +38,21 @@ def test_algebra_file_round_trip(tmp_path):
     back, digest = load_algebra(str(path))
     assert digest == payload_hash(algebra_to_json(alg))
     assert back.dim == alg.dim
+
+
+def test_unknown_algebra_keys_raise_typed_errors():
+    # an unknown key would load and still change the payload's hash
+    product = tensor(presets.kronecker(QQ), presets.kronecker(QQ))
+    for alg in (presets.kronecker(QQ), product):
+        payload = json.loads(json.dumps(algebra_to_json(alg)))
+        assert algebra_from_json(payload).dim == alg.dim
+        for key in ("flags", "max_path_lenght"):
+            with pytest.raises(InputError, match=key):
+                algebra_from_json(dict(payload, **{key: 1}))
+    payload = algebra_to_json(product)
+    factors = [dict(payload["tensor_of"][0], flags=[]), payload["tensor_of"][1]]
+    with pytest.raises(InputError, match="flags"):
+        algebra_from_json(dict(payload, tensor_of=factors))
 
 
 def test_module_round_trip_on_projectives(tmp_path):
