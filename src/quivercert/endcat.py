@@ -30,9 +30,13 @@ radical prefix of each hom(i, c), the identity at its first rows
 (`simple_pd`).  In each later step (`syzygy`), one rref of
 [radical images | K(i)] per object i picks the cover's generators from
 K(i) at its pivots past the images, and its rank is dim K(i) exactly when
-the radical lies in K(i).  Phi_j, the cover's map onto K(j) in K(j)'s
-coordinates, is the cover images at K(j)'s identity rows, and one rref of
-Phi_j gives the next K(j) and its identity rows, Phi_j's free columns.
+the images lie in K(i).  The radical images are the K(j) moved only along
+the irreducible maps M_i -> M_j, a basis of rad/rad^2 per pair
+(`CatAlgebra.irreducible`, read off the composition tensor); they span
+rad K(i) because K is a subfunctor (`syzygy`).  Phi_j, the cover's map
+onto K(j) in K(j)'s coordinates, is the cover images at K(j)'s identity
+rows, and one rref of Phi_j gives the next K(j) and its identity rows,
+Phi_j's free columns.
 Nothing checks that the cover images lie in K(j), which holds when every
 K(j) is a subfunctor; `global_dimension` checks instead that each
 finished resolution satisfies the Euler identity of an exact sequence.
@@ -87,6 +91,7 @@ class CatAlgebra(AddCategory):
         self.field = self.algebra.field
         self._compose = {}
         self._readers = {}
+        self._irreducible = {}
 
     def __len__(self):
         return len(self.objects)
@@ -97,6 +102,34 @@ class CatAlgebra(AddCategory):
         if key not in self._compose:
             self._compose[key] = self.compose_into(i, j, c)
         return self._compose[key]
+
+    def irreducible(self, i: int, j: int) -> list[int]:
+        """Indices, in the radical prefix of `hom(i, j)`, of basis maps that
+        span rad/rad^2 at (i, j), the irreducible maps M_i -> M_j (the
+        arrows of Gamma's quiver), cached.  rad^2(M_i, M_j) is spanned by
+        the products s.t, t in rad(M_i, M_l) and s in rad(M_l, M_j), whose
+        coordinates are the radical rows and radical columns of
+        `composition(i, l, j)[t]`; one rref of [rad^2 | the prefix's unit
+        columns] keeps the unit columns at its pivots past rad^2.
+
+        Let I be the span of the chosen maps over all pairs and J Gamma's
+        radical.  Then J = I + J^2, and J is nilpotent, so J = I + J I:
+        every radical map r: M_i -> M_j is a sum of maps s.t with t in
+        I(M_i, M_l) and s: M_l -> M_j.  That is what lets `syzygy` move a
+        subfunctor along the chosen maps only."""
+        key = (i, j)
+        if key not in self._irreducible:
+            size = len(self.radical_maps(i, j))
+            squares = []
+            for l in range(len(self)):
+                left, right = len(self.radical_maps(i, l)), len(self.radical_maps(l, j))
+                if size and left and right:
+                    squares.extend(t.submatrix(range(size), range(right))
+                                   for t in self.composition(i, l, j)[:left])
+            width = sum(m.cols for m in squares)
+            _, pivots, _ = Matrix.hstack(squares + [Matrix.identity(self.field, size)]).rref()
+            self._irreducible[key] = [c - width for c in pivots if c >= width]
+        return self._irreducible[key]
 
     def _reader(self, i: int, c: int):
         """(positions, inverse), cached: the entries (v, r, s) of a map
@@ -198,13 +231,22 @@ def syzygy(cat: CatAlgebra, sub: SubFunctor):
     read off the images of the generators at K(j)'s identity rows, and its
     kernel, the identity at Phi_j's free columns, is the next subfunctor.
     The images are not checked to lie in K(j): sub must be a subfunctor,
-    as every syzygy is (`global_dimension` checks the finished table)."""
+    as every syzygy is (`global_dimension` checks the finished table).
+
+    rad K(i) is spanned by the K(j) moved along the irreducible maps alone
+    (`CatAlgebra.irreducible`): a radical map r: M_i -> M_j is a sum of
+    maps s.t with t irreducible, t: M_i -> M_l, and s*K(j) lies in K(l)
+    because K is a subfunctor, so r*K(j) lies in the sum of the t*K(l).
+    The pivots past the images depend only on their span, so the
+    generators are those the images along every radical map would give.
+    The rank check ("radical escaped the subfunctor") tests the
+    irreducible images."""
     n = len(cat)
     generators = []
     for i, space in enumerate(sub.spaces):
         images = [_pullback(cat, sub.mults, i, j, r, sub.spaces[j])
                   for j in range(n) if space.cols and sub.dim_at(j)
-                  for r in range(len(cat.radical_maps(i, j)))]
+                  for r in cat.irreducible(i, j)]
         if images:
             width = sum(m.cols for m in images)
             _, pivots, rank = Matrix.hstack(images + [space]).rref()

@@ -126,6 +126,14 @@ def _torsionless_closure(algebra: BasicAlgebra, seed: int) -> ClassList:
     the same parts, which the first absorb has already offered to
     `classes`, and `classes` only grows.  `absorb` draws nothing from
     `rng`, so every later step sees the same state.
+
+    Every absorbed module is a submodule of a sum of listed classes: the
+    radical or a principal submodule of a projective, the kernel of an
+    approximation by listed classes, or a sampled submodule of their sum.
+    The classes start as the projectives, so by induction each is
+    torsionless, and so is each part: a submodule or summand of a
+    torsionless module is torsionless.  So `absorb` lists every new part
+    untested; `verify_inventory` tests each member.
     """
     rng = Random(seed)
     classes = ClassList()
@@ -142,10 +150,7 @@ def _torsionless_closure(algebra: BasicAlgebra, seed: int) -> ClassList:
         absorbed.add(key)
         dec = decompose(module)
         for part in dec.parts:
-            # a listed content hash is refused by `classes.add` anyway
-            if classes.lists_content(part):
-                continue
-            if is_torsionless(part) and classes.add(part):
+            if classes.add(part):
                 added = True
         return added
 

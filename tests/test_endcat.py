@@ -16,7 +16,7 @@ from quivercert.endcat import (
 )
 from quivercert.io import payload_hash
 from quivercert.module import (
-    coordinates_matrix, hom_basis, injective, map_coordinates, projective,
+    coordinates_matrix, hom_basis, injective, map_coordinates, map_vector, projective,
 )
 from quivercert.tiered import build_layering
 from quivercert.torsfin import enumerate_torsionless
@@ -140,6 +140,58 @@ GLDIM_DIGESTS = [
 @pytest.mark.parametrize("objects, digest", GLDIM_DIGESTS)
 def test_global_dimension_digests_are_pinned(objects, digest):
     assert payload_hash(global_dimension(CatAlgebra(objects(), verify=False))) == digest
+
+
+@pytest.mark.parametrize("name", [
+    "kronecker", "commutative_square_plus", "kronecker_squared", "local_xy", "a3_rad_square",
+])
+def test_irreducible_maps_between_projectives_are_the_arrows(name):
+    # End((+) P_x) is A^op, so the irreducible maps P_x -> P_y, the arrows
+    # of its quiver, number the arrows y -> x of A's quiver
+    alg = getattr(presets, name)(GF(3))
+    vertices = alg.quiver.vertices
+    cat = CatAlgebra([projective(alg, v) for v in vertices], verify=False)
+    for a, x in enumerate(vertices):
+        for b, y in enumerate(vertices):
+            arrows = [arrow for arrow in alg.quiver.arrows if (arrow.source, arrow.target) == (y, x)]
+            assert len(cat.irreducible(a, b)) == len(arrows)
+    assert cat.irreducible(0, 0) is cat.irreducible(0, 0)
+
+
+def _span_rank(field, maps):
+    vecs = [map_vector(f) for f in maps]
+    if not vecs:
+        return 0
+    return Matrix(field, len(vecs), len(vecs[0]), [x for vec in vecs for x in vec]).rank()
+
+
+def test_irreducible_maps_and_the_radical_square_span_the_radical():
+    # rad^2 from the maps themselves, not from the composition tensor: the
+    # chosen maps span a complement of rad^2 in rad(M_i, M_j)
+    cat = CatAlgebra(_e1_generator("local_xy", GF(3)), verify=False)
+    n, field = len(cat), cat.field
+    for i in range(n):
+        for j in range(n):
+            rads = cat.radical_maps(i, j)
+            squares = [t.then(s) for l in range(n)
+                       for t in cat.radical_maps(i, l) for s in cat.radical_maps(l, j)]
+            chosen = [rads[r] for r in cat.irreducible(i, j)]
+            assert _span_rank(field, rads + squares) == len(rads)
+            assert _span_rank(field, squares + chosen) == len(rads)
+            assert _span_rank(field, squares) + len(chosen) == len(rads)
+
+
+@pytest.mark.parametrize("objects", [
+    pytest.param(lambda: _e1_generator("local_xy", GF(3)), id="local_xy@GF(3)"),
+    pytest.param(_kk_layering_objects, id="KxK@GF(2)"),
+])
+def test_syzygy_along_irreducible_maps_matches_every_radical_map(objects, monkeypatch):
+    # the reference route moves each K(j) along every radical basis map
+    objects = objects()
+    result = global_dimension(CatAlgebra(objects, verify=False))
+    monkeypatch.setattr(CatAlgebra, "irreducible",
+                        lambda cat, i, j: list(range(len(cat.radical_maps(i, j)))))
+    assert global_dimension(CatAlgebra(objects, verify=False)) == result
 
 
 def test_syzygy_rejects_a_space_that_is_not_a_subfunctor():
