@@ -44,15 +44,22 @@ def is_divisible(m: Module) -> bool:
 # -- radical maps between listed modules ------------------------------------------
 
 class AddCategory:
-    """Hom data over a fixed list of pairwise non-isomorphic
-    indecomposable modules, with the radical structure.
+    """Hom data over a list of pairwise non-isomorphic indecomposable
+    modules, with the radical structure.
 
     `hom(i, j)` is `hom_basis(M_i, M_j)` for i != j.  `hom(i, i)` lists a
     basis of rad End(M_i) first, the maps whose coordinates on
     `hom_basis(M_i, M_i)` are `EndAlgebra.radical_coords()`, and then the
     `hom_basis` maps that `complement_basis` picks.  So rad(M_i, M_j), all
     of Hom(M_i, M_j) when i != j (Krull-Schmidt), is always a prefix of
-    `hom(i, j)`: `radical_maps(i, j)`.
+    `hom(i, j)`: `radical_maps(i, j)`.  `hom_into(j, x)` is
+    `hom_basis(M_j, x)` for any module x.
+
+    The caches are keyed by the pair of module objects, not by index.
+    The objects are distinct, so within one list a pair of objects stands
+    for one pair of indices; and a caller may point `objects` at a longer
+    list of the same modules, in another order, and keep every basis
+    already built.
     """
 
     def __init__(self, objects: list[Module]):
@@ -61,14 +68,16 @@ class AddCategory:
             self.algebra = objects[0].algebra
         self._homs = {}
         self._rad_dims = {}
+        self._into = {}
 
     def hom(self, i: int, j: int) -> list[ModuleMap]:
-        key = (i, j)
+        m, n = self.objects[i], self.objects[j]
+        key = (m, n)
         if key not in self._homs:
-            basis = hom_basis(self.objects[i], self.objects[j])
+            basis = hom_basis(m, n)
             self._rad_dims[key] = len(basis)
-            if i == j:
-                rad = EndAlgebra(self.objects[i], basis).radical_coords()
+            if m is n:
+                rad = EndAlgebra(m, basis).radical_coords()
                 change = Matrix.hstack([rad, complement_basis(rad)])
                 basis = [map_from_coordinates(change.col(c), basis) for c in range(change.cols)]
                 self._rad_dims[key] = rad.cols
@@ -78,7 +87,15 @@ class AddCategory:
     def radical_maps(self, i: int, j: int) -> list[ModuleMap]:
         """Basis of rad(M_i, M_j), the first maps of `hom(i, j)`."""
         maps = self.hom(i, j)
-        return maps[:self._rad_dims[(i, j)]]
+        return maps[:self._rad_dims[(self.objects[i], self.objects[j])]]
+
+    def hom_into(self, j: int, x: Module) -> list[ModuleMap]:
+        """`hom_basis(M_j, x)`, cached by the pair of objects apart from
+        `hom`, whose basis of End(M_j) is reordered."""
+        key = (self.objects[j], x)
+        if key not in self._into:
+            self._into[key] = hom_basis(*key)
+        return self._into[key]
 
 
 def _cover_representatives(field, candidates: list[ModuleMap],
@@ -111,7 +128,7 @@ def right_add_approximation(summands: list[Module], x: Module,
     algebra = x.algebra
     field = x.field
     cat = cat or AddCategory(summands)
-    homs_into_x = [hom_basis(m_j, x) for m_j in summands]
+    homs_into_x = [cat.hom_into(j, x) for j in range(len(summands))]
     reps_per_summand = []
     for i in range(len(summands)):
         through_radical = []

@@ -34,7 +34,13 @@ class ProjInfo:
 
 
 class Module:
-    __slots__ = ("algebra", "dims", "action", "proj_info")
+    """A representation: `dims` per vertex and an `action` matrix per arrow.
+
+    A module is never mutated after construction: no code writes to its
+    dims, its action or the matrices in it.  That is what lets
+    `content_hash` be computed once and kept in the `_hash` slot."""
+
+    __slots__ = ("algebra", "dims", "action", "proj_info", "_hash")
 
     def __init__(self, algebra: BasicAlgebra, dims, action, check: bool = True,
                  proj_info: ProjInfo | None = None):
@@ -54,6 +60,7 @@ class Module:
                 raise ModuleError("matrix field mismatch")
             self.action[a.name] = m
         self.proj_info = proj_info
+        self._hash = None
         if check:
             bad = self.relation_defect()
             if bad is not None:
@@ -95,13 +102,18 @@ class Module:
         return None
 
     def content_hash(self) -> str:
+        """SHA-256 of the dims and action as canonical JSON, computed on the
+        first call and kept: the module never changes after construction."""
+        if self._hash is not None:
+            return self._hash
         payload = {
             "dims": {v: self.dims[v] for v in self.algebra.quiver.vertices},
             "action": {a.name: self.action[a.name].to_strings()
                        for a in self.algebra.quiver.arrows},
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        self._hash = hashlib.sha256(blob.encode()).hexdigest()
+        return self._hash
 
 
 class ModuleMap:
@@ -494,6 +506,14 @@ def submodule(m: Module, subspaces):
         if b is None:
             b = Matrix.zero(field, m.dims[v], 0)
         bases[v] = b.column_space_basis() if b.cols else b
+    return _submodule_on(m, bases)
+
+
+def _submodule_on(m: Module, bases: dict):
+    """`submodule` on bases that are already independent, one Matrix per
+    vertex; the induced action is the exact solve of each arrow's images
+    against the target basis."""
+    algebra = m.algebra
     dims = {v: bases[v].cols for v in bases}
     action = {}
     for a in algebra.quiver.arrows:
@@ -512,24 +532,39 @@ def spanned_submodule(m: Module, vectors):
 
     `vectors` maps vertex -> Matrix whose columns are elements of the
     fiber; closure under all arrow actions is computed by saturation.
+
+    Each span is a `column_space_basis`, the pivot columns of its input,
+    and grows only by appending columns, so the columns that an arrow
+    has already pushed are a prefix of its source span.  Their images
+    lie in the target span, which only grows, so pushing them again adds
+    no pivot and moves none: each arrow pushes only the source columns
+    added since its last push, and every span comes out column for
+    column as when whole spans are pushed on every pass.  The spans are
+    independent, so the submodule is built on them without reducing
+    them again.
     """
     algebra, field = m.algebra, m.field
     spans = {}
     for v in algebra.quiver.vertices:
         b = vectors.get(v)
         spans[v] = b.column_space_basis() if b is not None and b.cols else Matrix.zero(field, m.dims[v], 0)
+    pushed = {a.name: 0 for a in algebra.quiver.arrows}
     changed = True
     while changed:
         changed = False
         for a in algebra.quiver.arrows:
-            if spans[a.source].cols == 0:
+            source, done = spans[a.source], pushed[a.name]
+            if source.cols == done:
                 continue
-            mapped = m.action[a.name] @ spans[a.source]
+            pushed[a.name] = source.cols
+            fresh = source if not done else source.submatrix(range(source.rows),
+                                                             range(done, source.cols))
+            mapped = m.action[a.name] @ fresh
             joined = Matrix.hstack([spans[a.target], mapped]).column_space_basis()
             if joined.cols != spans[a.target].cols:
                 spans[a.target] = joined
                 changed = True
-    return submodule(m, spans)
+    return _submodule_on(m, spans)
 
 
 def quotient(m: Module, incl: ModuleMap):

@@ -134,6 +134,17 @@ def _torsionless_closure(algebra: BasicAlgebra, seed: int) -> ClassList:
     torsionless, and so is each part: a submodule or summand of a
     torsionless module is torsionless.  So `absorb` lists every new part
     untested; `verify_inventory` tests each member.
+
+    The approximation step runs only when the class list has grown since
+    it last ran.  `classes` only grows, so a list of the same length is
+    the same list, and the step, which draws nothing from `rng`, would
+    build kernels with the same contents as last time; `absorb` has
+    already taken those and would skip them.  So skipping the step
+    changes neither the list nor any later draw.  One `AddCategory`,
+    whose caches are keyed by module object, serves every round: its
+    `objects` is pointed at each round's list, and the Hom bases between
+    members, and from members to the simples (built once), are computed
+    once per call.
     """
     rng = Random(seed)
     classes = ClassList()
@@ -166,16 +177,21 @@ def _torsionless_closure(algebra: BasicAlgebra, seed: int) -> ClassList:
                 gen[col, 0] = algebra.field.one()
                 sub, _ = spanned_submodule(p, {v: gen})
                 absorb(sub)
+    simples = [simple(algebra, x) for x in algebra.quiver.vertices]
+    cat = AddCategory(projs)
+    approximated = 0  # length of the class list at the last approximation step
     stable = 0
     for _ in range(CLOSURE_ROUNDS):
         added = False
         # kernels of approximations of the simples by the current list
-        current = classes.sorted_members()
-        cat = AddCategory(current)
-        for x in algebra.quiver.vertices:
-            res = right_add_approximation(current, simple(algebra, x), cat=cat)
-            if absorb(res.kernel):
-                added = True
+        if len(classes.members) > approximated:
+            current = classes.sorted_members()
+            approximated = len(current)
+            cat.objects = current
+            for s in simples:
+                res = right_add_approximation(current, s, cat=cat)
+                if absorb(res.kernel):
+                    added = True
         # seeded random submodules of sums of current members
         current = classes.sorted_members()
         for _ in range(CLOSURE_SAMPLES):

@@ -500,3 +500,69 @@ def test_double_dual_is_the_identity(data):
     ff = dual_map(dual_map(f))
     assert ff.source.algebra is alg and ff.target.content_hash() == n.content_hash()
     assert ff.components == f.components
+
+
+# -- saturation and content hashes ----------------------------------------------
+
+from quivercert.module import submodule
+
+
+def full_pass_spanned_submodule(m, vectors):
+    """Reference: saturation that pushes every whole span along every arrow
+    on each pass, then `submodule`, which reduces the spans again."""
+    field = m.field
+    spans = {}
+    for v in m.algebra.quiver.vertices:
+        b = vectors.get(v)
+        spans[v] = b.column_space_basis() if b is not None and b.cols else Matrix.zero(field, m.dims[v], 0)
+    changed = True
+    while changed:
+        changed = False
+        for a in m.algebra.quiver.arrows:
+            if spans[a.source].cols == 0:
+                continue
+            mapped = m.action[a.name] @ spans[a.source]
+            joined = Matrix.hstack([spans[a.target], mapped]).column_space_basis()
+            if joined.cols != spans[a.target].cols:
+                spans[a.target] = joined
+                changed = True
+    return submodule(m, spans)
+
+
+SATURATION_ALGEBRAS = (presets.local_xy(GF(3)), presets.commutative_square_plus(GF(5)),
+                       presets.commutative_square_plus(QQ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spanned_submodule_pushes_only_new_vectors(data):
+    alg = data.draw(st.sampled_from(SATURATION_ALGEBRAS))
+    verts = alg.quiver.vertices
+    big = sum_module(alg, [projective(alg, x) for x in
+                           data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=3))])
+    entry = st.integers(-2, 2).map(alg.field.element)
+    vectors = {}
+    for v in data.draw(st.lists(st.sampled_from(verts), max_size=3, unique=True)):
+        count = data.draw(st.integers(0, 2))
+        vectors[v] = Matrix(alg.field, big.dims[v], count,
+                            [data.draw(entry) for _ in range(big.dims[v] * count)])
+    sub, incl = spanned_submodule(big, vectors)
+    ref, ref_incl = full_pass_spanned_submodule(big, vectors)
+    assert incl.components == ref_incl.components
+    assert sub.action == ref.action
+    assert sub.content_hash() == ref.content_hash()
+
+
+def test_content_hash_is_kept_and_equals_a_fresh_copys():
+    from quivercert.lattice import tensor_module
+    alg = presets.commutative_square_plus(GF(5))
+    total = sum_module(alg, [projective(alg, "e"), simple(alg, "c"), injective(alg, "b")])
+    # a is a sink, so the whole fiber there is a submodule
+    at_sink, _ = submodule(total, {"a": Matrix.identity(alg.field, total.dims["a"])})
+    kron = presets.kronecker(GF(5))
+    product = tensor_module(presets.kronecker_squared(GF(5)), projective(kron, "1"),
+                            injective(kron, "2"))
+    for m in (projective(alg, "d"), total, at_sink, dual(total), product):
+        first = m.content_hash()
+        assert m.content_hash() == first
+        assert Module(m.algebra, m.dims, m.action).content_hash() == first

@@ -266,3 +266,32 @@ def test_e1_inventory_digests_are_pinned(name, field, seed, digest):
     from quivercert.io import payload_hash
     inv = enumerate_torsionless(getattr(presets, name)(field), seed=seed)
     assert payload_hash(inv.summary()) == digest
+
+
+@pytest.mark.parametrize("name, field", [("local_xy", GF(3)), ("kronecker_tensor_a2", GF(5))],
+                         ids=str)
+def test_closure_repeats_no_approximation_and_no_hom_basis(monkeypatch, name, field):
+    # one AddCategory per closure, keyed by module object, and no
+    # approximation step on a class list that has not grown; modules hash
+    # by identity, so the keys below hold the objects themselves
+    from quivercert import approx, torsfin
+    from quivercert.io import payload_hash
+    approximations, pairs = [], []
+    original_approx, original_hom = torsfin.right_add_approximation, approx.hom_basis
+
+    def counting_approx(summands, x, cat=None):
+        approximations.append((tuple(summands), x.content_hash()))
+        return original_approx(summands, x, cat=cat)
+
+    def counting_hom(m, n):
+        pairs.append((m, n))
+        return original_hom(m, n)
+
+    monkeypatch.setattr(torsfin, "right_add_approximation", counting_approx)
+    monkeypatch.setattr(approx, "hom_basis", counting_hom)
+    inv = enumerate_torsionless(getattr(presets, name)(field), seed=0)
+    assert approximations and pairs
+    assert len(approximations) == len(set(approximations))
+    assert len(pairs) == len(set(pairs))
+    pinned = {(n, str(f), s): d for n, f, s, d in E1_INVENTORY_DIGESTS}
+    assert payload_hash(inv.summary()) == pinned[name, str(field), 0]
