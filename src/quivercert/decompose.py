@@ -1,10 +1,16 @@
 """Indecomposability, Krull-Schmidt decomposition, isomorphism testing.
 
-The radical of an endomorphism algebra is computed from a faithful
-matrix realization (the action on the module): over Q by the trace
-form, over GF(p) by the iterated characteristic-coefficient chain
-(trace first, then the c_p, c_{p^2}, ... conditions, each linear over
-the prime field on the previous stage).  A module is indecomposable
+The radical of End(M) is computed from its action on top M = M / rad M.
+Let pi: End(M) -> prod_v End_k(top(M)_v) be that action and B its image
+in M_t(k), t = dim top M.  The kernel I = {f : f(M) in rad M} of pi is a
+two-sided ideal, and I^L = 0 for the Loewy length L, since f(rad^k M) lies
+in rad^(k+1) M; so I lies in rad End(M), and rad End(M) = pi^-1(rad B).
+B acts faithfully on k^t, so rad B comes from that realization: over Q
+by the trace form, over GF(p) by the Cohen-Ivanyos-Wales chain (trace
+first, then the c_p, c_{p^2}, ... conditions for p^k <= t, each linear
+over the prime field on the previous stage); each stage is a kernel in
+End coordinates, so the chain yields pi^-1(rad B) directly.  When p > t
+the trace stage is the answer.  A module is indecomposable
 iff End/rad is one-dimensional or a division algebra.  A decomposable
 module is split by Fitting's lemma along deterministic candidate
 endomorphisms (lifts of Frobenius-fixed or primitive elements of a
@@ -34,6 +40,42 @@ class Undecided(RuntimeError):
     """Decomposition search exhausted without a certificate."""
 
 
+def _top_cuts(m: Module):
+    """[(v, q_v, F_v)] for each vertex v where top M is nonzero.
+
+    rad M_v is the sum of the arrow images into v.  The rows of q_v, one
+    kernel basis of the transposed images, cut it out, and q_v is the
+    identity at its free columns F_v, so f's action on top M at v is
+    q_v f_v[:, F_v].  q_v is None where no arrow image reaches v: there
+    top M_v = M_v and the action is f_v itself.
+    """
+    cuts = []
+    for v in m.algebra.quiver.vertices:
+        images = [m.action[a.name] for a in m.algebra.quiver.arrows_to(v)]
+        # the rows of the stack are the columns of the images
+        rows = [a.entries[j::a.cols] for a in images for j in range(a.cols)]
+        if not any(any(row) for row in rows):
+            if m.dims[v]:
+                cuts.append((v, None, range(m.dims[v])))
+            continue
+        stack = Matrix(m.field, len(rows), m.dims[v], [e for row in rows for e in row])
+        kern, free = stack.kernel_and_free()
+        if free:
+            cuts.append((v, kern.transpose(), free))
+    return cuts
+
+
+def _block_diag(field, entries, cuts) -> Matrix:
+    """The t x t block-diagonal matrix whose blocks, one per cut, are read
+    row by row from `entries` in turn."""
+    mats, pos = [], 0
+    for _, _, free in cuts:
+        size = len(free)
+        mats.append(Matrix(field, size, size, entries[pos:pos + size * size]))
+        pos += size * size
+    return Matrix.block_diag(field, mats)
+
+
 class EndAlgebra:
     """End(M) as a Hom basis with its radical; elements are coordinate
     vectors on the basis (`map_coordinates` / `map_from_coordinates`)."""
@@ -49,10 +91,15 @@ class EndAlgebra:
     def radical_coords(self) -> Matrix:
         """Columns = basis of rad End(M) in End-coordinates.
 
-        The kernel of the trace form Tr(xy) is the radical over Q; over
-        GF(p) it is the first stage of the Cohen-Ivanyos-Wales chain, cut
-        down by c_k(xy) = 0 for k = p, p^2, ... <= dim M, each condition
-        linear on the previous stage.
+        rad End(M) = pi^-1(rad B) for the action pi of End(M) on top M and
+        its image B in M_t(k), t = dim top M (module docstring).  The
+        kernel of the trace form Tr(pi(x) pi(y)) is the radical over Q;
+        over GF(p) it is the first stage of the Cohen-Ivanyos-Wales chain,
+        cut down by c_k(pi(x) pi(y)) = 0 for k = p, p^2, ... <= t, each
+        condition linear on the previous stage.  Each stage is a product
+        of `kernel_basis` matrices, which is the one basis of its span
+        that is the identity at the span's last-nonzero rows: the matrix
+        depends only on the subspace rad End(M), not on the route.
 
         The result is cached on the algebra (`_end_radicals`), keyed by
         the module's dims and action entries and the basis map vectors:
@@ -73,31 +120,39 @@ class EndAlgebra:
         return self._rad_coords
 
     def _radical(self) -> Matrix:
+        """rad End(M) = pi^-1(rad B), computed on B = pi(End M) in M_t(k).
+
+        pi(f) is f's action on top M, block diagonal over the vertices
+        (`_top_cuts`).  ker pi is a nilpotent ideal, so it lies in every
+        stage.  The stages are kernels in End coordinates: the trace Gram
+        Tr(pi(x) pi(y)), then over GF(p) the c_{p^k} conditions for
+        p^k <= t only, each on the previous stage's pairs.
+        """
         field, n = self.field, self.dim
         if n == 0:
             return Matrix.zero(field, 0, 0)
-        # Gram of Tr(xy) = sum_v sum_ij x_v[i, j] y_v[j, i]: rows are map
-        # vectors, columns the map vectors of the component-wise transposes
-        verts = self.module.algebra.quiver.vertices
-        vecs = [map_vector(b) for b in self.basis]
-        flipped = [[e for v in verts for e in b.components[v].transpose().entries]
-                   for b in self.basis]
-        size = len(vecs[0])
-        gram = (Matrix(field, n, size, [e for vec in vecs for e in vec])
-                @ Matrix(field, size, n, [e for row in zip(*flipped) for e in row]))
-        current = gram.kernel_basis()
+        cuts = _top_cuts(self.module)
+        blocks = [[f.components[v] if q is None else
+                   q @ f.components[v].submatrix(range(q.cols), free) for v, q, free in cuts]
+                  for f in self.basis]
+        # Gram of Tr(xy) = sum_v sum_ij x_v[i, j] y_v[j, i]: rows are the
+        # entries of the blocks of pi(x), columns those of their transposes
+        flat = Matrix(field, n, sum(len(free) ** 2 for _, _, free in cuts),
+                      [e for x in blocks for b in x for e in b.entries])
+        flipped = [[e for b in y for e in b.transpose().entries] for y in blocks]
+        current = (flat @ Matrix(field, flat.cols, n, [e for row in zip(*flipped) for e in row])
+                   ).kernel_basis()
         if not field.is_prime_field:
             return current
-        exp, d = field.p, self.module.total_dim()
-        while exp <= d and current.cols:
-            m = current.cols
-            totals = [map_from_coordinates(current.col(c), self.basis).total_matrix()
-                      for c in range(m)]
+        exp, t = field.p, sum(len(free) for _, _, free in cuts)
+        while exp <= t and current.cols:
+            combos = current.transpose() @ flat
+            mats = [_block_diag(field, combos.row(c), cuts) for c in range(combos.rows)]
+            m = len(mats)
             con = Matrix.zero(field, m, m)
             for i in range(m):
                 for j in range(i, m):
-                    con[i, j] = con[j, i] = upoly.charpoly_coefficient(
-                        totals[i] @ totals[j], exp)
+                    con[i, j] = con[j, i] = upoly.charpoly_coefficient(mats[i] @ mats[j], exp)
             current = current @ con.kernel_basis()
             exp *= field.p
         return current

@@ -1,5 +1,7 @@
+from random import Random
+
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quivercert import GF, QQ, Matrix
 from quivercert import decompose as decompose_module
@@ -11,8 +13,8 @@ from quivercert.decompose import (
 from quivercert.endcat import CatAlgebra, NotIndecomposable
 from quivercert.io import payload_hash
 from quivercert.module import (
-    Module, hom_basis, injective, map_coordinates, projective, projective_sum, simple,
-    socle_series, spanned_submodule, sum_module,
+    Module, ModuleMap, hom_basis, injective, injectives, map_coordinates, projective,
+    projective_sum, projectives, simple, socle_series, spanned_submodule, sum_module, top,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -238,6 +240,117 @@ def test_radical_matches_reference_on_local_and_matrix_algebras():
         s2 = simple(presets.a3_rad_square(field), "2")
         end = EndAlgebra(sum_module(s2.algebra, [s2, s2, s2]))
         assert end.radical_coords() == reference_radical(end)
+
+
+def top_trace_kernel(end: EndAlgebra) -> Matrix:
+    """The kernel of Tr(pi(x) pi(y)), pi the action of End(M) on top M,
+    with pi(f) read off the projection M -> top M through a right inverse
+    at each vertex."""
+    m, field = end.module, end.field
+    _, proj = top(m)
+    lifts = {v: c.solve(Matrix.identity(field, c.rows)) for v, c in proj.components.items()}
+    tops = [[proj.components[v] @ f.components[v] @ lifts[v] for v in lifts] for f in end.basis]
+
+    def trace(blocks):
+        out = field.zero()
+        for b in blocks:
+            for i in range(b.rows):
+                out = field.add(out, b[i, i])
+        return out
+
+    return Matrix(field, end.dim, end.dim,
+                  [trace([a @ b for a, b in zip(x, y)]) for x in tops for y in tops]
+                  ).kernel_basis()
+
+
+@pytest.mark.parametrize("name, vertex", [("kronecker", "2"), ("local_xy", "*")])
+def test_the_chain_on_the_top_cuts_below_the_trace_stage(name, vertex):
+    # t = dim top M = 2 = p: the trace of pi(1) = I_2 is 2 = 0, so the trace
+    # stage keeps elements outside the radical and the c_2 stage must run
+    alg = getattr(presets, name)(GF(2))
+    m = injective(alg, vertex)
+    assert top(m)[0].total_dim() == 2
+    end = EndAlgebra(m)
+    rad = end.radical_coords()
+    assert top_trace_kernel(end).cols > rad.cols
+    assert rad == reference_radical(end)
+
+
+RADICAL_PRESETS = ("local_xy", "commutative_square_plus", "kronecker_squared")
+RADICAL_FIELDS = (GF(2), GF(3), GF(5), QQ)
+
+
+def _base_changed(m: Module, seed: int) -> Module:
+    """m with its basis at each vertex changed by d transvections
+    I + c e_ij (c = +-1, +-2, i != j) and a permutation, drawn from
+    Random(seed)."""
+    field, rng = m.field, Random(seed)
+    change = {}
+    for v, d in m.dims.items():
+        order = list(range(d))
+        rng.shuffle(order)
+        g = Matrix.identity(field, d).submatrix(order, range(d))
+        for _ in range(d if d > 1 else 0):
+            i, j = rng.sample(range(d), 2)
+            step = Matrix.identity(field, d)
+            step[i, j] = field.from_int(rng.choice((-2, -1, 1, 2)))
+            g = step @ g
+        change[v] = g
+    return Module(m.algebra, m.dims,
+                  {a.name: change[a.target] @ m.action[a.name] @ change[a.source].inverse()
+                   for a in m.algebra.quiver.arrows})
+
+
+def _parts_module(name, field, parts):
+    alg = getattr(presets, name)(field)
+    kinds = {"P": projective, "I": injective, "S": simple}
+    return sum_module(alg, [kinds[kind](alg, alg.quiver.vertices[k % len(alg.quiver.vertices)])
+                            for kind, k in parts])
+
+
+def _chain_regime(m: Module) -> str:
+    p, t, d = m.field.p, top(m)[0].total_dim(), m.total_dim()
+    if not p:
+        return "Q"
+    return "p <= t" if p <= t else ("t < p <= d" if p <= d else "d < p")
+
+
+# both GF(p) chain regimes, each met at least once whatever hypothesis draws
+RADICAL_EXAMPLES = (("local_xy", GF(3), (("P", 0),), 1),
+                    ("kronecker_squared", GF(2), (("I", 3), ("S", 0)), 2),
+                    ("commutative_square_plus", GF(2), (("P", 4), ("P", 2), ("I", 0)), 3))
+
+
+def test_radical_examples_meet_both_chain_regimes():
+    regimes = {_chain_regime(_parts_module(*ex[:3])) for ex in RADICAL_EXAMPLES}
+    assert {"p <= t", "t < p <= d"} <= regimes
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(RADICAL_PRESETS), field=st.sampled_from(RADICAL_FIELDS),
+       parts=st.lists(st.tuples(st.sampled_from("PIS"), st.integers(0, 4)),
+                      min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+@example(*RADICAL_EXAMPLES[0])
+@example(*RADICAL_EXAMPLES[1])
+@example(*RADICAL_EXAMPLES[2])
+def test_radical_on_the_top_matches_the_total_matrix_chain(name, field, parts, seed):
+    m = _base_changed(_parts_module(name, field, parts), seed)
+    end = EndAlgebra(m)
+    assert end.radical_coords() == reference_radical(end)
+
+
+def test_radical_never_builds_a_total_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("total matrix built")
+
+    monkeypatch.setattr(ModuleMap, "total_matrix", forbidden)
+    for name, p in (("local_xy", 3), ("commutative_square_plus", 5),
+                    ("kronecker_tensor_a2", 5), ("a3_rad_square", 5)):
+        alg = getattr(presets, name)(GF(p))  # fresh: no cached radical
+        ps, qs = projectives(alg), injectives(alg)
+        for m in ps + qs + [sum_module(alg, ps + qs)]:
+            assert EndAlgebra(m).radical_coords().rows == len(hom_basis(m, m))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
