@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from random import Random
 
 from . import upoly
-from .matrix import Matrix
+from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, block_map, hom_basis, identity_map, map_coordinates,
-    map_from_coordinates, map_vector, random_combination, submodule, sum_module, zero_map,
+    Module, ModuleMap, block_map, free_columns, hom_basis, identity_map, map_from_coordinates,
+    map_vector, random_combination, submodule, sum_module, zero_map,
 )
 
 
@@ -78,7 +78,10 @@ def _block_diag(field, entries, cuts) -> Matrix:
 
 class EndAlgebra:
     """End(M) as a Hom basis with its radical; elements are coordinate
-    vectors on the basis (`map_coordinates` / `map_from_coordinates`)."""
+    vectors on the basis (`map_from_coordinates` builds the map).  The
+    basis is a `hom_basis`, the identity at its free columns, so a map's
+    coordinates are read there (`QuotientAlgebra.coordinates`), not
+    solved for."""
 
     def __init__(self, module: Module, basis=None):
         self.module = module
@@ -187,7 +190,27 @@ class QuotientAlgebra:
         self.projector = projector  # (s x h): End coords -> S coords
         self.dim = len(comp_indices)
         self._table = {}
-        self._one = self.project(map_coordinates(identity_map(end.module), end.basis))
+        self._free = free_columns(end.basis)
+        self._sparse = [[(i, e) for i, e in enumerate(map_vector(b)) if e] for b in end.basis]
+        self._one = self.project(self.coordinates(identity_map(end.module)))
+
+    def coordinates(self, f: ModuleMap) -> list:
+        """f's End coordinates: its entries at the basis's free columns,
+        where the basis is the identity (`free_columns`).  They are the
+        coordinates only if they give f back, so the combination is
+        checked against f; raises NoSolution when f is outside End(M)."""
+        p = self.field.p
+        rest = map_vector(f)
+        coords = [rest[c] for c in self._free]
+        for c, entries in zip(coords, self._sparse):
+            if c:
+                for i, e in entries:
+                    rest[i] -= c * e
+        if p:
+            rest = [r % p for r in rest]
+        if any(rest):
+            raise NoSolution()
+        return coords
 
     def project(self, end_coords):
         col = Matrix.column(self.field, list(end_coords))
@@ -222,7 +245,7 @@ class QuotientAlgebra:
         if key not in self._table:
             basis = self.end.basis
             prod = basis[self.comp[j]].then(basis[self.comp[i]])
-            self._table[key] = self.project(map_coordinates(prod, basis))
+            self._table[key] = self.project(self.coordinates(prod))
         return self._table[key]
 
     def is_commutative(self) -> bool:

@@ -426,6 +426,20 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     return maps
 
 
+def free_columns(basis: list[ModuleMap]) -> list[int]:
+    """The free column fc of each map of a `hom_basis`, in basis order.
+
+    Map k is e_fc - sum R_pc[fc] e_pc over pivots pc < fc, so fc is the
+    last nonzero entry of its `map_vector`, and the basis is the identity
+    on these positions: the coordinates of a map in the span are its
+    entries there."""
+    out = []
+    for b in basis:
+        vec = map_vector(b)
+        out.append(max(i for i, e in enumerate(vec) if e))
+    return out
+
+
 def hom_dim(m: Module, n: Module) -> int:
     return len(hom_basis(m, n))
 
@@ -527,6 +541,24 @@ def _submodule_on(m: Module, bases: dict):
     return sub, incl
 
 
+def _pushed_coordinates(reduced: Matrix, pivots: tuple, start: int) -> list:
+    """The coordinates of columns start.. of [span | images] on the span's
+    pivot columns, read from its rref `reduced`: an image at a pivot is
+    that pivot's unit vector, any other image is the top len(pivots)
+    entries of its rref column."""
+    field, width, rank = reduced.field, reduced.cols, len(pivots)
+    at_pivot = {c: r for r, c in enumerate(pivots)}
+    e, out = reduced.entries, []
+    for c in range(start, width):
+        if c in at_pivot:
+            col = [field.zero()] * rank
+            col[at_pivot[c]] = field.one()
+        else:
+            col = e[c:rank * width:width]
+        out.append(col)
+    return out
+
+
 def spanned_submodule(m: Module, vectors):
     """Smallest submodule containing the given fiber vectors.
 
@@ -539,32 +571,53 @@ def spanned_submodule(m: Module, vectors):
     lie in the target span, which only grows, so pushing them again adds
     no pivot and moves none: each arrow pushes only the source columns
     added since its last push, and every span comes out column for
-    column as when whole spans are pushed on every pass.  The spans are
-    independent, so the submodule is built on them without reducing
-    them again.
+    column as when whole spans are pushed on every pass.
+
+    The induced action is read off the same reductions.  A push row
+    reduces [target span | images], whose span columns are all pivots;
+    the new span is its pivot columns, so each image's coordinates on
+    the new span are its rref column (`_pushed_coordinates`), and they
+    stay its coordinates, padded with zeros, as the span grows.  The
+    spans are independent, so these coordinates are the unique solution
+    that `submodule` would solve for.  One product per arrow checks
+    them against the images pushed: target span @ action == images.
     """
     algebra, field = m.algebra, m.field
     spans = {}
     for v in algebra.quiver.vertices:
         b = vectors.get(v)
         spans[v] = b.column_space_basis() if b is not None and b.cols else Matrix.zero(field, m.dims[v], 0)
-    pushed = {a.name: 0 for a in algebra.quiver.arrows}
+    arrows = algebra.quiver.arrows
+    images = {a.name: [] for a in arrows}  # the pushed chunks, in order
+    coords = {a.name: [] for a in arrows}  # one coordinate list per pushed column
     changed = True
     while changed:
         changed = False
-        for a in algebra.quiver.arrows:
-            source, done = spans[a.source], pushed[a.name]
+        for a in arrows:
+            source, done = spans[a.source], len(coords[a.name])
             if source.cols == done:
                 continue
-            pushed[a.name] = source.cols
             fresh = source if not done else source.submatrix(range(source.rows),
                                                              range(done, source.cols))
             mapped = m.action[a.name] @ fresh
-            joined = Matrix.hstack([spans[a.target], mapped]).column_space_basis()
-            if joined.cols != spans[a.target].cols:
-                spans[a.target] = joined
+            target = spans[a.target]
+            joined = Matrix.hstack([target, mapped])
+            reduced, pivots, _ = joined.rref()
+            images[a.name].append(mapped)
+            coords[a.name].extend(_pushed_coordinates(reduced, pivots, target.cols))
+            if len(pivots) != target.cols:
+                spans[a.target] = joined.submatrix(range(joined.rows), pivots)
                 changed = True
-    return _submodule_on(m, spans)
+    zero, action = field.zero(), {}
+    for a in arrows:
+        rank, read = spans[a.target].cols, coords[a.name]
+        padded = [col + [zero] * (rank - len(col)) for col in read]
+        x = Matrix(field, rank, len(read), [e for row in zip(*padded) for e in row])
+        if read and spans[a.target] @ x != Matrix.hstack(images[a.name]):
+            raise ModuleError(f"read coordinates fail under arrow {a.name}")
+        action[a.name] = x
+    sub = Module(algebra, {v: spans[v].cols for v in spans}, action, check=False)
+    return sub, ModuleMap(sub, m, spans, check=False)
 
 
 def quotient(m: Module, incl: ModuleMap):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 
 from .fields import QQ, Field
-from .matrix import Matrix, NoSolution
+from .matrix import Matrix
 
 
 def normalize(field: Field, coeffs) -> list:
@@ -94,8 +94,7 @@ def lcm(field, p, q):
     if not p or not q:
         return []
     g = gcd(field, p, q)
-    quo, _ = divmod_poly(field, mul(field, p, q), g)
-    return monic(field, quo)
+    return monic(field, mul(field, p, divmod_poly(field, q, g)[0]))
 
 
 def power(field, p, n):
@@ -202,26 +201,55 @@ def charpoly_coefficient(m: Matrix, k: int):
 
 
 def minpoly_matrix(m: Matrix) -> list:
-    """Minimal polynomial via Krylov chains from standard basis vectors."""
+    """Minimal polynomial: the lcm of the annihilators of the standard
+    basis vectors e, each from its Krylov chain e, m e, m^2 e, ...
+
+    Each chain vector m^k e is reduced against the echelon rows of the
+    chain so far.  A row is q(m) e for the polynomial q it carries,
+    scaled to 1 at its pivot, and the pivots are distinct, so the
+    remainder is r = q_k(m) e with q_k = x^k - (the multiples taken off).
+    The first zero remainder makes q_k the monic annihilator of e of
+    least degree, which is unique: the polynomial a solve of m^k e on the
+    earlier chain vectors gives.  Rows and the columns of m are kept as
+    their nonzero entries, so zeros cost no arithmetic (over Q each
+    `Fraction` operation is dear).
+    """
     field = m.field
-    n = m.rows
-    result = [field.one()]
+    n, p, entries = m.rows, field.p, m.entries
+    zero, one = field.zero(), field.one()
+    # the nonzero entries of each column of m, as (row, entry)
+    columns = [[(i, entries[i * n + j]) for i in range(n) if entries[i * n + j]]
+               for j in range(n)]
+    result = [one]
     for start in range(n):
         if degree(result) >= n:
             break
-        vec = Matrix.zero(field, n, 1)
-        vec[start, 0] = field.one()
-        krylov = [vec]
+        vec = [zero] * n
+        vec[start] = one
+        rows = []  # (pivot, nonzero entries of the row, 1 at the pivot, its polynomial)
         while True:
-            nxt = m @ krylov[-1]
-            try:
-                coords = Matrix.hstack(krylov).solve(nxt)
-            except NoSolution:
-                krylov.append(nxt)
-                continue
-            ann = [field.neg(coords[i, 0]) for i in range(len(krylov))] + [field.one()]
-            result = lcm(field, result, normalize(field, ann))
-            break
+            r, q = list(vec), [zero] * len(rows) + [one]
+            for pivot, row, poly in rows:
+                c = r[pivot]
+                if c:
+                    for j, b in row:
+                        r[j] = (r[j] - c * b) % p if p else r[j] - c * b
+                    for t, b in enumerate(poly):
+                        if b:
+                            q[t] = (q[t] - c * b) % p if p else q[t] - c * b
+            lead = next((i for i, a in enumerate(r) if a), None)
+            if lead is None:
+                result = lcm(field, result, q)
+                break
+            inv = field.inv(r[lead])
+            rows.append((lead, [(j, field.mul(inv, a)) for j, a in enumerate(r) if a],
+                         [field.mul(inv, b) for b in q]))
+            out = [zero] * n
+            for j, x in enumerate(vec):
+                if x:
+                    for i, a in columns[j]:
+                        out[i] += a * x
+            vec = [a % p for a in out] if p else out
     return monic(field, result)
 
 

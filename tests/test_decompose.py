@@ -1,9 +1,10 @@
+import itertools
 from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quivercert import GF, QQ, Matrix
+from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import decompose as decompose_module
 from quivercert import presets, upoly
 from quivercert.decompose import (
@@ -13,8 +14,9 @@ from quivercert.decompose import (
 from quivercert.endcat import CatAlgebra, NotIndecomposable
 from quivercert.io import payload_hash
 from quivercert.module import (
-    Module, ModuleMap, hom_basis, injective, injectives, map_coordinates, projective,
-    projective_sum, projectives, simple, socle_series, spanned_submodule, sum_module, top,
+    Module, ModuleMap, coordinates_matrix, free_columns, hom_basis, identity_map, injective,
+    injectives, map_coordinates, map_vector, projective, projective_sum, projectives, simple,
+    socle_series, spanned_submodule, sum_module, top,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -351,6 +353,50 @@ def test_radical_never_builds_a_total_matrix(monkeypatch):
         ps, qs = projectives(alg), injectives(alg)
         for m in ps + qs + [sum_module(alg, ps + qs)]:
             assert EndAlgebra(m).radical_coords().rows == len(hom_basis(m, m))
+
+
+@pytest.mark.parametrize("name, field", [("local_xy", GF(3)), ("commutative_square_plus", GF(5)),
+                                         ("kronecker_tensor_a2", GF(5)), ("a3_rad_square", GF(5)),
+                                         ("commutative_square_plus", QQ)], ids=str)
+def test_quotient_algebra_reads_the_coordinates_a_solve_gives(name, field):
+    alg = getattr(presets, name)(field)
+    ps, qs = projectives(alg), injectives(alg)
+    for m in ps + qs + [sum_module(alg, ps + qs)]:
+        end = EndAlgebra(m)
+        s, basis = end.semisimple_quotient(), end.basis
+        identity = identity_map(m)
+        assert s.coordinates(identity) == map_coordinates(identity, basis)
+        assert s.one() == s.project(map_coordinates(identity, basis))
+        products = [g.then(f) for f in basis for g in basis]
+        solved = coordinates_matrix(products, basis)
+        for t, prod in enumerate(products):
+            assert s.coordinates(prod) == solved.col(t)
+        for i, j in itertools.product(range(s.dim), repeat=2):
+            prod = basis[s.comp[j]].then(basis[s.comp[i]])
+            assert s._basis_product(i, j) == s.project(map_coordinates(prod, basis))
+
+
+def test_quotient_algebra_coordinates_reject_a_map_outside_end():
+    for name, field in (("local_xy", GF(3)), ("commutative_square_plus", QQ)):
+        alg = getattr(presets, name)(field)
+        m = sum_module(alg, projectives(alg) + injectives(alg))
+        end = EndAlgebra(m)
+        s = end.semisimple_quotient()
+        vec = map_vector(identity_map(m))
+        free = set(free_columns(end.basis))
+        # a unit at a pivot column reads as the zero combination
+        outside = [field.zero()] * len(vec)
+        outside[min(set(range(len(vec))) - free)] = field.one()
+        off = 0
+        comps = {}
+        for v in alg.quiver.vertices:
+            d = m.dims[v] ** 2
+            comps[v] = Matrix(field, m.dims[v], m.dims[v], outside[off:off + d])
+            off += d
+        with pytest.raises(NoSolution):
+            s.coordinates(ModuleMap(m, m, comps, check=False))
+        with pytest.raises(NoSolution):
+            map_coordinates(ModuleMap(m, m, comps, check=False), end.basis)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

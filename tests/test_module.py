@@ -530,10 +530,11 @@ def full_pass_spanned_submodule(m, vectors):
 
 
 SATURATION_ALGEBRAS = (presets.local_xy(GF(3)), presets.commutative_square_plus(GF(5)),
-                       presets.commutative_square_plus(QQ))
+                       presets.commutative_square_plus(QQ), presets.kronecker_tensor_a2(GF(5)),
+                       presets.a3_rad_square(GF(5)), presets.kronecker_squared(GF(2)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_spanned_submodule_pushes_only_new_vectors(data):
     alg = data.draw(st.sampled_from(SATURATION_ALGEBRAS))
@@ -551,6 +552,33 @@ def test_spanned_submodule_pushes_only_new_vectors(data):
     assert incl.components == ref_incl.components
     assert sub.action == ref.action
     assert sub.content_hash() == ref.content_hash()
+
+
+@pytest.mark.parametrize("name, p", [("kronecker_tensor_a2", 5), ("a3_rad_square", 5),
+                                     ("kronecker_squared", 2)])
+def test_spanned_submodule_rejects_a_corrupted_read_coordinate(name, p, monkeypatch):
+    from quivercert import module as module_module
+    alg = getattr(presets, name)(GF(p))
+    original = module_module._pushed_coordinates
+    corrupted = []
+
+    def corrupt(reduced, pivots, start):
+        out = original(reduced, pivots, start)
+        for col in out:
+            if col and not corrupted:
+                col[0] = alg.field.add(col[0], alg.field.one())
+                corrupted.append(True)
+        return out
+
+    monkeypatch.setattr(module_module, "_pushed_coordinates", corrupt)
+    for x in alg.quiver.vertices:
+        proj = projective(alg, x)
+        if proj.total_dim() > 1:
+            break
+    generator = Matrix.identity(alg.field, proj.dims[x]).submatrix(range(proj.dims[x]), [0])
+    with pytest.raises(ModuleError):
+        spanned_submodule(proj, {x: generator})
+    assert corrupted
 
 
 def test_content_hash_is_kept_and_equals_a_fresh_copys():

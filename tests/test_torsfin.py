@@ -295,3 +295,48 @@ def test_closure_repeats_no_approximation_and_no_hom_basis(monkeypatch, name, fi
     assert len(pairs) == len(set(pairs))
     pinned = {(n, str(f), s): d for n, f, s, d in E1_INVENTORY_DIGESTS}
     assert payload_hash(inv.summary()) == pinned[name, str(field), 0]
+
+
+@pytest.mark.parametrize("name, field", [("local_xy", GF(3)), ("commutative_square_plus", GF(5))],
+                         ids=str)
+def test_closure_reads_coordinates_it_already_holds(monkeypatch, name, field):
+    # spanned_submodule reads its action off the saturation, minpoly_matrix
+    # its annihilators off the Krylov echelon, and End/rad its structure
+    # constants off the End basis's free columns: none of them solves
+    import sys
+    from quivercert import decompose, torsfin, upoly
+    from quivercert.matrix import Matrix
+    original_solve = Matrix.solve
+    solving = []
+
+    def watched_solve(self, b):
+        frame, callers = sys._getframe(1), []
+        while frame is not None:
+            code = frame.f_code
+            callers.append((code.co_filename.rsplit("/", 1)[-1], code.co_name))
+            frame = frame.f_back
+        solving.append(callers)
+        return original_solve(self, b)
+
+    calls = {"spanned_submodule": 0, "minpoly_matrix": 0, "QuotientAlgebra": 0}
+
+    def counted(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    monkeypatch.setattr(Matrix, "solve", watched_solve)
+    counted(torsfin, "spanned_submodule", "spanned_submodule")
+    counted(upoly, "minpoly_matrix", "minpoly_matrix")
+    counted(decompose.QuotientAlgebra, "__init__", "QuotientAlgebra")
+    enumerate_torsionless(getattr(presets, name)(field), seed=0)  # fresh: no caches
+    assert all(calls.values()), calls
+    assert solving
+    for callers in solving:
+        assert ("module.py", "spanned_submodule") not in callers
+        assert ("upoly.py", "minpoly_matrix") not in callers
+        from_decompose = any(f == "decompose.py" for f, _ in callers)
+        assert not (from_decompose and ("module.py", "map_coordinates") in callers)

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quivercert import GF, QQ, Matrix
+from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import upoly
 
 
@@ -166,6 +166,74 @@ def test_minpoly_divides_charpoly_and_annihilates():
             _, rem = upoly.divmod_poly(field, cp, mp)
             assert rem == []
             assert upoly.eval_matrix(field, mp, m).is_zero()
+
+
+def solve_per_step_minpoly(m):
+    """Reference: the lcm of the annihilators of the standard basis
+    vectors, each from one solve of m^k e on e, ..., m^(k-1) e per step."""
+    field, n = m.field, m.rows
+    result = [field.one()]
+    for start in range(n):
+        if upoly.degree(result) >= n:
+            break
+        vec = Matrix.zero(field, n, 1)
+        vec[start, 0] = field.one()
+        krylov = [vec]
+        while True:
+            nxt = m @ krylov[-1]
+            try:
+                coords = Matrix.hstack(krylov).solve(nxt)
+            except NoSolution:
+                krylov.append(nxt)
+                continue
+            ann = [field.neg(coords[i, 0]) for i in range(len(krylov))] + [field.one()]
+            result = upoly.lcm(field, result, upoly.normalize(field, ann))
+            break
+    return upoly.monic(field, result)
+
+
+@st.composite
+def minpoly_matrices(draw):
+    """Dense, sparse, block-diagonal (the two blocks often equal),
+    nilpotent (strictly upper triangular, rows and columns permuted alike)
+    and scalar matrices, n = 0..6, over GF(2), GF(3), GF(5) and Q."""
+    field = draw(st.sampled_from((GF(2), GF(3), GF(5), QQ)))
+    n = draw(st.integers(0, 6))
+    value = (st.integers(0, field.p - 1) if field.p
+             else st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)))
+    kind = draw(st.sampled_from(("dense", "sparse", "block_diagonal", "nilpotent", "scalar")))
+    if kind == "scalar":
+        return Matrix.identity(field, n).scale(draw(value))
+    if kind == "block_diagonal":
+        cut = draw(st.integers(0, n))
+        first = Matrix(field, cut, cut, draw(st.lists(value, min_size=cut * cut,
+                                                      max_size=cut * cut)))
+        rest = n - cut
+        second = (first if rest == cut and draw(st.booleans()) else
+                  Matrix(field, rest, rest, draw(st.lists(value, min_size=rest * rest,
+                                                          max_size=rest * rest))))
+        return Matrix.block_diag(field, [first, second])
+    if kind == "sparse":
+        value = st.one_of(st.just(field.zero()), value)
+    entries = draw(st.lists(value, min_size=n * n, max_size=n * n))
+    if kind == "nilpotent":
+        order = draw(st.permutations(range(n)))
+        entries = [entries[i * n + j] if order[i] < order[j] else field.zero()
+                   for i in range(n) for j in range(n)]
+    return Matrix(field, n, n, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(minpoly_matrices())
+@example(Matrix.zero(QQ, 0, 0))
+@example(Matrix.from_rows(GF(2), [[1]]))
+@example(Matrix.from_rows(QQ, [[Fraction(-3, 2)]]))
+def test_minpoly_equals_a_solve_per_krylov_step(m):
+    mp = upoly.minpoly_matrix(m)
+    ref = solve_per_step_minpoly(m)
+    assert mp == ref
+    assert [type(c) for c in mp] == [type(c) for c in ref]
+    assert upoly.eval_matrix(m.field, mp, m).is_zero()
 
 
 def test_minpoly_of_identity():
