@@ -32,7 +32,7 @@ from . import upoly
 from .matrix import Matrix, NoSolution
 from .module import (
     Module, ModuleMap, block_map, free_columns, hom_basis, identity_map, map_from_coordinates,
-    map_vector, random_combination, submodule, sum_module, zero_map,
+    map_vector, random_combination, simple, submodule, sum_module, zero_map,
 )
 
 
@@ -417,9 +417,10 @@ def decompose(m: Module) -> Decomposition:
     """Full decomposition into indecomposables with an invertible witness.
 
     When every arrow acts by zero, the line spanned by each basis vector
-    at a vertex v is a submodule, a copy of the simple S(v); m is the
-    direct sum of these lines, and a 1-dimensional module is
-    indecomposable, so they are the summands and no End algebra is built.
+    at a vertex v is a submodule: the simple S(v), included by that basis
+    vector, with no action to solve for.  m is the direct sum of these
+    lines, and a 1-dimensional module is indecomposable, so they are the
+    summands and no End algebra is built.
     Otherwise pieces are split (`split_once`) until End/rad of each is
     proved a division algebra, or Undecided is raised.  Either way the
     summands are grouped into isomorphism classes and the witness is
@@ -430,8 +431,10 @@ def decompose(m: Module) -> Decomposition:
         stack = []
         for v, d in m.dims.items():
             basis = Matrix.identity(m.field, d)
-            found.extend(submodule(m, {v: basis.submatrix(range(d), [k])})
-                         for k in range(d))
+            for k in range(d):
+                line = simple(m.algebra, v)
+                found.append((line, ModuleMap(line, m, {v: basis.submatrix(range(d), [k])},
+                                              check=False)))
     else:
         stack = [(m, identity_map(m))]
     while stack:

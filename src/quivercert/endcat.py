@@ -50,7 +50,7 @@ from operator import mul
 from .approx import AddCategory
 from .decompose import is_indecomposable, is_isomorphic, decompose
 from .matrix import Matrix
-from .module import Module, hom_basis, injectives, map_vector, projectives
+from .module import Module, hom_basis, injectives, map_vector, projectives, top_support
 from .torsfin import ClassList, IncompleteInventory, TorsionlessInventory
 
 # hom_basis is re-exported: qcbench's tracer test checks that the alias
@@ -354,19 +354,29 @@ def auslander_generator(algebra, inventory: TorsionlessInventory,
 
 # -- the layering certificate (strongly quasi-hereditary route) --------------------
 
-def _first_outside_image(cat: CatAlgebra, incl, idx: int, sources: list[int]):
+def _first_outside_image(cat: CatAlgebra, incl, idx: int, sources: list[int], tops: list):
     """The first j in `sources` with a radical map M_j -> M_idx whose image
     leaves im incl at some vertex, or None (the test of `layering_check`;
-    incl is injective).  C_v is built at the first radical map, and only
-    where incl_v is not onto."""
+    incl is injective, and tops[j] is `top_support(M_j)`).
+
+    C = M_idx / im incl is nonzero exactly at the vertices where incl_v is
+    not onto.  A map f: M_j -> M_idx leaves im incl when q f != 0, q the
+    quotient onto C, and q f is fixed by its values on lifts of a basis of
+    top M_j, which generate M_j (Nakayama) and lie at the vertices of
+    tops[j]; so a source whose top misses the support of C has none, and
+    its Hom basis is never built.  C_v is built at the first radical map
+    tested, and only where incl_v is not onto."""
+    support = {v for v, iota in incl.components.items() if iota.rows > iota.cols}
     cokernel = None
     for jdx in sources:
+        if not support & tops[jdx]:
+            continue
         rads = cat.radical_maps(jdx, idx)
         if not rads:
             continue
         if cokernel is None:
-            cokernel = {v: iota.transpose().kernel_basis().transpose()
-                        for v, iota in incl.components.items() if iota.rows > iota.cols}
+            cokernel = {v: incl.components[v].transpose().kernel_basis().transpose()
+                        for v in support}
         for v, c in cokernel.items():
             if rads[0].components[v].cols:
                 image = Matrix.hstack([f.components[v] for f in rads])
@@ -398,6 +408,13 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
     because iota is an injective module map.  So the test is one product
     per vertex, C_v [f_v for every radical f] = 0, where the rows of C_v
     cut out im iota_v; the first failing N' is the witness.
+
+    A source N' whose top support (`module.top_support`) misses the
+    support of N / im iota is skipped before its Hom basis is built:
+    every map N' -> N is fixed modulo im iota by its values on lifts of
+    top N', so every radical map from it factors.  This holds for any
+    injective iota, and N' = N is no exception, so no skipped source can
+    be the first failing one.
     """
     n = len(cat)
     layer_of = {}
@@ -406,6 +423,7 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
             layer_of[idx] = level
     if sorted(layer_of) != list(range(n)):
         raise ValueError("layers must exhaust the objects exactly once")
+    tops = [top_support(m) for m in cat.objects]
     results = []
     all_pass = True
     for idx in range(n):
@@ -433,7 +451,7 @@ def layering_check(cat: CatAlgebra, layers: list[list[int]], alpha: dict) -> dic
                     entry["witness"] = f"alpha summand {part.dim_vector()} not in lower layers"
         if entry["factorizations"]:
             jdx = _first_outside_image(cat, alpha_incl, idx,
-                                       [j for j in range(n) if layer_of[j] <= level])
+                                       [j for j in range(n) if layer_of[j] <= level], tops)
             if jdx is not None:
                 entry["factorizations"] = False
                 entry["witness"] = {"from_object": jdx,

@@ -664,6 +664,18 @@ def radical(m: Module):
     return submodule(m, spans)
 
 
+def top_support(m: Module) -> set:
+    """The vertices x where top M = M / rad M is nonzero: those whose fibre
+    M_x the images of the arrows into x do not span, one rank per vertex."""
+    quiver = m.algebra.quiver
+    out = set()
+    for x in quiver.vertices:
+        incoming = [m.action[a.name] for a in quiver.arrows_to(x)]
+        if m.dims[x] and (not incoming or Matrix.hstack(incoming).rank() < m.dims[x]):
+            out.add(x)
+    return out
+
+
 def socle(m: Module):
     """soc M = joint kernel of all arrow actions."""
     algebra, field = m.algebra, m.field
@@ -684,15 +696,42 @@ def top(m: Module):
 
 
 def socle_series(m: Module):
-    """[(soc^t m, inclusion into m) for t = 1 .. LL(m)], each term the
-    preimage in m of the socle of m / soc^(t-1) m.
+    """[(soc^t m, inclusion into m) for t = 1 .. LL(m)].
+
+    soc^t M, the preimage in M of the socle of M / soc^(t-1) M, is
+    ann_M(J^t): the vectors of each M_v that every path of length t out
+    of v kills (a longer path starts with one of length t).  R_t(v), the
+    nonzero rows of the rref of those paths' actions stacked, is read
+    off the previous step: the length-t paths out of v are the length
+    t-1 paths out of w after an arrow a: v -> w, and the row space of
+    [X M_a] depends only on the row space of X, so R_t(v) is the rref of
+    the R_(t-1)(w) M_a stacked over the arrows a: v -> w (R_1(v) that of
+    the actions M_a).  Each term has the kernel of R_t(v) at v.
+
+    The basis is the one the quotient route gave -- the kernel of the
+    composite M -> M/soc^(t-1) -> (M/soc^(t-1))/soc at each vertex, and
+    `socle`'s kernel for t = 1 -- because a reduced kernel basis, the
+    identity at the free columns of the rref of any matrix with that
+    kernel, depends only on the kernel.  So every inclusion and every
+    content hash is the same.  The kernel bases are independent, so they
+    go to `_submodule_on` unreduced.
 
     The series grows at every step until it reaches m, so its length is
     the Loewy length of a nonzero m."""
-    series = [socle(m)]
-    while series[-1][0].total_dim() < m.total_dim():
-        quot, proj = quotient(m, series[-1][1])
-        _, socle_incl = socle(quot)
-        _, proj2 = quotient(quot, socle_incl)
-        series.append(kernel_of_map(proj.then(proj2)))
-    return series
+    quiver = m.algebra.quiver
+    out = {v: [(a.target, m.action[a.name]) for a in quiver.arrows_from(v)]
+           for v in quiver.vertices}
+    actions = {v: [act for _, act in out[v]] for v in quiver.vertices}
+    series = []
+    while True:
+        rows, kernels = {}, {}
+        for v in quiver.vertices:
+            stacked = (Matrix.vstack(actions[v]) if actions[v]
+                       else Matrix.zero(m.field, 0, m.dims[v]))
+            reduced, _, rank = stacked.rref()
+            rows[v] = reduced.submatrix(range(rank), range(stacked.cols))
+            kernels[v] = rows[v].kernel_basis()
+        series.append(_submodule_on(m, kernels))
+        if series[-1][0].total_dim() == m.total_dim():
+            return series
+        actions = {v: [rows[w] @ act for w, act in out[v]] for v in quiver.vertices}

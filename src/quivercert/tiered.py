@@ -6,9 +6,14 @@ with projective index n+2-i and injective index i, on top of the lower
 layers; a module meeting both families is placed at the earliest layer.
 
 `truncations` computes the socle series of each projective and
-injective once and takes its terms.  The layering sets alpha N = rad N and
-checks nothing about it: `endcat.layering_check` is the one place that
-decides whether alpha's summands lie in the lower layers.
+injective once and takes its terms.  Each term soc^t M is read as
+ann_M(J^t), the kernel at each vertex of the length-t path actions,
+whose row-reduced rows come from the previous step's along each arrow
+(`module.socle_series`), with no quotient module built.
+
+The layering sets alpha N = rad N and checks nothing about it:
+`endcat.layering_check` is the one place that decides whether alpha's
+summands lie in the lower layers.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from quivercert.io import payload_hash
 from quivercert.module import (
     Module, ModuleMap, coordinates_matrix, free_columns, hom_basis, identity_map, injective,
     injectives, map_coordinates, map_vector, projective, projective_sum, projectives, simple,
-    socle_series, spanned_submodule, sum_module, top,
+    socle_series, spanned_submodule, submodule, sum_module, top,
 )
 
 PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
@@ -635,11 +635,23 @@ PROPERTY_FIELDS = (GF(2), GF(3), QQ)
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_zero_action_decomposes_into_its_vertex_lines(data):
-    name = data.draw(st.sampled_from(("kronecker_squared", "ex84_middle")))
+    # each line is S(v) with the inclusion e_k, as `submodule` builds it,
+    # and no action is solved for
+    name = data.draw(st.sampled_from(("kronecker_squared", "ex84_middle", "local_xy")))
     alg = getattr(presets, name)(data.draw(st.sampled_from(PROPERTY_FIELDS)))
     dims = {v: data.draw(st.integers(0, 2)) for v in alg.quiver.vertices}
     m = Module(alg, dims, {})
-    dec = decompose(m)
+    solves = []
+    original = Matrix.solve
+
+    def counting_solve(self, b):
+        solves.append(b)
+        return original(self, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "solve", counting_solve)
+        dec = decompose(m)
+    assert solves == []
     assert dec.witness.is_isomorphism()
     verts = sorted((v for v in alg.quiver.vertices if dims[v]),
                    key=lambda v: simple(alg, v).dim_vector())
@@ -649,6 +661,13 @@ def test_zero_action_decomposes_into_its_vertex_lines(data):
     assert got == [(rep.content_hash(), k) for rep, k in reference]
     assert [part.content_hash() for part in dec.parts] == [
         rep.content_hash() for rep, k in reference for _ in range(k)]
+    lines = [submodule(m, {v: Matrix.identity(alg.field, dims[v]).submatrix(range(dims[v]), [k])})
+             for v in verts for k in range(dims[v])]
+    assert [part.content_hash() for part in dec.parts] == [
+        line.content_hash() for line, _ in lines]
+    for v in alg.quiver.vertices:
+        assert dec.witness.components[v] == Matrix.hstack(
+            [Matrix.zero(alg.field, dims[v], 0)] + [incl.components[v] for _, incl in lines])
 
 
 @st.composite

@@ -594,3 +594,54 @@ def test_content_hash_is_kept_and_equals_a_fresh_copys():
         first = m.content_hash()
         assert m.content_hash() == first
         assert Module(m.algebra, m.dims, m.action).content_hash() == first
+
+
+# -- the socle series as annihilators of J^t ------------------------------------------
+
+from quivercert.algebra import tensor
+from quivercert.module import injectives, projectives, top_support
+
+
+def quotient_route_socle_series(m):
+    """Reference: each term the kernel of m -> m/soc^(t-1) m -> its
+    quotient by the socle, the route `socle_series` took before it read
+    ann(J^t)."""
+    series = [socle(m)]
+    while series[-1][0].total_dim() < m.total_dim():
+        quot, proj = quotient(m, series[-1][1])
+        _, socle_incl = socle(quot)
+        _, proj2 = quotient(quot, socle_incl)
+        series.append(kernel_of_map(proj.then(proj2)))
+    return series
+
+
+SOCLE_SERIES_ALGEBRAS = {
+    "KxK@GF(2)": lambda: presets.kronecker_squared(GF(2)),
+    "KxK@GF(3)": lambda: presets.kronecker_squared(GF(3)),
+    "KxK@Q": lambda: presets.kronecker_squared(QQ),
+    "KxKxK@GF(2)": lambda: tensor(presets.kronecker_squared(GF(2)), presets.kronecker(GF(2))),
+    "ex84_left@GF(2)": lambda: presets.ex84_left(GF(2)),
+    "ex84_middle@GF(2)": lambda: presets.ex84_middle(GF(2)),
+    "ex84_right@GF(2)": lambda: presets.ex84_right(GF(2)),
+    "local_xy@GF(3)": lambda: presets.local_xy(GF(3)),
+    "commutative_square_plus@Q": lambda: presets.commutative_square_plus(QQ),
+}
+
+
+@pytest.mark.parametrize("name", SOCLE_SERIES_ALGEBRAS)
+def test_socle_series_equals_the_quotient_route(name):
+    alg = SOCLE_SERIES_ALGEBRAS[name]()
+    for m in projectives(alg) + injectives(alg):
+        series, reference = socle_series(m), quotient_route_socle_series(m)
+        assert len(series) == len(reference)
+        for (term, incl), (ref, ref_incl) in zip(series, reference):
+            assert incl.components == ref_incl.components
+            assert term.content_hash() == ref.content_hash()
+
+
+@pytest.mark.parametrize("name", SOCLE_SERIES_ALGEBRAS)
+def test_top_support_is_where_the_top_is_nonzero(name):
+    alg = SOCLE_SERIES_ALGEBRAS[name]()
+    for m in projectives(alg) + injectives(alg):
+        quot, _ = top(m)
+        assert top_support(m) == {v for v in alg.quiver.vertices if quot.dims[v]}

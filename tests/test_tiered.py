@@ -11,6 +11,7 @@ from quivercert.decompose import is_indecomposable
 from quivercert.io import payload_hash
 from quivercert.module import (
     coordinates_matrix, hom_basis, injective, projective, socle, socle_series, zero_map,
+    zero_module,
 )
 from quivercert.tiered import (
     NotNicelyTiered, build_layering, find_embedding, p1_check, p2_check,
@@ -217,7 +218,6 @@ def test_layering_check_splits_no_semisimple_alpha(factors, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.slow
 def test_layering_bound_equals_global_dimension_kkk():
     # E2 at n = 3: the layering bound 5 is the gl.dim of its objects
     layering = build_layering(_k_power(3))
@@ -266,26 +266,51 @@ def factorization_reference(cat, layers, alpha):
     return out
 
 
+def _mutated_alphas(layering):
+    """alpha N = soc N, and alpha N = 0 with its zero inclusion, which is
+    injective: N / alpha N is not semisimple on the non-simple objects."""
+    zero = zero_module(layering.objects[0].algebra)
+    return [{idx: socle(obj) for idx, obj in enumerate(layering.objects)},
+            {idx: (zero, zero_map(zero, obj)) for idx, obj in enumerate(layering.objects)}]
+
+
 @pytest.mark.parametrize("name", ["ex84_middle", "ex84_left", "ex84_right", "a2",
                                   "full_commutative_square", "kronecker_squared"])
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
 def test_layering_check_matches_the_factorization_reference(name, field):
     # the real layering, the reversed one and all objects in one layer;
-    # the last two fail on every preset here, so both outcomes are compared
+    # the last two fail on every preset here, so both outcomes are compared.
+    # On K(x)K and ex84_middle the mutated alphas of `_mutated_alphas` are
+    # compared too, where the top-support skip meets a non-semisimple N / alpha N
     layering = build_layering(getattr(presets, name)(field))
     n = len(layering.objects)
     cat = CatAlgebra(layering.objects, verify=False)
-    for real, layers in ((True, layering.layers), (False, layering.layers[::-1]),
-                         (False, [list(range(n))])):
-        cert = layering_check(cat, layers, layering.alpha)
-        expected = factorization_reference(cat, layers, layering.alpha)
-        got = [e["witness"]["from_object"] if not e["factorizations"] else None
-               for e in cert["objects"]]
-        assert got == expected
-        for entry, jdx in zip(cert["objects"], expected):
-            if jdx is not None:
-                assert entry["witness"]["map_dims"] == list(cat.objects[jdx].dim_vector())
-        assert real or any(jdx is not None for jdx in expected)
+    alphas = [layering.alpha]
+    if name in ("kronecker_squared", "ex84_middle"):
+        alphas.extend(_mutated_alphas(layering))
+    for mutated, alpha in enumerate(alphas):
+        for real, layers in ((True, layering.layers), (False, layering.layers[::-1]),
+                             (False, [list(range(n))])):
+            cert = layering_check(cat, layers, alpha)
+            expected = factorization_reference(cat, layers, alpha)
+            got = [e["witness"]["from_object"] if not e["factorizations"] else None
+                   for e in cert["objects"]]
+            assert got == expected
+            for entry, jdx in zip(cert["objects"], expected):
+                if jdx is not None:
+                    assert entry["witness"]["map_dims"] == list(cat.objects[jdx].dim_vector())
+            assert (real and not mutated) or any(jdx is not None for jdx in expected)
+
+
+def test_layering_check_builds_few_hom_bases_on_kkk(monkeypatch):
+    # a source whose top misses N / alpha N is skipped before its Hom basis
+    # is built; without the skip the check builds 618 for its pairs alone
+    layering = build_layering(_k_power(3))
+    cat = CatAlgebra(layering.objects, verify=False)
+    calls = _count_calls(monkeypatch, hom_basis)
+    cert = layering_check(cat, layering.layers, layering.alpha)
+    assert cert["pass"] and cert["bound"] == 5
+    assert len(calls) < 618
 
 
 def test_not_nicely_tiered_error():
@@ -333,18 +358,19 @@ def _count_calls(monkeypatch, func):
     return calls
 
 
-@pytest.mark.parametrize("factors, expected", [(2, 16), (3, 40)], ids=["KxK", "KxKxK"])
-def test_truncations_build_each_socle_series_once(factors, expected, monkeypatch):
-    # one socle per term of each projective's and injective's socle series
+@pytest.mark.parametrize("factors, expected, series", [(2, 16, 8), (3, 40, 16)],
+                         ids=["KxK", "KxKxK"])
+def test_truncations_build_each_socle_series_once(factors, expected, series, monkeypatch):
+    # one socle series per projective and injective, of 16 and 40 terms
     alg = presets.kronecker_squared(GF(2))
     if factors == 3:
         alg = tensor(alg, presets.kronecker(GF(2)))
     lengths = sum(len(socle_series(make(alg, x)))
                   for x in alg.quiver.vertices for make in (projective, injective))
     assert lengths == expected
-    calls = _count_calls(monkeypatch, socle)
+    calls = _count_calls(monkeypatch, socle_series)
     truncations(alg)
-    assert len(calls) == expected
+    assert len(calls) == series
 
 
 def test_build_layering_decomposes_nothing(monkeypatch):
