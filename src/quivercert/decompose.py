@@ -32,7 +32,7 @@ from . import upoly
 from .matrix import Matrix, NoSolution
 from .module import (
     Module, ModuleMap, block_map, free_columns, hom_basis, identity_map, map_from_coordinates,
-    map_vector, random_combination, simple, submodule, sum_module, zero_map,
+    map_vector, radical_spaces, random_combination, simple, submodule, sum_module, zero_map,
 )
 
 
@@ -43,23 +43,19 @@ class Undecided(RuntimeError):
 def _top_cuts(m: Module):
     """[(v, q_v, F_v)] for each vertex v where top M is nonzero.
 
-    rad M_v is the sum of the arrow images into v.  The rows of q_v, one
-    kernel basis of the transposed images, cut it out, and q_v is the
-    identity at its free columns F_v, so f's action on top M at v is
-    q_v f_v[:, F_v].  q_v is None where no arrow image reaches v: there
-    top M_v = M_v and the action is f_v itself.
+    The rows of q_v, one kernel basis of the transpose of rad M_v
+    (`radical_spaces`), cut rad M_v out, and q_v is the identity at its
+    free columns F_v, so f's action on top M at v is q_v f_v[:, F_v].
+    q_v is None where rad M_v = 0: there top M_v = M_v and the action is
+    f_v itself.
     """
     cuts = []
-    for v in m.algebra.quiver.vertices:
-        images = [m.action[a.name] for a in m.algebra.quiver.arrows_to(v)]
-        # the rows of the stack are the columns of the images
-        rows = [a.entries[j::a.cols] for a in images for j in range(a.cols)]
-        if not any(any(row) for row in rows):
+    for v, span in radical_spaces(m).items():
+        if span.is_zero():
             if m.dims[v]:
                 cuts.append((v, None, range(m.dims[v])))
             continue
-        stack = Matrix(m.field, len(rows), m.dims[v], [e for row in rows for e in row])
-        kern, free = stack.kernel_and_free()
+        kern, free = span.transpose().kernel_and_free()
         if free:
             cuts.append((v, kern.transpose(), free))
     return cuts

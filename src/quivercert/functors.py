@@ -16,7 +16,7 @@ from .algebra import BasicAlgebra
 from .matrix import Matrix, complement_basis
 from .module import (
     Module, ModuleMap, block_map, dual, dual_map, image_of_map, injectives, kernel_of_map,
-    projective_sum, projectives, quotient, radical, sum_module, zero_map, zero_module,
+    projective_sum, projectives, quotient, radical_spaces, sum_module, zero_map, zero_module,
 )
 from .decompose import decompose
 from .approx import is_torsionless
@@ -39,14 +39,15 @@ def projective_cover(m: Module) -> ModuleMap:
     of the top, in vertex order: one shared object per algebra and vertex
     tuple (the zero module for m = 0), so every cover of every module
     with the same top has the same source.  Only the surjection is built
-    here."""
+    here, from the standard vectors that `complement_basis` picks past
+    rad M_x (`radical_spaces`), which depend only on its column space."""
     algebra, field = m.algebra, m.field
     if m.is_zero():
         return zero_map(projective_sum(algebra, ()), m)
-    _, rad_incl = radical(m)
+    rad = radical_spaces(m)
     generators = []  # (vertex, column vector in m's fiber), one per summand of P
     for x in algebra.quiver.vertices:
-        rep = complement_basis(rad_incl.components[x])
+        rep = complement_basis(rad[x])
         generators.extend((x, rep.submatrix(range(m.dims[x]), [c])) for c in range(rep.cols))
     if not generators:
         raise NotProjective("nonzero module equal to its radical")

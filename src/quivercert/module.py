@@ -507,37 +507,30 @@ def random_combination(basis: list[ModuleMap], rng, bound: int) -> ModuleMap:
 
 # -- sub and quotient structures ----------------------------------------------
 
+def _independent(m: Module, subspaces) -> dict:
+    """The `column_space_basis` of each vertex's columns (d x 0 if none)."""
+    spans = {}
+    for v in m.algebra.quiver.vertices:
+        b = subspaces.get(v)
+        spans[v] = b.column_space_basis() if b is not None and b.cols else Matrix.zero(
+            m.field, m.dims[v], 0)
+    return spans
+
+
 def submodule(m: Module, subspaces):
     """Submodule on given fiber subspaces (columns of each Matrix).
 
-    The spaces must be arrow-stable, or the exact solve for the induced
-    action raises ModuleError.  Returns (sub, inclusion).
-    """
-    algebra, field = m.algebra, m.field
-    bases = {}
-    for v in algebra.quiver.vertices:
-        b = subspaces.get(v)
-        if b is None:
-            b = Matrix.zero(field, m.dims[v], 0)
-        bases[v] = b.column_space_basis() if b.cols else b
-    return _submodule_on(m, bases)
+    `_saturate` runs on their `column_space_basis`; the spaces must be
+    arrow-stable, or a span grows and ModuleError is raised.  Returns
+    (sub, inclusion)."""
+    return _stable(m, _independent(m, subspaces))
 
 
-def _submodule_on(m: Module, bases: dict):
-    """`submodule` on bases that are already independent, one Matrix per
-    vertex; the induced action is the exact solve of each arrow's images
-    against the target basis."""
-    algebra = m.algebra
-    dims = {v: bases[v].cols for v in bases}
-    action = {}
-    for a in algebra.quiver.arrows:
-        mapped = m.action[a.name] @ bases[a.source]
-        try:
-            action[a.name] = bases[a.target].solve(mapped)
-        except NoSolution:
-            raise ModuleError(f"subspaces not stable under arrow {a.name}") from None
-    sub = Module(algebra, dims, action, check=False)
-    incl = ModuleMap(sub, m, dict(bases), check=False)
+def _stable(m: Module, spans: dict):
+    """`_saturate` on independent spans that no arrow may grow."""
+    sub, incl, grew = _saturate(m, spans)
+    if grew is not None:
+        raise ModuleError(f"subspaces not stable under arrow {grew}")
     return sub, incl
 
 
@@ -559,19 +552,17 @@ def _pushed_coordinates(reduced: Matrix, pivots: tuple, start: int) -> list:
     return out
 
 
-def spanned_submodule(m: Module, vectors):
-    """Smallest submodule containing the given fiber vectors.
+def _saturate(m: Module, spans: dict):
+    """(sub, inclusion, grew): the smallest submodule containing the
+    independent spans, one Matrix per vertex, and the name of the first
+    arrow whose push grew a span (None when the spans are arrow-stable).
 
-    `vectors` maps vertex -> Matrix whose columns are elements of the
-    fiber; closure under all arrow actions is computed by saturation.
-
-    Each span is a `column_space_basis`, the pivot columns of its input,
-    and grows only by appending columns, so the columns that an arrow
-    has already pushed are a prefix of its source span.  Their images
-    lie in the target span, which only grows, so pushing them again adds
-    no pivot and moves none: each arrow pushes only the source columns
-    added since its last push, and every span comes out column for
-    column as when whole spans are pushed on every pass.
+    Each span grows only by appending columns, so the columns that an
+    arrow has already pushed are a prefix of its source span.  Their
+    images lie in the target span, which only grows, so pushing them
+    again adds no pivot and moves none: each arrow pushes only the
+    source columns added since its last push, and every span comes out
+    column for column as when whole spans are pushed on every pass.
 
     The induced action is read off the same reductions.  A push row
     reduces [target span | images], whose span columns are all pivots;
@@ -579,18 +570,15 @@ def spanned_submodule(m: Module, vectors):
     the new span are its rref column (`_pushed_coordinates`), and they
     stay its coordinates, padded with zeros, as the span grows.  The
     spans are independent, so these coordinates are the unique solution
-    that `submodule` would solve for.  One product per arrow checks
-    them against the images pushed: target span @ action == images.
+    of target span @ X = images.  One product per arrow checks them
+    against the images pushed.
     """
     algebra, field = m.algebra, m.field
-    spans = {}
-    for v in algebra.quiver.vertices:
-        b = vectors.get(v)
-        spans[v] = b.column_space_basis() if b is not None and b.cols else Matrix.zero(field, m.dims[v], 0)
+    spans = dict(spans)
     arrows = algebra.quiver.arrows
     images = {a.name: [] for a in arrows}  # the pushed chunks, in order
     coords = {a.name: [] for a in arrows}  # one coordinate list per pushed column
-    changed = True
+    grew, changed = None, True
     while changed:
         changed = False
         for a in arrows:
@@ -607,7 +595,7 @@ def spanned_submodule(m: Module, vectors):
             coords[a.name].extend(_pushed_coordinates(reduced, pivots, target.cols))
             if len(pivots) != target.cols:
                 spans[a.target] = joined.submatrix(range(joined.rows), pivots)
-                changed = True
+                grew, changed = grew or a.name, True
     zero, action = field.zero(), {}
     for a in arrows:
         rank, read = spans[a.target].cols, coords[a.name]
@@ -617,7 +605,18 @@ def spanned_submodule(m: Module, vectors):
             raise ModuleError(f"read coordinates fail under arrow {a.name}")
         action[a.name] = x
     sub = Module(algebra, {v: spans[v].cols for v in spans}, action, check=False)
-    return sub, ModuleMap(sub, m, spans, check=False)
+    return sub, ModuleMap(sub, m, spans, check=False), grew
+
+
+def spanned_submodule(m: Module, vectors):
+    """Smallest submodule containing the given fiber vectors.
+
+    `vectors` maps vertex -> Matrix whose columns are elements of the
+    fiber; `_saturate` closes their `column_space_basis` under all arrow
+    actions.
+    """
+    sub, incl, _ = _saturate(m, _independent(m, vectors))
+    return sub, incl
 
 
 def quotient(m: Module, incl: ModuleMap):
@@ -655,25 +654,24 @@ def image_of_map(f: ModuleMap):
 
 # -- radical / socle machinery ---------------------------------------------------
 
+def radical_spaces(m: Module) -> dict:
+    """rad M_v for each vertex v: the images of the arrows into v side by
+    side (a d_v x 0 matrix where there are none)."""
+    quiver = m.algebra.quiver
+    return {v: Matrix.hstack([Matrix.zero(m.field, m.dims[v], 0)]
+                             + [m.action[a.name] for a in quiver.arrows_to(v)])
+            for v in quiver.vertices}
+
+
 def radical(m: Module):
     """rad M = sum of arrow-action images (admissible quotients)."""
-    algebra, field = m.algebra, m.field
-    spans = {v: Matrix.zero(field, m.dims[v], 0) for v in algebra.quiver.vertices}
-    for a in algebra.quiver.arrows:
-        spans[a.target] = Matrix.hstack([spans[a.target], m.action[a.name]])
-    return submodule(m, spans)
+    return submodule(m, radical_spaces(m))
 
 
 def top_support(m: Module) -> set:
-    """The vertices x where top M = M / rad M is nonzero: those whose fibre
-    M_x the images of the arrows into x do not span, one rank per vertex."""
-    quiver = m.algebra.quiver
-    out = set()
-    for x in quiver.vertices:
-        incoming = [m.action[a.name] for a in quiver.arrows_to(x)]
-        if m.dims[x] and (not incoming or Matrix.hstack(incoming).rank() < m.dims[x]):
-            out.add(x)
-    return out
+    """The vertices v where top M = M / rad M is nonzero: those where
+    rad M_v has rank below dim M_v."""
+    return {v for v, span in radical_spaces(m).items() if span.rank() < m.dims[v]}
 
 
 def socle(m: Module):
@@ -714,7 +712,8 @@ def socle_series(m: Module):
     identity at the free columns of the rref of any matrix with that
     kernel, depends only on the kernel.  So every inclusion and every
     content hash is the same.  The kernel bases are independent, so they
-    go to `_submodule_on` unreduced.
+    go to `_saturate` unreduced; a term that is not arrow-stable raises
+    ModuleError.
 
     The series grows at every step until it reaches m, so its length is
     the Loewy length of a nonzero m."""
@@ -731,7 +730,7 @@ def socle_series(m: Module):
             reduced, _, rank = stacked.rref()
             rows[v] = reduced.submatrix(range(rank), range(stacked.cols))
             kernels[v] = rows[v].kernel_basis()
-        series.append(_submodule_on(m, kernels))
+        series.append(_stable(m, kernels))
         if series[-1][0].total_dim() == m.total_dim():
             return series
         actions = {v: [rows[w] @ act for w, act in out[v]] for v in quiver.vertices}

@@ -23,7 +23,7 @@ from itertools import product
 from random import Random
 
 from .algebra import BasicAlgebra
-from .decompose import Undecided, is_indecomposable, is_isomorphic
+from .decompose import Undecided, is_isomorphic
 from .module import (
     Module, hom_basis, hom_dim, injectives, map_from_coordinates, projectives,
     radical, random_combination, socle_series,
@@ -76,16 +76,12 @@ def truncations(algebra: BasicAlgebra) -> list[Truncation]:
     tagged with their layer indices."""
     require_nicely_tiered(algebra)
     entries: list[Truncation] = []
-    indecomposable: list = []  # per entry: is_indecomposable, computed on demand
 
     def absorb(module: Module, p_idx, q_idx):
-        for k, e in enumerate(entries):
+        for e in entries:
             if e.module.dim_vector() != module.dim_vector():
                 continue
-            if indecomposable[k] is None:
-                indecomposable[k] = is_indecomposable(e.module)
-            # the local-ring test is complete only when End(e.module) is local
-            ok, _ = is_isomorphic(e.module, module, assume_indecomposable=indecomposable[k])
+            ok, _ = is_isomorphic(e.module, module)
             if ok:
                 if p_idx:
                     e.p_indices.append(p_idx)
@@ -94,7 +90,6 @@ def truncations(algebra: BasicAlgebra) -> list[Truncation]:
                 return
         entries.append(Truncation(module, [p_idx] if p_idx else [],
                                   [q_idx] if q_idx else []))
-        indecomposable.append(None)
 
     for x, p in zip(algebra.quiver.vertices, projectives(algebra)):
         series = socle_series(p)

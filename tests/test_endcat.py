@@ -11,12 +11,12 @@ import pytest
 from quivercert import GF, QQ, Matrix, approx, endcat, presets
 from quivercert.decompose import EndAlgebra
 from quivercert.endcat import (
-    CatAlgebra, SubFunctor, _pullback, auslander_generator, global_dimension, simple_pd,
+    CatAlgebra, DuplicateObject, SubFunctor, _pullback, auslander_generator, global_dimension, simple_pd,
     syzygy,
 )
 from quivercert.io import payload_hash
 from quivercert.module import (
-    coordinates_matrix, hom_basis, injective, map_coordinates, map_vector, projective,
+    Module, coordinates_matrix, hom_basis, injective, map_coordinates, map_vector, projective,
 )
 from quivercert.tiered import build_layering
 from quivercert.torsfin import enumerate_torsionless
@@ -251,3 +251,16 @@ def test_global_dimension_rejects_a_betti_table_that_is_not_exact(monkeypatch):
     monkeypatch.setattr(endcat, "simple_pd", bumped)
     with pytest.raises(RuntimeError, match="is not exact at object"):
         global_dimension(CatAlgebra(objects, verify=False))
+
+
+def test_cat_algebra_rejects_two_isomorphic_objects():
+    # P(1) on the Kronecker quiver and a copy of it in a new basis at vertex 2
+    field = GF(3)
+    alg = presets.kronecker(field)
+    p = projective(alg, "1")
+    g = Matrix.from_rows(field, [[1, 1], [0, 1]])
+    twisted = Module(alg, p.dims, {name: g @ act for name, act in p.action.items()})
+    assert twisted.action != p.action
+    with pytest.raises(DuplicateObject):
+        CatAlgebra([p, twisted])
+    assert len(CatAlgebra([p])) == 1

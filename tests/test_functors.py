@@ -13,7 +13,8 @@ from quivercert.functors import (
 )
 from quivercert.io import payload_hash
 from quivercert.module import (
-    dual, injective, kernel_of_map, projective, radical, simple, socle, sum_module, top,
+    dual, injective, injectives, kernel_of_map, projective, projectives, radical, simple, socle,
+    sum_module, top,
 )
 
 
@@ -276,3 +277,25 @@ def test_kunneth_witness_builds_each_projective_once(monkeypatch):
     keys = [(id(alg), x) for alg, x in built if alg is kk or alg is kron]
     assert len(keys) == len(set(keys))
     assert [x for alg, x in built if alg is kron] == list(kron.quiver.vertices)
+
+
+def test_projective_cover_builds_no_submodule(monkeypatch):
+    # the generators are read past rad M_x (`radical_spaces`); no radical
+    # submodule is built for them
+    from quivercert import module as module_module
+    alg = presets.local_xy(GF(3))
+    mods = projectives(alg) + injectives(alg)
+    calls = []
+    for name in ("submodule", "radical"):
+        original = getattr(module_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module_module, name, counted)
+    for m in mods:
+        cover = projective_cover(m)
+        assert cover.is_surjective()
+    assert cover.source.total_dim() > cover.target.total_dim()
+    assert calls == []

@@ -579,6 +579,30 @@ def test_spanned_submodule_rejects_a_corrupted_read_coordinate(name, p, monkeypa
     with pytest.raises(ModuleError):
         spanned_submodule(proj, {x: generator})
     assert corrupted
+    # submodule and kernel_of_map read their action off the same reduction
+    whole = {v: Matrix.identity(alg.field, proj.dims[v]) for v in alg.quiver.vertices}
+    for build in (lambda: submodule(proj, whole),
+                  lambda: kernel_of_map(zero_map(proj, proj))):
+        corrupted.clear()
+        with pytest.raises(ModuleError):
+            build()
+        assert corrupted
+
+
+def test_submodule_rejects_a_space_that_is_not_arrow_stable():
+    # P(1) on the Kronecker quiver: a and b send the top vector to the two
+    # basis vectors at vertex 2
+    alg = presets.kronecker(GF(3))
+    p = projective(alg, "1")
+    top_vector = Matrix.identity(alg.field, p.dims["1"])
+    with pytest.raises(ModuleError, match="arrow a"):
+        submodule(p, {"1": top_vector})
+    # a keeps the space with its image at vertex 2; only b, pushed later,
+    # grows it
+    with pytest.raises(ModuleError, match="arrow b"):
+        submodule(p, {"1": top_vector, "2": p.action["a"]})
+    sub, _ = submodule(p, {"1": top_vector, "2": Matrix.hstack([p.action["a"], p.action["b"]])})
+    assert sub.dim_vector() == p.dim_vector()
 
 
 def test_content_hash_is_kept_and_equals_a_fresh_copys():
@@ -645,3 +669,28 @@ def test_top_support_is_where_the_top_is_nonzero(name):
     for m in projectives(alg) + injectives(alg):
         quot, _ = top(m)
         assert top_support(m) == {v for v in alg.quiver.vertices if quot.dims[v]}
+
+
+# -- rad M_v in one place ------------------------------------------------------------
+
+from quivercert.module import radical_spaces
+
+RADICAL_PRESETS = ("a3_rad_square", "kronecker", "a2", "commutative_square_plus", "local_xy",
+                   "kronecker_tensor_a2", "kronecker_squared", "full_commutative_square",
+                   "ex84_left", "ex84_middle", "ex84_right", "one_vertex")
+
+
+def _same_column_space(a, b):
+    return a.rank() == b.rank() == Matrix.hstack([a, b]).rank()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+@pytest.mark.parametrize("name", RADICAL_PRESETS)
+def test_radical_spaces_span_the_radical(name, field):
+    alg = getattr(presets, name)(field)
+    for m in projectives(alg) + injectives(alg):
+        spaces = radical_spaces(m)
+        _, incl = radical(m)
+        for v in alg.quiver.vertices:
+            assert spaces[v].rows == m.dims[v]
+            assert _same_column_space(spaces[v], incl.components[v]), (name, v)

@@ -5,8 +5,9 @@ original, and that a traced gl.dim computes Gamma's composition tensor
 once per triple of objects, that a traced torsionless closure
 decomposes few modules, and that a traced Kuenneth witness builds each
 tensor term of its total complexes once and one tensored sequence per
-coordinate value of a lattice its factors share.  The tracer file is only
-read, never changed."""
+coordinate value of a lattice its factors share, and that traced socle
+truncations solve no linear system.  The tracer file is only read, never
+changed."""
 
 import importlib
 import importlib.util
@@ -16,7 +17,8 @@ from pathlib import Path
 from quivercert import GF, endcat, presets
 from quivercert import decompose as decompose_module
 from quivercert import lattice as lattice_module
-from quivercert.tiered import build_layering
+from quivercert.algebra import tensor
+from quivercert.tiered import build_layering, truncations
 from quivercert.torsfin import enumerate_torsionless
 from quivercert.module import projective, simple, sum_module
 
@@ -126,5 +128,20 @@ def test_traced_kunneth_witness_builds_each_sequence_once():
         cert = lattice_module.kunneth_witness(presets.kronecker_squared(field), lat, lat)
     assert cert["passed"] == 49
     assert t.layer_metrics()["lattice.tensor_sequence.calls"][0] == field.p
+    for owner, attr, original in t.patches:
+        assert vars(owner)[attr] is original
+
+
+def test_traced_truncations_solve_for_nothing():
+    # K (x) K (x) K over GF(2): every socle term's action is read off its
+    # saturation's echelon form, so no `Matrix.solve` runs
+    tracer = _load_tracer()
+    alg = tensor(presets.kronecker_squared(GF(2)), presets.kronecker(GF(2)))
+    t = tracer.Tracer()
+    with t:
+        assert truncations(alg)
+    metrics = t.layer_metrics()
+    assert metrics["matrix.rref.calls"][0] > 0
+    assert metrics["matrix.solve.calls"][0] == 0
     for owner, attr, original in t.patches:
         assert vars(owner)[attr] is original
