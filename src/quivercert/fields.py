@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 MAX_PRIME = 2**31 - 1
+_ZERO, _ONE = Fraction(0), Fraction(1)  # Fractions are immutable, so shared
 
 
 class FieldError(ValueError):
@@ -72,49 +73,57 @@ class Field:
         return self.kind == "prime"
 
     # -- element arithmetic ---------------------------------------------
+    # Each method branches on self.p, which is 0 for Q.
     def zero(self):
-        return 0 if self.is_prime_field else Fraction(0)
+        return 0 if self.p else _ZERO
 
     def one(self):
-        return 1 if self.is_prime_field else Fraction(1)
+        return 1 if self.p else _ONE
 
     def add(self, a, b):
-        return (a + b) % self.p if self.is_prime_field else a + b
+        p = self.p
+        return (a + b) % p if p else a + b
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.is_prime_field else a - b
+        p = self.p
+        return (a - b) % p if p else a - b
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.is_prime_field else a * b
+        p = self.p
+        return (a * b) % p if p else a * b
 
     def neg(self, a):
-        return (-a) % self.p if self.is_prime_field else -a
+        p = self.p
+        return (-a) % p if p else -a
 
     def inv(self, a):
-        if self.is_prime_field:
-            if a % self.p == 0:
+        p = self.p
+        if p:
+            if a % p == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
+            return pow(a, p - 2, p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _ONE / a
 
     def from_int(self, n: int):
-        return n % self.p if self.is_prime_field else Fraction(n)
+        p = self.p
+        return n % p if p else Fraction(n)
 
     def element(self, value):
         """Coerce an int, Fraction or decimal string into the field."""
+        if isinstance(value, int):
+            return self.from_int(value)
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, Fraction):
-            if self.is_prime_field:
-                den = value.denominator % self.p
+            p = self.p
+            if p:
+                den = value.denominator % p
                 if den == 0:
-                    raise FieldError(f"denominator of {value} vanishes mod {self.p}")
-                return value.numerator * pow(den, self.p - 2, self.p) % self.p
+                    raise FieldError(f"denominator of {value} vanishes mod {p}")
+                return value.numerator * pow(den, p - 2, p) % p
             return value
-        if isinstance(value, int):
-            return self.from_int(value)
         raise FieldError(f"cannot coerce {value!r} into {self!r}")
 
     # -- serialization ---------------------------------------------------

@@ -318,7 +318,7 @@ def tensor_map(source: Module, target: Module, f: ModuleMap, g: ModuleMap) -> Mo
     g.target, both built by the caller; the component at x.y is f_x (x) g_y."""
     comps = {f"{x}.{y}": fx.kron(gy)
              for x, fx in f.components.items() for y, gy in g.components.items()}
-    return ModuleMap(source, target, comps, check=False)
+    return ModuleMap._built(source, target, comps)
 
 
 def external_product(product_algebra: BasicAlgebra, cls_a: ExtensionClass,

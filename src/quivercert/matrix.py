@@ -1,11 +1,16 @@
 """Exact matrices over GF(p) or Q with deterministic row reduction.
 
 Entries are the field's elements: ints in [0, p) over GF(p), Fractions
-over Q.  The product and the row reduction run on those raw entries,
-one routine for both fields; each reads `field.p` once (0 for Q) and
-branches on it only where it reduces mod p or takes an inverse.
+over Q.  Every op runs on those raw entries, one routine for both fields,
+with no `Field` method call per entry; each reads `field.p` once (0 for
+Q) and branches on it only where it reduces mod p or takes an inverse.
 Pivoting is first-nonzero in column order, which makes every derived
 basis (kernels, images, complements) reproducible.
+
+The public constructor copies its entries and checks the shape.  The
+ops of this module build each result on a fresh list whose shape
+follows from the construction, and hand it to the private `_matrix`,
+which does neither; only this module calls it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,16 @@ class NoSolution(Exception):
 
 
 class Matrix:
+    """A rows x cols matrix, its entries a flat row-major list.
+
+    Matrices are shared freely: between modules and maps, and between a
+    one-part `block_map` and its block.  So a matrix is written (by
+    `__setitem__` or through `entries`) only right after `Matrix.zero` or
+    `Matrix.identity` has built it, by the code that built it, before any
+    other code sees it.  No op returns a result that shares its `entries`
+    list with an input, and the public constructor copies the list it is
+    given."""
+
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
@@ -31,15 +46,13 @@ class Matrix:
     # -- constructors ----------------------------------------------------
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero()] * (rows * cols))
+        return _matrix(field, rows, cols, [field.zero()] * (rows * cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zero(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m.entries[i * n + i] = one
-        return m
+        entries = [field.zero()] * (n * n)
+        entries[::n + 1] = [field.one()] * n
+        return _matrix(field, n, n, entries)
 
     @classmethod
     def from_rows(cls, field: Field, rows_data) -> "Matrix":
@@ -92,8 +105,7 @@ class Matrix:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(e == z for e in self.entries)
+        return not any(self.entries)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.field, self.rows)
@@ -111,30 +123,35 @@ class Matrix:
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        add = self.field.add
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [add(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        p = self.field.p
+        pairs = zip(self.entries, other.entries)
+        entries = [(a + b) % p for a, b in pairs] if p else [a + b for a, b in pairs]
+        return _matrix(self.field, self.rows, self.cols, entries)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sub")
-        sub = self.field.sub
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [sub(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        p = self.field.p
+        pairs = zip(self.entries, other.entries)
+        entries = [(a - b) % p for a, b in pairs] if p else [a - b for a, b in pairs]
+        return _matrix(self.field, self.rows, self.cols, entries)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.entries])
+        p = self.field.p
+        entries = [-a % p for a in self.entries] if p else [-a for a in self.entries]
+        return _matrix(self.field, self.rows, self.cols, entries)
 
     def scale(self, c) -> "Matrix":
         c = self.field.element(c)
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(c, a) for a in self.entries])
+        p = self.field.p
+        if c == 1:
+            entries = list(self.entries)
+        elif p:
+            entries = [c * a % p for a in self.entries]
+        else:
+            entries = [c * a for a in self.entries]
+        return _matrix(self.field, self.rows, self.cols, entries)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
@@ -160,27 +177,36 @@ class Matrix:
                     else:
                         for j in range(k):
                             out[orow + j] += c * b[brow + j]
-        return Matrix(self.field, n, k, out)
+        return _matrix(self.field, n, k, out)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product: block (i, j) is self[i, j] * other."""
+        """Kronecker product: block (i, j) is self[i, j] * other.  A block
+        at a 0 or 1 of self is a run of zeros or other's row as it is."""
         self._check_same(other)
-        mul = self.field.mul
+        p = self.field.p
+        a, m = self.entries, self.cols
+        k = other.cols
+        other_rows = [other.entries[s * k:(s + 1) * k] for s in range(other.rows)]
+        zeros = [self.field.zero()] * k
         entries = []
         for i in range(self.rows):
-            row = self.row(i)
-            for s in range(other.rows):
-                other_row = other.row(s)
-                for a in row:
-                    entries.extend(mul(a, b) for b in other_row)
-        return Matrix(self.field, self.rows * other.rows, self.cols * other.cols, entries)
+            row = a[i * m:(i + 1) * m]
+            for other_row in other_rows:
+                for c in row:
+                    if not c:
+                        entries += zeros
+                    elif c == 1:
+                        entries += other_row
+                    elif p:
+                        entries += [c * b % p for b in other_row]
+                    else:
+                        entries += [c * b for b in other_row]
+        return _matrix(self.field, self.rows * other.rows, m * k, entries)
 
     def transpose(self) -> "Matrix":
-        out = [self.field.zero()] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return Matrix(self.field, self.cols, self.rows, out)
+        e, cols = self.entries, self.cols
+        return _matrix(self.field, cols, self.rows,
+                       [x for j in range(cols) for x in e[j::cols]])
 
     # -- stacking -------------------------------------------------------------
     @staticmethod
@@ -191,8 +217,8 @@ class Matrix:
         for m in mats:
             if m.cols != cols or (m.field is not field and m.field != field):
                 raise ValueError("vstack mismatch")
-            entries.extend(m.entries)
-        return Matrix(field, sum(m.rows for m in mats), cols, entries)
+            entries += m.entries
+        return _matrix(field, sum(m.rows for m in mats), cols, entries)
 
     @staticmethod
     def hstack(mats) -> "Matrix":
@@ -201,32 +227,34 @@ class Matrix:
         for m in mats:
             if m.rows != rows or (m.field is not field and m.field != field):
                 raise ValueError("hstack mismatch")
-        total = sum(m.cols for m in mats)
+        parts = [(m.entries, m.cols) for m in mats if m.cols]
         entries = []
         for i in range(rows):
-            for m in mats:
-                entries.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-        return Matrix(field, rows, total, entries)
+            for e, w in parts:
+                entries += e[i * w:(i + 1) * w]
+        return _matrix(field, rows, sum(w for _, w in parts), entries)
 
     @staticmethod
     def block_diag(field: Field, mats) -> "Matrix":
         mats = list(mats)
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = Matrix.zero(field, rows, cols)
-        r = c = 0
+        zero = field.zero()
+        entries = []
+        left = 0
         for m in mats:
+            e, w = m.entries, m.cols
+            before, after = [zero] * left, [zero] * (cols - left - w)
             for i in range(m.rows):
-                for j in range(m.cols):
-                    out[r + i, c + j] = m[i, j]
-            r += m.rows
-            c += m.cols
-        return out
+                entries += before
+                entries += e[i * w:(i + 1) * w]
+                entries += after
+            left += w
+        return _matrix(field, sum(m.rows for m in mats), cols, entries)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         e, width, col_idx = self.entries, self.cols, list(col_idx)
         entries = [e[i * width + j] for i in row_idx for j in col_idx]
-        return Matrix(self.field, len(row_idx), len(col_idx), entries)
+        return _matrix(self.field, len(row_idx), len(col_idx), entries)
 
     # -- row reduction ----------------------------------------------------------
     def rref(self):
@@ -270,7 +298,7 @@ class Matrix:
             r += 1
             if r == rows:
                 break
-        return Matrix(self.field, rows, cols, m), tuple(pivots), len(pivots)
+        return _matrix(self.field, rows, cols, m), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -287,14 +315,16 @@ class Matrix:
         reduced, pivots, rank = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        F, cols, width = self.field, self.cols, len(free)
-        out = Matrix.zero(F, cols, width)
-        e, red = out.entries, reduced.entries
+        field, cols, width = self.field, self.cols, len(free)
+        p, red = field.p, reduced.entries
+        e = [field.zero()] * (cols * width)
+        one = field.one()
         for k, fc in enumerate(free):
-            e[fc * width + k] = F.one()
+            e[fc * width + k] = one
             for r, pc in enumerate(pivots):
-                e[pc * width + k] = F.neg(red[r * cols + fc])
-        return out, free
+                x = red[r * cols + fc]
+                e[pc * width + k] = -x % p if p else -x
+        return _matrix(field, cols, width, e), free
 
     def column_space_basis(self) -> "Matrix":
         """Columns of the original matrix at pivot positions of its rref."""
@@ -349,7 +379,24 @@ def complement_basis(span: Matrix) -> Matrix:
     full = Matrix.hstack([span, Matrix.identity(field, d)])
     _, pivots, _ = full.rref()
     comp_cols = [c - k for c in pivots if c >= k]
-    out = Matrix.zero(field, d, len(comp_cols))
+    width = len(comp_cols)
+    entries = [field.zero()] * (d * width)
+    one = field.one()
     for j, idx in enumerate(comp_cols):
-        out[idx, j] = field.one()
-    return out
+        entries[idx * width + j] = one
+    return _matrix(field, d, width, entries)
+
+
+_new = object.__new__
+
+
+def _matrix(field: Field, rows: int, cols: int, entries: list) -> Matrix:
+    """A Matrix on `entries` itself: no copy and no shape check.  Only for
+    a fresh list that no other code holds, of length rows * cols by the
+    way the caller built it."""
+    m = _new(Matrix)
+    m.field = field
+    m.rows = rows
+    m.cols = cols
+    m.entries = entries
+    return m

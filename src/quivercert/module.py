@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .algebra import BasicAlgebra
 from .matrix import Matrix, NoSolution, complement_basis
 
+_new = object.__new__
+
 
 class ModuleError(ValueError):
     pass
@@ -38,7 +40,9 @@ class Module:
 
     A module is never mutated after construction: no code writes to its
     dims, its action or the matrices in it.  That is what lets
-    `content_hash` be computed once and kept in the `_hash` slot."""
+    `content_hash` be computed once and kept in the `_hash` slot.  The
+    constructor keeps the action matrices it is given, not copies, so
+    modules built from the same matrices share them."""
 
     __slots__ = ("algebra", "dims", "action", "proj_info", "_hash")
 
@@ -117,6 +121,18 @@ class Module:
 
 
 class ModuleMap:
+    """A module map: `components` holds a matrix target.dims[v] x
+    source.dims[v] at every vertex v.
+
+    The public constructor fills absent vertices with zeros, checks every
+    shape and, with `check`, that the components intertwine the arrows.
+    `then`, `+`, `-`, `scale`, `identity_map`, `block_map` and
+    `lattice.tensor_map` build complete components of the right shapes by
+    construction and go through `_built`, which checks nothing.  Maps
+    share component matrices, which are never written after they are
+    built (see `Matrix`): the public constructor keeps the matrices it is
+    given, and a one-part `block_map` has its block's components."""
+
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source: Module, target: Module, components, check: bool = True):
@@ -136,6 +152,16 @@ class ModuleMap:
         if check and not self.intertwines():
             raise ModuleError("components do not intertwine the arrow actions")
 
+    @classmethod
+    def _built(cls, source: Module, target: Module, components: dict) -> "ModuleMap":
+        """The map on `components` itself, a fresh dict with a matrix of the
+        right shape at every vertex: no copy and no check."""
+        f = _new(cls)
+        f.source = source
+        f.target = target
+        f.components = components
+        return f
+
     def intertwines(self) -> bool:
         for a in self.source.algebra.quiver.arrows:
             lhs = self.target.action[a.name] @ self.components[a.source]
@@ -152,20 +178,20 @@ class ModuleMap:
         """self followed by other (other o self)."""
         if other.source is not self.target and other.source.dims != self.target.dims:
             raise ModuleError("composition mismatch")
-        comps = {v: other.components[v] @ self.components[v] for v in self.components}
-        return ModuleMap(self.source, other.target, comps, check=False)
+        comps = {v: other.components[v] @ m for v, m in self.components.items()}
+        return ModuleMap._built(self.source, other.target, comps)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        comps = {v: self.components[v] + other.components[v] for v in self.components}
-        return ModuleMap(self.source, self.target, comps, check=False)
+        comps = {v: m + other.components[v] for v, m in self.components.items()}
+        return ModuleMap._built(self.source, self.target, comps)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        comps = {v: self.components[v] - other.components[v] for v in self.components}
-        return ModuleMap(self.source, self.target, comps, check=False)
+        comps = {v: m - other.components[v] for v, m in self.components.items()}
+        return ModuleMap._built(self.source, self.target, comps)
 
     def scale(self, c) -> "ModuleMap":
-        comps = {v: self.components[v].scale(c) for v in self.components}
-        return ModuleMap(self.source, self.target, comps, check=False)
+        comps = {v: m.scale(c) for v, m in self.components.items()}
+        return ModuleMap._built(self.source, self.target, comps)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
@@ -195,7 +221,7 @@ def zero_map(source: Module, target: Module) -> ModuleMap:
 
 def identity_map(m: Module) -> ModuleMap:
     comps = {v: Matrix.identity(m.field, m.dims[v]) for v in m.algebra.quiver.vertices}
-    return ModuleMap(m, m, comps, check=False)
+    return ModuleMap._built(m, m, comps)
 
 
 def zero_module(algebra: BasicAlgebra) -> Module:
@@ -313,9 +339,15 @@ def block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
               blocks: dict) -> ModuleMap:
     """The map between the direct sums of src_parts and tgt_parts ({label:
     module}, summed in label order) whose (t, s) block is blocks[t, s], a
-    map src_parts[s] -> tgt_parts[t], or zero when absent."""
+    map src_parts[s] -> tgt_parts[t], or zero when absent.  With one part
+    on each side the map has the block's own component matrices."""
     if not src_parts or not tgt_parts:
         return zero_map(source, target)
+    if len(src_parts) == 1 and len(tgt_parts) == 1:
+        block = blocks.get((*tgt_parts, *src_parts))
+        if block is None:
+            return zero_map(source, target)
+        return ModuleMap._built(source, target, dict(block.components))
     field = source.field
     comps = {}
     for v in source.algebra.quiver.vertices:
@@ -324,7 +356,7 @@ def block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
                           else Matrix.zero(field, tp.dims[v], sp.dims[v])
                           for s, sp in src_parts.items())
             for t, tp in tgt_parts.items())
-    return ModuleMap(source, target, comps, check=False)
+    return ModuleMap._built(source, target, comps)
 
 
 # -- hom spaces ----------------------------------------------------------------

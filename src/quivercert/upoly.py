@@ -111,11 +111,10 @@ def power(field, p, n):
 def eval_matrix(field, p, m: Matrix) -> Matrix:
     """p(m) by Horner."""
     n = m.rows
+    eye = Matrix.identity(field, n)
     out = Matrix.zero(field, n, n)
     for c in reversed(p):
-        out = out @ m
-        for i in range(n):
-            out[i, i] = field.add(out[i, i], c)
+        out = out @ m + eye.scale(c)
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert.fields import FieldError, field_from_name
+from quivercert.matrix import complement_basis
 
 
 def det_laplace(field, m, idx_rows, idx_cols):
@@ -343,3 +344,124 @@ def test_kernels_on_empty_and_all_zero_shapes(field, rows, cols):
         assert_kernels_match_references(a, Matrix.zero(field, cols, k),
                                         Matrix.zero(field, rows, k))
     assert a.kernel_basis() == Matrix.identity(field, cols)
+
+
+# -- every raw-entry op against its per-entry definition on Field methods ------
+
+OP_FIELDS = (GF(2), GF(3), GF(31), QQ)
+
+
+def placed(field, rows, cols, blocks):
+    """A rows x cols matrix on `Field.zero` with each (top, left, m) of
+    blocks copied in entry by entry (reference for the stacking ops)."""
+    out = [[field.zero()] * cols for _ in range(rows)]
+    for top, left, m in blocks:
+        for i in range(m.rows):
+            for j in range(m.cols):
+                out[top + i][left + j] = m[i, j]
+    return [x for row in out for x in row]
+
+
+def assert_op_equals(result, rows, cols, entries):
+    assert (result.rows, result.cols) == (rows, cols)
+    assert result.entries == entries
+    assert_field_elements(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_raw_entry_ops_equal_their_field_method_definitions(data):
+    F = data.draw(st.sampled_from(OP_FIELDS), label="field")
+    a = data.draw(matrices(F), label="a")
+    b = data.draw(matrices(F, rows=a.rows, cols=a.cols), label="b")
+    o = data.draw(matrices(F), label="other")
+    c = data.draw(st.one_of(field_entries(F), st.integers(-3, 3)), label="c")
+    r, k = a.rows, a.cols
+    pairs = list(zip(a.entries, b.entries))
+    assert_op_equals(a + b, r, k, [F.add(x, y) for x, y in pairs])
+    assert_op_equals(a - b, r, k, [F.sub(x, y) for x, y in pairs])
+    assert_op_equals(-a, r, k, [F.neg(x) for x in a.entries])
+    assert_op_equals(a.scale(c), r, k, [F.mul(F.element(c), x) for x in a.entries])
+    assert a.is_zero() == all(x == F.zero() for x in a.entries)
+    assert_op_equals(a.transpose(), k, r, [a[i, j] for j in range(k) for i in range(r)])
+    assert_op_equals(a.kron(o), r * o.rows, k * o.cols,
+                     [F.mul(a[i // o.rows, j // o.cols], o[i % o.rows, j % o.cols])
+                      for i in range(r * o.rows) for j in range(k * o.cols)])
+    n = data.draw(st.integers(0, 5), label="n")
+    assert_op_equals(Matrix.identity(F, n), n, n,
+                     [F.one() if i == j else F.zero() for i in range(n) for j in range(n)])
+    assert_op_equals(Matrix.zero(F, r, k), r, k, [F.zero()] * (r * k))
+
+    mats = data.draw(st.lists(matrices(F), max_size=3), label="diagonal")
+    corners, top, left = [], 0, 0
+    for m in mats:
+        corners.append((top, left, m))
+        top, left = top + m.rows, left + m.cols
+    assert_op_equals(Matrix.block_diag(F, mats), top, left, placed(F, top, left, corners))
+    row = [a] + data.draw(st.lists(matrices(F, rows=r), max_size=3), label="row")
+    lefts = [sum(m.cols for m in row[:t]) for t in range(len(row) + 1)]
+    assert_op_equals(Matrix.hstack(row), r, lefts[-1],
+                     placed(F, r, lefts[-1], [(0, lf, m) for lf, m in zip(lefts, row)]))
+    col = [a] + data.draw(st.lists(matrices(F, cols=k), max_size=3), label="column")
+    tops = [sum(m.rows for m in col[:t]) for t in range(len(col) + 1)]
+    assert_op_equals(Matrix.vstack(col), tops[-1], k,
+                     placed(F, tops[-1], k, [(tp, 0, m) for tp, m in zip(tops, col)]))
+    row_idx = data.draw(st.lists(st.integers(0, r - 1), max_size=4) if r else st.just([]))
+    col_idx = data.draw(st.lists(st.integers(0, k - 1), max_size=4) if k else st.just([]))
+    assert_op_equals(a.submatrix(row_idx, col_idx), len(row_idx), len(col_idx),
+                     [a[i, j] for i in row_idx for j in col_idx])
+    kernel, free = a.kernel_and_free()
+    _, pivots, _ = generic_rref(a)
+    expected = generic_kernel(a)
+    assert_op_equals(kernel, expected.rows, expected.cols, expected.entries)
+    assert free == [j for j in range(k) if j not in pivots]
+
+
+# -- aliasing: results never share an entries list -------------------------------
+
+def op_results(a, b):
+    """Every kernel op on a (square) and b (same shape as a), each result
+    with the inputs it was computed from."""
+    F, n = a.field, a.rows
+    one = Matrix.identity(F, 1)
+    out = [
+        (a + b, (a, b)), (a - b, (a, b)), (-a, (a,)), (a.scale(1), (a,)),
+        (a.scale(2), (a,)), (a @ b, (a, b)), (a.kron(one), (a, one)),
+        (one.kron(a), (one, a)), (a.transpose(), (a,)), (Matrix.hstack([a]), (a,)),
+        (Matrix.vstack([a]), (a,)), (Matrix.hstack([a, b]), (a, b)),
+        (Matrix.vstack([a, b]), (a, b)), (Matrix.block_diag(F, [a]), (a,)),
+        (a.submatrix(range(n), range(n)), (a,)), (a.rref()[0], (a,)),
+        (a.kernel_and_free()[0], (a,)), (a.kernel_basis(), (a,)),
+        (a.column_space_basis(), (a,)), (complement_basis(a), (a,)),
+    ]
+    if a.is_invertible():
+        out.append((a.inverse(), (a,)))
+        out.append((a.solve(b), (a, b)))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_no_op_returns_an_input_entries_list(field, n):
+    rng = random.Random(n)
+    for a in (Matrix.identity(field, n), Matrix.zero(field, n, n),
+              random_matrix(field, n, n, rng)):
+        b = random_matrix(field, n, n, rng)
+        for result, inputs in op_results(a, b):
+            for x in inputs:
+                assert result.entries is not x.entries
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+def test_constructor_copies_and_fresh_matrices_are_private(field):
+    entries = [field.element(x) for x in (1, 2, 3, 4)]
+    m = Matrix(field, 2, 2, entries)
+    entries[0] = field.zero()
+    assert m.entries == [field.element(x) for x in (1, 2, 3, 4)]
+    zeros = [Matrix.zero(field, 2, 3) for _ in range(2)]
+    eyes = [Matrix.identity(field, 3) for _ in range(2)]
+    zeros[0][1, 2] = field.one()
+    eyes[0][0, 0] = field.zero()
+    assert zeros[1].is_zero() and Matrix.zero(field, 2, 3).is_zero()
+    assert eyes[1].is_identity() and Matrix.identity(field, 3).is_identity()
+    assert not (zeros[0].is_zero() or eyes[0].is_identity())

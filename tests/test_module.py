@@ -694,3 +694,34 @@ def test_radical_spaces_span_the_radical(name, field):
         for v in alg.quiver.vertices:
             assert spaces[v].rows == m.dims[v]
             assert _same_column_space(spaces[v], incl.components[v]), (name, v)
+
+
+def test_maps_built_without_the_shape_check_have_every_component_shape(monkeypatch):
+    # ModuleMap._built skips the public constructor's per-vertex shape
+    # check: its callers (then, +, -, scale, identity_map, block_map,
+    # lattice.tensor_map) build a component of the right shape at every
+    # vertex by construction.  Every map it builds in a Kunneth witness and
+    # in a torsionless search is checked here.
+    from quivercert.lattice import kronecker_family, kunneth_witness, rational_points
+    from quivercert.module import ModuleMap
+    from quivercert.torsfin import enumerate_torsionless
+    built = ModuleMap._built.__func__
+    counts = {"maps": 0}
+
+    def checked(cls, source, target, components):
+        vertices = source.algebra.quiver.vertices
+        assert set(components) == set(vertices)
+        for v in vertices:
+            m = components[v]
+            assert (m.rows, m.cols) == (target.dims[v], source.dims[v]), v
+        counts["maps"] += 1
+        return built(cls, source, target, components)
+
+    monkeypatch.setattr(ModuleMap, "_built", classmethod(checked))
+    field = GF(3)
+    kk = presets.kronecker_squared(field)
+    lat = kronecker_family(presets.kronecker(field))
+    assert kunneth_witness(kk, lat, lat, points=rational_points(field, 2)[:4])["passed"] == 4
+    in_witness = counts["maps"]
+    enumerate_torsionless(presets.local_xy(field))
+    assert in_witness > 0 and counts["maps"] > in_witness
