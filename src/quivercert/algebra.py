@@ -106,6 +106,12 @@ class BasicAlgebra:
     `relation_terms` holds, per relation in `relations`, its terms as
     (field element, path) pairs: the coefficient strings parsed once
     here, so that checking a relation on a module parses nothing.
+
+    `cached(key, build)` is the one memo other modules keep on an
+    algebra: the projectives, injectives and projective sums, the terms
+    of the total complexes of `lattice`, and the End radicals of
+    `decompose`.  Every caller of a key gets the same object, so callers
+    share these results and never mutate them.
     """
 
     def __init__(self, quiver, field, relations, basis_paths, reduce_map, loewy_length,
@@ -122,6 +128,7 @@ class BasicAlgebra:
         self.max_len = max_len
         self.tensor_of = tensor_of
         self._opposite = None
+        self._memo = {}
         self._arrow_by_name = {a.name: a for a in quiver.arrows}
 
         self.basis_index = {path_key(p): i for i, p in enumerate(self.basis_paths)}
@@ -189,6 +196,16 @@ class BasicAlgebra:
                         out.pop(k, None)
                     else:
                         out[k] = v
+        return out
+
+    def cached(self, key: tuple, build):
+        """build(), run on the first call with key and kept for the
+        algebra's life; build must not return None.  A key is a tuple led
+        by a name; modules in it compare by identity (they define no
+        __eq__), and the memo holds its keys, so no id in it is reused."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build()
         return out
 
     def opposite(self) -> "BasicAlgebra":

@@ -100,22 +100,17 @@ class EndAlgebra:
         that is the identity at the span's last-nonzero rows: the matrix
         depends only on the subspace rad End(M), not on the route.
 
-        The result is cached on the algebra (`_end_radicals`), keyed by
-        the module's dims and action entries and the basis map vectors:
-        content-equal modules with the same basis share one radical, and
-        the cache dies with the algebra.
+        The result is kept in the algebra's memo under ("end_radical",
+        dims, action entries, basis map vectors): content-equal modules
+        with the same basis share one radical, and it dies with the
+        algebra.
         """
         if self._rad_coords is None:
             m = self.module
-            key = (m.dim_vector(),
+            key = ("end_radical", m.dim_vector(),
                    tuple(tuple(m.action[a.name].entries) for a in m.algebra.quiver.arrows),
                    tuple(tuple(map_vector(b)) for b in self.basis))
-            cache = getattr(m.algebra, "_end_radicals", None)
-            if cache is None:
-                cache = m.algebra._end_radicals = {}
-            if key not in cache:
-                cache[key] = self._radical()
-            self._rad_coords = cache[key]
+            self._rad_coords = m.algebra.cached(key, self._radical)
         return self._rad_coords
 
     def _radical(self) -> Matrix:

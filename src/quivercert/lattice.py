@@ -395,40 +395,20 @@ def _factor_resolution(seq: ExtensionClass, top: int) -> _Resolution:
     return _checked(_Resolution(projs, diffs, aug, _lift_cocycle(seq, projs, diffs, aug), 1))
 
 
-def _term_cache(algebra: BasicAlgebra) -> dict:
-    """The total-complex terms built over algebra, cached on it as
-    `_complex_terms`: X (x) P under ("tensor", X, P) and a sum under
-    ("sum", part, ...).  Modules define no __eq__, so keys compare by
-    identity; the dict holds its keys, so no id in it is reused."""
-    cache = getattr(algebra, "_complex_terms", None)
-    if cache is None:
-        cache = algebra._complex_terms = {}
-    return cache
-
-
 def _tensor_term(algebra: BasicAlgebra, x: Module, p: Module) -> Module:
     """tensor_module(algebra, x, p), built once per algebra and pair of
-    module objects; callers share it and must not mutate it."""
-    cache = _term_cache(algebra)
-    key = ("tensor", x, p)
-    out = cache.get(key)
-    if out is None:
-        out = cache[key] = tensor_module(algebra, x, p)
-    return out
+    module objects and kept in its memo under ("tensor", x, p)."""
+    return algebra.cached(("tensor", x, p), lambda: tensor_module(algebra, x, p))
 
 
 def _sum_of(algebra: BasicAlgebra, parts: dict) -> Module:
     """The direct sum of parts' modules in label order, built once per
-    algebra and tuple of module objects; a lone part is its own sum."""
+    algebra and tuple of module objects and kept in its memo under
+    ("sum", part, ...); a lone part is its own sum."""
     summands = tuple(parts.values())
     if len(summands) == 1:
         return summands[0]
-    cache = _term_cache(algebra)
-    key = ("sum",) + summands
-    out = cache.get(key)
-    if out is None:
-        out = cache[key] = sum_module(algebra, summands)
-    return out
+    return algebra.cached(("sum",) + summands, lambda: sum_module(algebra, summands))
 
 
 def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution,
@@ -442,12 +422,12 @@ def _tensor_complex(algebra: BasicAlgebra, x: _Resolution, p: _Resolution,
 
     The terms depend only on the term objects of x and p, which projective
     covers share (`module.projective_sum`), so each X_i (x) P_j and each
-    R_k is taken from the cache on algebra (`_term_cache`), keyed by those
-    objects; every point with the same terms gets the same R_k.  The block
-    d_X (x) 1 on X_i (x) P_j depends only on the map x.diffs[i-1] and the
-    term P_j, and (-1)^i 1 (x) d_P only on X_i, p.diffs[j-1] and the parity
-    of i: each is taken from memo, a dict the caller owns for the life of
-    one witness (keyed by those objects), or built when absent.  The end
+    R_k is kept in algebra's memo (`_tensor_term`, `_sum_of`), keyed by
+    those objects; every point with the same terms gets the same R_k.  The
+    block d_X (x) 1 on X_i (x) P_j depends only on the map x.diffs[i-1] and
+    the term P_j, and (-1)^i 1 (x) d_P only on X_i, p.diffs[j-1] and the
+    parity of i: each is taken from memo, a dict the caller owns for the
+    life of one witness (keyed by those objects), or built when absent.  The end
     L (x) L', the augmentation, the cocycle, the assembled differentials and
     the check are built per call."""
     minus = algebra.field.neg(algebra.field.one())

@@ -254,40 +254,28 @@ def projective(algebra: BasicAlgebra, x: str) -> Module:
 
 
 def projectives(algebra: BasicAlgebra) -> list[Module]:
-    """[P(x) for x in the vertices], built once per algebra and cached on
-    it as `_projective_modules`; callers share these objects and must not
-    mutate them.  `projective` still builds a fresh module on each call."""
-    cache = getattr(algebra, "_projective_modules", None)
-    if cache is None:
-        cache = [projective(algebra, x) for x in algebra.quiver.vertices]
-        algebra._projective_modules = cache
-    return cache
+    """[P(x) for x in the vertices], built once per algebra and kept in
+    its memo (`BasicAlgebra.cached`), shared by every caller.  `projective`
+    still builds a fresh module on each call."""
+    return algebra.cached(("projectives",), lambda: [
+        projective(algebra, x) for x in algebra.quiver.vertices])
 
 
 def injectives(algebra: BasicAlgebra) -> list[Module]:
-    """[Q(x) for x in the vertices], built once per algebra and cached on
-    it as `_injective_modules`, shared as `projectives` are."""
-    cache = getattr(algebra, "_injective_modules", None)
-    if cache is None:
-        cache = [injective(algebra, x) for x in algebra.quiver.vertices]
-        algebra._injective_modules = cache
-    return cache
+    """[Q(x) for x in the vertices], built once per algebra and kept in
+    its memo, shared as `projectives` are."""
+    return algebra.cached(("injectives",), lambda: [
+        injective(algebra, x) for x in algebra.quiver.vertices])
 
 
 def projective_sum(algebra: BasicAlgebra, vertices: tuple) -> Module:
     """(+) P(x) for x in vertices, in that order, with its proj_info; the
     zero module for no vertices.  Built once per algebra and vertex tuple
-    and cached on the algebra as `_projective_sums`, so equal tuples give
-    the same object; callers share these objects and must not mutate
-    them."""
-    cache = getattr(algebra, "_projective_sums", None)
-    if cache is None:
-        cache = algebra._projective_sums = {}
-    out = cache.get(vertices)
-    if out is None:
+    and kept in its memo, so equal tuples give the same, shared object."""
+    def build():
         p = dict(zip(algebra.quiver.vertices, projectives(algebra)))
-        out = cache[vertices] = sum_module(algebra, [p[x] for x in vertices])
-    return out
+        return sum_module(algebra, [p[x] for x in vertices])
+    return algebra.cached(("projective_sum", vertices), build)
 
 
 def injective(algebra: BasicAlgebra, x: str) -> Module:
@@ -340,7 +328,9 @@ def block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
     """The map between the direct sums of src_parts and tgt_parts ({label:
     module}, summed in label order) whose (t, s) block is blocks[t, s], a
     map src_parts[s] -> tgt_parts[t], or zero when absent.  With one part
-    on each side the map has the block's own component matrices."""
+    on each side the map has the block's own component matrices; with
+    more, each vertex's matrix is built row by row from the blocks'
+    entries, with zeros written only for absent blocks."""
     if not src_parts or not tgt_parts:
         return zero_map(source, target)
     if len(src_parts) == 1 and len(tgt_parts) == 1:
@@ -349,13 +339,17 @@ def block_map(source: Module, target: Module, src_parts: dict, tgt_parts: dict,
             return zero_map(source, target)
         return ModuleMap._built(source, target, dict(block.components))
     field = source.field
+    zero = field.zero()
     comps = {}
     for v in source.algebra.quiver.vertices:
-        comps[v] = Matrix.vstack(
-            Matrix.hstack(blocks[t, s].components[v] if (t, s) in blocks
-                          else Matrix.zero(field, tp.dims[v], sp.dims[v])
-                          for s, sp in src_parts.items())
-            for t, tp in tgt_parts.items())
+        entries = []
+        for t, tp in tgt_parts.items():
+            row = [(blocks[t, s].components[v].entries if (t, s) in blocks else None,
+                    sp.dims[v]) for s, sp in src_parts.items()]
+            for i in range(tp.dims[v]):
+                for e, w in row:
+                    entries += [zero] * w if e is None else e[i * w:(i + 1) * w]
+        comps[v] = Matrix(field, target.dims[v], source.dims[v], entries)
     return ModuleMap._built(source, target, comps)
 
 

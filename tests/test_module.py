@@ -6,9 +6,9 @@ from quivercert import GF, QQ, Matrix, NoSolution
 from quivercert import presets
 from quivercert.module import (
     ModuleError, block_map, coordinates_matrix, dual, dual_map, hom_basis, hom_dim, identity_map,
-    image_of_map, in_span, injective, kernel_of_map, map_coordinates, map_from_coordinates,
-    map_vector, projective, projective_sum, quotient, radical, simple, socle, socle_series,
-    spanned_submodule, sum_module, top, zero_map,
+    image_of_map, in_span, injective, injectives, kernel_of_map, map_coordinates,
+    map_from_coordinates, map_vector, projective, projective_sum, projectives, quotient, radical,
+    simple, socle, socle_series, spanned_submodule, sum_module, top, zero_map,
 )
 
 
@@ -21,6 +21,18 @@ def test_projective_dimensions_a3():
     assert dimvec(projective(alg, "1")) == (1, 0, 0)
     assert dimvec(projective(alg, "2")) == (1, 1, 0)
     assert dimvec(projective(alg, "3")) == (0, 1, 1)
+
+
+def test_projectives_injectives_and_sums_are_kept_per_algebra():
+    alg = presets.a3_rad_square(GF(3))
+    vertices = alg.quiver.vertices
+    first = (projectives(alg), injectives(alg), projective_sum(alg, vertices))
+    again = (projectives(alg), injectives(alg), projective_sum(alg, tuple(list(vertices))))
+    assert all(x is y for x, y in zip(first, again))
+    fresh = presets.a3_rad_square(GF(3))
+    built = (projectives(fresh), injectives(fresh), projective_sum(fresh, vertices))
+    assert all(x is not y for x, y in zip(first, built))
+    assert all(x is not y for x, y in zip(first[0] + first[1], built[0] + built[1]))
 
 
 def test_regular_module_has_algebra_dimension():
@@ -178,6 +190,45 @@ def test_block_map_places_blocks_in_label_order():
     zero = sum_module(alg, [])
     for g in (block_map(zero, target, {}, tgt, {}), block_map(source, zero, src, {}, {})):
         assert g.is_zero() and g.intertwines()
+
+
+def _stacked(field, src_parts, tgt_parts, blocks, v):
+    """Reference: the component at v assembled by hstack over the source
+    parts and vstack over the target parts, a zero matrix per absent
+    block."""
+    return Matrix.vstack(
+        Matrix.hstack(blocks[t, s].components[v] if (t, s) in blocks
+                      else Matrix.zero(field, tp.dims[v], sp.dims[v])
+                      for s, sp in src_parts.items())
+        for t, tp in tgt_parts.items())
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_block_map_with_several_parts_matches_the_stacked_blocks(field):
+    # on the Kronecker quiver 1 => 2: P1 has a 2-dimensional fibre at 2,
+    # P2 a zero fibre at 1 and S1 one at 2; the block P1 -> P1 is
+    # left out although Hom(P1, P1) is not zero
+    alg = presets.kronecker(field)
+    p1, p2, s1 = projective(alg, "1"), projective(alg, "2"), simple(alg, "1")
+    src, tgt = {0: p1, 1: p2, 2: s1}, {0: p1, 1: s1, 2: p1}
+    rng = random.Random(7)
+    blocks = {}
+    for t, tp in tgt.items():
+        for s, sp in src.items():
+            basis = hom_basis(sp, tp)
+            if basis and (t, s) != (0, 0):
+                f = basis[0].scale(field.element(rng.randrange(1, 3)))
+                for g in basis[1:]:
+                    f = f + g.scale(field.element(rng.randrange(3)))
+                blocks[t, s] = f
+    assert hom_basis(p1, p1) and len(blocks) >= 4
+    source, target = sum_module(alg, list(src.values())), sum_module(alg, list(tgt.values()))
+    f = block_map(source, target, src, tgt, blocks)
+    assert f.intertwines()
+    for v in alg.quiver.vertices:
+        assert f.components[v] == _stacked(field, src, tgt, blocks, v), v
+        assert all(f.components[v].entries is not b.components[v].entries
+                   for b in blocks.values())
 
 
 def test_spanned_submodule_closure():
@@ -623,7 +674,7 @@ def test_content_hash_is_kept_and_equals_a_fresh_copys():
 # -- the socle series as annihilators of J^t ------------------------------------------
 
 from quivercert.algebra import tensor
-from quivercert.module import injectives, projectives, top_support
+from quivercert.module import top_support
 
 
 def quotient_route_socle_series(m):
