@@ -78,15 +78,27 @@ def injective_envelope(m: Module) -> ModuleMap:
 def projective_resolution(m: Module, length: int):
     """Minimal projective resolution up to P_length: (projectives P_0..P_length,
     differentials d_k: P_k -> P_{k-1} for k = 1..length, augmentation
-    P_0 -> m).  Every step is a projective cover of the previous kernel."""
+    P_0 -> m).  The cover of m, then `extend_resolution`."""
     aug = projective_cover(m)
-    projs, diffs, last = [aug.source], [], aug
-    for _ in range(length):
-        ker, incl = kernel_of_map(last)
-        last = projective_cover(ker)
-        projs.append(last.source)
-        diffs.append(last.then(incl))
+    projs, diffs = extend_resolution([aug.source], [], aug, length)
     return projs, diffs, aug
+
+
+def extend_resolution(projs: list, diffs: list, aug: ModuleMap, length: int):
+    """(projs, diffs) of a resolution with augmentation aug, grown up to
+    P_length in new lists: each step is a projective cover of the kernel
+    of the last map (aug before any differential).  The last differential
+    is the last cover followed by an injection, so it has the cover's null
+    space, and `kernel_basis` reads only the null space (through the
+    rref): a resolution extended here equals, entry for entry, one built
+    at the higher length at once."""
+    projs, diffs = list(projs), list(diffs)
+    while len(projs) <= length:
+        ker, incl = kernel_of_map(diffs[-1] if diffs else aug)
+        cover = projective_cover(ker)
+        projs.append(cover.source)
+        diffs.append(cover.then(incl))
+    return projs, diffs
 
 
 def is_projective_module(m: Module) -> bool:

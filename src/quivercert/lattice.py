@@ -14,9 +14,14 @@ self-extension of a point gives degree-1 Ext classes whose
 non-vanishing is decided by exact linear algebra.
 
 The witness for Odim >= n over A_1 (x) ... (x) A_n uses the Kuenneth
-formula.  Each lattice resolves each of its point modules L_a once,
-P_n -> ... -> P_0 -> L_a, however many factors it is given for, and
-lifts its self-extension to a cocycle phi_a: P_1 -> L_a.  At a point
+formula.  Each lattice value a is resolved once per algebra, however
+many factors and witness calls read it: its tensored sequence, the
+minimal resolution P_top -> ... -> P_0 -> L_a and the lift of the
+sequence to a cocycle phi_a: P_1 -> L_a are kept in the memo of the
+lattice's algebra under ("resolution", lat, a), with a normalised by
+`field.element`.  A call that needs a higher top extends that resolution
+by one projective cover per missing degree and checks it again; a call
+with n factors reads views cut at top n.  At a point
 (a_1, ..., a_n) the total complex R = P^(1) (x) ... (x) P^(n), folded
 left to right, is a projective resolution of L_{a_1} (x) ... (x)
 L_{a_n} over the tensor algebra: R_k = (+)_{i+j=k} X_i (x) P_j with
@@ -32,7 +37,7 @@ factor is the degree-1 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .algebra import BasicAlgebra
@@ -40,9 +45,9 @@ from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
     Module, ModuleMap, block_map, hom_basis, identity_map, in_span, map_coordinates,
-    map_from_coordinates, sum_module, zero_map,
+    map_from_coordinates, sum_module, vertex_counts, zero_map,
 )
-from .functors import projective_resolution
+from .functors import extend_resolution, projective_resolution
 
 MAX_POLY_DEGREE = 8
 MAX_VARIABLES = 2
@@ -68,7 +73,7 @@ class Lattice:
         self.algebra = algebra
         self.field = algebra.field
         self.d = d
-        self.rank = {v: int(rank.get(v, 0)) for v in algebra.quiver.vertices}
+        self.rank = vertex_counts(algebra.quiver.vertices, rank, LatticeError, "rank")
         self.action = {}
         for a in algebra.quiver.arrows:
             shape = (self.rank[a.target], self.rank[a.source])
@@ -395,6 +400,37 @@ def _factor_resolution(seq: ExtensionClass, top: int) -> _Resolution:
     return _checked(_Resolution(projs, diffs, aug, _lift_cocycle(seq, projs, diffs, aug), 1))
 
 
+@dataclass
+class _Resolved:
+    """The memo entry of one lattice value: its tensored sequence and the
+    checked factor resolution of its end, which `_value_resolution`
+    replaces by a longer one when a call needs a higher top."""
+
+    seq: ExtensionClass
+    res: _Resolution
+
+
+def _resolve_value(lat: Lattice, a, top: int) -> _Resolved:
+    seq = tensor_sequence(lat, a)
+    return _Resolved(seq, _factor_resolution(seq, top))
+
+
+def _value_resolution(lat: Lattice, a, top: int) -> _Resolution:
+    """The factor resolution of lat at a, cut at P_top: built once per
+    algebra and value and kept in lat.algebra's memo under
+    ("resolution", lat, a); when it ends below P_top it is extended
+    (`extend_resolution`, one projective cover per missing degree) and
+    checked again.  The resolutions are never changed: an extension
+    replaces the entry's, and every caller gets a view of its own lists."""
+    a = lat.field.element(a)
+    entry = lat.algebra.cached(("resolution", lat, a), lambda: _resolve_value(lat, a, top))
+    res = entry.res
+    if len(res.terms) <= top:
+        projs, diffs = extend_resolution(res.terms, res.diffs, res.aug, top)
+        res = entry.res = _checked(replace(res, terms=projs, diffs=diffs))
+    return replace(res, terms=res.terms[:top + 1], diffs=res.diffs[:top])
+
+
 def _tensor_term(algebra: BasicAlgebra, x: Module, p: Module) -> Module:
     """tensor_module(algebra, x, p), built once per algebra and pair of
     module objects and kept in its memo under ("tensor", x, p)."""
@@ -486,18 +522,21 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
 
     product_algebra is the left-nested tensor product (tensor_of =
     (A_1 (x) ... (x) A_{n-1}, A_n), and so on down).  Each lattice, at
-    each coordinate value a that it takes in a factor, resolves the end L_a
-    of its tensored sequence up to P_n once and lifts the sequence to a
-    cocycle phi_a: P_1 -> L_a; factors given the same Lattice object share
-    these resolutions.  At a point (a_1, ..., a_n) the total complex of
+    each coordinate value a that it takes in a factor, reads the resolution
+    of the end L_a of its tensored sequence and the cocycle
+    phi_a: P_1 -> L_a from its algebra's memo (`_value_resolution`, key
+    ("resolution", lat, a)), as a view cut at P_n; they are built, or
+    extended to P_n, on the first call that needs them, so factors given
+    the same Lattice object, and later calls on it (an `odim_witness`
+    included), share them.  At a point (a_1, ..., a_n) the total complex of
     those resolutions is folded left to right over the intermediate
     products, one complex per distinct prefix (a_1, ..., a_k), with the
     differential d_X (x) 1 + (-1)^i 1 (x) d_P on X_i (x) P_j; each such
     block is built once per call and shared by every complex that has it.
     The point passes when phi_{a_1} (x) ... (x) phi_{a_n}, on the
     (1, ..., 1) summand of R_n, is not a coboundary of d_n.  Each complex,
-    and each shared factor resolution once, is checked (d d = 0, exact in
-    degrees 0..n-1) and raises LatticeError if not.
+    and each factor resolution at each top it reaches, is checked (d d = 0,
+    exact below its top) and raises LatticeError if not.
     """
     n = len(lattices)
     algebras = [product_algebra]  # algebras[k] carries the first k + 1 factors
@@ -509,12 +548,8 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
         raise LatticeError("need one lattice per tensor factor, each over its factor")
     field = product_algebra.field
     points = points if points is not None else rational_points(field, n)
-    values = {}  # lattice -> the coordinate values of every factor it is given for
-    for k, lat in enumerate(lattices):
-        values.setdefault(lat, set()).update(pt[k] for pt in points)
-    resolved = {lat: {a: _factor_resolution(tensor_sequence(lat, a), n) for a in vals}
-                for lat, vals in values.items()}
-    factors = [resolved[lat] for lat in lattices]
+    factors = [{a: _value_resolution(lat, a, n) for a in {pt[k] for pt in points}}
+               for k, lat in enumerate(lattices)]
     prefixes = {}  # (a_1, ..., a_k) -> its total complex, for 1 < k < n
     memo = {}  # the differential blocks of every complex of this call
 

@@ -35,6 +35,17 @@ class ProjInfo:
     labels: dict  # vertex -> list[(summand_idx, algebra basis idx)]
 
 
+def vertex_counts(vertices, counts, error: type[ValueError], what: str) -> dict:
+    """{v: counts.get(v, 0)} over vertices: dimensions or ranks, each an
+    int >= 0.  A negative count, a bool or a float raises error; nothing
+    is truncated."""
+    out = {v: counts.get(v, 0) for v in vertices}
+    for v, n in out.items():
+        if type(n) is not int or n < 0:
+            raise error(f"{what}[{v}] is not a count: {n!r}")
+    return out
+
+
 class Module:
     """A representation: `dims` per vertex and an `action` matrix per arrow.
 
@@ -49,7 +60,7 @@ class Module:
     def __init__(self, algebra: BasicAlgebra, dims, action, check: bool = True,
                  proj_info: ProjInfo | None = None):
         self.algebra = algebra
-        self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
+        self.dims = vertex_counts(algebra.quiver.vertices, dims, ModuleError, "dims")
         self.action = {}
         field = algebra.field
         for a in algebra.quiver.arrows:

@@ -104,9 +104,13 @@ def test_malformed_payloads_raise_typed_errors(tmp_path):
                           {"dims": {"1": 1.9, "2": 0}}, {"dims": {"1": True, "2": 0}}):
         with pytest.raises(InputError):
             module_from_json(wrongly_typed, alg)
+    with pytest.raises(ModuleError, match="not a count"):
+        module_from_json({"dims": {"1": -1, "2": 0}, "action": {}}, alg)
     with pytest.raises(InputError):
         algebra_from_json(dict(payload, max_path_length="abc"))
     lat_payload = lattice_to_json(kronecker_family(alg))
+    with pytest.raises(LatticeError, match="not a count"):
+        lattice_from_json(dict(lat_payload, rank={"1": -2, "2": 0}, action={}))
     with pytest.raises(InputError):
         lattice_from_json({k: v for k, v in lat_payload.items() if k != "d"})
     with pytest.raises(InputError):

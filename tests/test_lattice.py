@@ -297,6 +297,15 @@ def test_lattice_checks_exponents_shapes_and_field():
     assert lat.action == {"a": {(0,): one}, "b": {}}
 
 
+@pytest.mark.parametrize("count", [-2, 1.5, 1.0, False])
+def test_lattice_rejects_impossible_ranks(count):
+    # a rank is an int >= 0: 1.5 is not truncated to 1, nor is False read as 0
+    alg = presets.kronecker(GF(3))
+    with pytest.raises(LatticeError, match=r"rank\[1\] is not a count"):
+        Lattice(alg, 1, {"1": count, "2": 1}, {})
+    assert Lattice(alg, 1, {"2": 1}, {}).rank == {"1": 0, "2": 1}
+
+
 def test_tensor_map_is_composite_of_one_sided_maps():
     field = GF(3)
     kron = presets.kronecker(field)
@@ -467,22 +476,31 @@ def test_kunneth_witness_matches_the_spliced_route(case, passed):
 
 
 def test_kunneth_witness_builds_one_complex_per_prefix(monkeypatch):
+    # the same complexes, each cut at top 3, whether or not an odim_witness
+    # on the lattice resolved its values to top 1 first
     from quivercert import lattice as lattice_module
     field = GF(3)
     kron = presets.kronecker(field)
-    lat = kronecker_family(kron)
+    kkk = tensor(presets.kronecker_squared(field), kron)
     original = lattice_module._tensor_complex
-    degrees = []
+    degrees, tops = [], set()
 
     def counting(algebra, x, p, memo):
         out = original(algebra, x, p, memo)
         degrees.append(out.degree)
+        tops.add(len(out.terms) - 1)
         return out
 
     monkeypatch.setattr(lattice_module, "_tensor_complex", counting)
-    cert = kunneth_witness(tensor(presets.kronecker_squared(field), kron), lat, lat, lat)
-    assert cert["passed"] == 27
-    assert sorted(degrees) == [2] * 9 + [3] * 27
+    for odim_first in (False, True):
+        lat = kronecker_family(kron)
+        if odim_first:
+            assert odim_witness(lat)["passed"] == 3
+        del degrees[:]
+        cert = kunneth_witness(kkk, lat, lat, lat)
+        assert cert["passed"] == 27
+        assert sorted(degrees) == [2] * 9 + [3] * 27
+        assert tops == {3}
 
 
 def test_kunneth_witness_resolves_each_coordinate_value_once(monkeypatch):
@@ -611,30 +629,99 @@ def test_kunneth_witness_keeps_its_blocks_for_one_call():
     assert kunneth_witness(kk, kronecker_family(kron), kronecker_family(kron)) == first
 
 
-def test_kunneth_witness_frees_its_resolutions_on_return(monkeypatch):
-    # nothing a call builds is held in a reference cycle: with the cyclic
-    # collector off, every factor resolution dies when the call returns
+def test_kunneth_witness_frees_its_complexes_on_return(monkeypatch):
+    # nothing a call builds per point is held in a reference cycle: with the
+    # cyclic collector off, every total complex of K (x) K (x) K dies when the
+    # call returns.  The factor resolutions live in the memo of the lattice's
+    # algebra: alive while the lattice is held, dead once it is dropped
     import gc
     import weakref
     from quivercert import lattice as lattice_module
-    original = lattice_module._factor_resolution
+    original = lattice_module._tensor_complex
     refs = []
 
-    def recording(seq, top):
-        out = original(seq, top)
+    def recording(algebra, x, p, memo):
+        out = original(algebra, x, p, memo)
         refs.append(weakref.ref(out))
         return out
 
-    monkeypatch.setattr(lattice_module, "_factor_resolution", recording)
+    monkeypatch.setattr(lattice_module, "_tensor_complex", recording)
     field = GF(3)
-    lat = kronecker_family(presets.kronecker(field))
+    kron = presets.kronecker(field)
+    kkk = tensor(presets.kronecker_squared(field), kron)
+    lat = kronecker_family(kron)
     gc.disable()
     try:
-        assert kunneth_witness(presets.kronecker_squared(field), lat, lat)["passed"] == 9
-        assert len(refs) == field.p
+        assert kunneth_witness(kkk, lat, lat, lat)["passed"] == 27
+        assert len(refs) == 9 + 27
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+    resolutions = [weakref.ref(entry.res) for key, entry in kron._memo.items()
+                   if key[0] == "resolution"]
+    assert len(resolutions) == field.p
+    del kron, kkk
+    gc.collect()
+    assert all(ref() is not None for ref in resolutions)
+    del lat
+    gc.collect()
+    assert all(ref() is None for ref in resolutions)
+
+
+@pytest.mark.parametrize("odim_first", [True, False], ids=["odim-first", "kunneth-first"])
+def test_odim_and_kunneth_witnesses_share_their_factor_resolutions(monkeypatch, odim_first):
+    # one lattice over GF(5): odim_witness resolves each value to P_1 (two
+    # covers) and kunneth_witness to P_2 (three).  Whichever comes first
+    # builds the resolutions; kunneth_witness after odim_witness extends each
+    # by one cover, and odim_witness after kunneth_witness builds nothing:
+    # 3p covers and p sequences, where resolving per witness takes 5p and
+    # 2p.  The tables are those of lattices that share nothing
+    from quivercert import functors, lattice as lattice_module
+    field = GF(5)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    expected = {"odim": odim_witness(kronecker_family(kron)),
+                "kunneth": kunneth_witness(kk, kronecker_family(kron), kronecker_family(kron))}
+    lat = kronecker_family(kron)
+    witnesses = {"odim": lambda: odim_witness(lat), "kunneth": lambda: kunneth_witness(kk, lat, lat)}
+    order = ["odim", "kunneth"] if odim_first else ["kunneth", "odim"]
+    covers, sequences = [], []
+    cover, sequence = functors.projective_cover, lattice_module.tensor_sequence
+    monkeypatch.setattr(functors, "projective_cover", lambda m: covers.append(m) or cover(m))
+    monkeypatch.setattr(lattice_module, "tensor_sequence",
+                        lambda lat_, a: sequences.append(a) or sequence(lat_, a))
+    first = witnesses[order[0]]()
+    assert (len(covers), len(sequences)) == ((2 if odim_first else 3) * field.p, field.p)
+    second = witnesses[order[1]]()
+    assert (len(covers), len(sequences)) == (3 * field.p, field.p)
+    assert {order[0]: first, order[1]: second} == expected
+
+
+@pytest.mark.parametrize("preset, field, a", [
+    pytest.param(presets.kronecker, GF(5), 2, id="K@GF(5)"),
+    pytest.param(presets.kronecker, QQ, Fraction(1, 2), id="K@QQ"),
+    pytest.param(presets.kronecker_tensor_a2, GF(3), 1, id="KxA2@GF(3)"),
+])
+def test_an_extended_factor_resolution_equals_a_fresh_one(preset, field, a):
+    # resolved to P_1, then extended to P_2 through the memo: entry for entry
+    # the resolution that projective_resolution builds to P_2 at once (over
+    # K (x) A2 P_2 is not zero), the first terms, maps and cocycle kept as
+    # they were; a view cut at P_1 afterwards reads the same first part
+    from quivercert.lattice import _value_resolution
+    algebra = preset(field)
+    lat = kronecker_family(algebra)
+    short = _value_resolution(lat, a, 1)
+    extended = _value_resolution(lat, a, 2)
+    entry = algebra._memo["resolution", lat, algebra.field.element(a)]
+    assert entry.res.terms == extended.terms
+    projs, diffs, aug = projective_resolution(entry.seq.right, 2)
+    assert extended.terms == projs
+    assert [d.components for d in extended.diffs] == [d.components for d in diffs]
+    assert extended.aug.components == aug.components
+    assert extended.terms[:2] == short.terms and extended.diffs[:1] == short.diffs
+    assert (extended.aug, extended.cocycle) == (short.aug, short.cocycle)
+    again = _value_resolution(lat, a, 1)
+    assert (again.terms, again.diffs) == (short.terms, short.diffs)
 
 
 def test_resolution_checks_fail_on_a_broken_complex():

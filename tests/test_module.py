@@ -77,6 +77,16 @@ def test_relation_check_rejects_bad_module():
                 "a21": Matrix.from_rows(QQ, [[1]])})
 
 
+@pytest.mark.parametrize("count", [-1, True, 1.5, 1.0, "1"])
+def test_module_rejects_impossible_dimensions(count):
+    # a dimension is an int >= 0: nothing is truncated or read as a number
+    from quivercert.module import Module
+    alg = presets.kronecker(GF(3))
+    with pytest.raises(ModuleError, match=r"dims\[1\] is not a count"):
+        Module(alg, {"1": count, "2": 0}, {})
+    assert Module(alg, {"1": 0}, {}).is_zero()
+
+
 def test_dual_involution_and_dims():
     for alg in (presets.a3_rad_square(QQ), presets.kronecker_tensor_a2(GF(5))):
         for x in alg.quiver.vertices:

@@ -5,8 +5,9 @@ original, and that a traced gl.dim computes Gamma's composition tensor
 once per triple of objects, that a traced torsionless closure
 decomposes few modules, and that a traced Kuenneth witness builds each
 tensor term of its total complexes once and one tensored sequence per
-coordinate value of a lattice its factors share, and that traced socle
-truncations solve no linear system.  The tracer file is only read, never
+coordinate value of a lattice its factors share, or that an Odim witness
+on the same lattice shares, and that traced socle truncations solve no
+linear system.  The tracer file is only read, never
 changed."""
 
 import importlib
@@ -127,6 +128,23 @@ def test_traced_kunneth_witness_builds_each_sequence_once():
         assert lattice_module.tensor_sequence.qcbench_traced
         cert = lattice_module.kunneth_witness(presets.kronecker_squared(field), lat, lat)
     assert cert["passed"] == 49
+    assert t.layer_metrics()["lattice.tensor_sequence.calls"][0] == field.p
+    for owner, attr, original in t.patches:
+        assert vars(owner)[attr] is original
+
+
+def test_traced_odim_and_kunneth_witnesses_build_each_sequence_once():
+    # an odim_witness and a kunneth_witness on one lattice over GF(7): the
+    # sequences and resolutions live in the lattice algebra's memo, so the
+    # pair builds 7 tensored sequences, not 7 per witness
+    tracer = _load_tracer()
+    field = GF(7)
+    lat = lattice_module.kronecker_family(presets.kronecker(field))
+    t = tracer.Tracer()
+    with t:
+        assert lattice_module.odim_witness(lat)["passed"] == 7
+        assert lattice_module.kunneth_witness(
+            presets.kronecker_squared(field), lat, lat)["passed"] == 49
     assert t.layer_metrics()["lattice.tensor_sequence.calls"][0] == field.p
     for owner, attr, original in t.patches:
         assert vars(owner)[attr] is original
