@@ -1,5 +1,11 @@
-"""Covers, envelopes, presentations, and the functors nu, tau, Sigma,
-gamma, eta.
+"""Maps out of projectives, covers, envelopes, presentations, and the
+functors nu, tau, Sigma, gamma, eta.
+
+A map out of a tagged projective (`module.ProjInfo`) is its images at the
+generators (Yoneda): `yoneda_map` builds it from them, `lift_through`
+solves for them one generating vertex at a time, and
+`cocycle_is_coboundary` decides a factorisation by one linear system in
+them, so none of these solves for a Hom space.
 
 The Nakayama transform is computed combinatorially: a map f between
 structured projectives is read off as path coefficients f(e_i), the
@@ -13,7 +19,7 @@ from __future__ import annotations
 import warnings
 
 from .algebra import BasicAlgebra
-from .matrix import Matrix, complement_basis
+from .matrix import Matrix, NoSolution, complement_basis
 from .module import (
     Module, ModuleMap, block_map, dual, dual_map, image_of_map, injectives, kernel_of_map,
     projective_sum, projectives, quotient, radical_spaces, sum_module, zero_map, zero_module,
@@ -30,6 +36,135 @@ class NotTorsionless(ValueError):
     pass
 
 
+# -- maps out of projectives, read off their generators (Yoneda) -----------------
+
+def generator_positions(p: Module) -> list[int]:
+    """The fiber position of each generator e_i of a tagged projective p,
+    at its vertex x_i: the label (i, e_{x_i})."""
+    info = p.proj_info
+    if info is None:
+        raise NotProjective("module lacks projective structure")
+    e_index = p.algebra.e_index
+    return [info.labels[x].index((i, e_index[x])) for i, x in enumerate(info.vertices)]
+
+
+def _label_actions(m: Module, p: Module) -> dict:
+    """{basis index: entries of m's action by that basis path} for every
+    nontrivial path among the labels of the tagged projective p: each
+    path's matrix is built once, as `Module.path_action` builds it."""
+    algebra = p.algebra
+    out = {}
+    for labels in p.proj_info.labels.values():
+        for _, bidx in labels:
+            path = algebra.basis_paths[bidx]
+            if len(path) and bidx not in out:
+                out[bidx] = m.path_action(path).entries
+    return out
+
+
+def yoneda_map(p: Module, m: Module, vectors: list) -> ModuleMap:
+    """The map from the tagged projective p to m that sends p's generator
+    e_i to vectors[i], a list of entries of m's fiber at its vertex x_i:
+    the fiber vector labelled (i, path) goes to m's action by the path on
+    vectors[i].  Every choice of vectors gives a module map (Yoneda), so
+    nothing is checked; the columns are built on raw entries."""
+    algebra, field = p.algebra, p.field
+    if p.proj_info is None:
+        raise NotProjective("module lacks projective structure")
+    mod, zero = field.p, field.zero()
+    actions = _label_actions(m, p)
+    comps = {}
+    for v in algebra.quiver.vertices:
+        rows, labels = m.dims[v], p.proj_info.labels[v]
+        width = len(labels)
+        entries = [zero] * (rows * width)
+        for col, (i, bidx) in enumerate(labels):
+            vec = vectors[i]
+            act = actions.get(bidx)
+            if act is not None:
+                w = len(vec)
+                vec = [sum((act[r * w + k] * vec[k] for k in range(w)), zero)
+                       for r in range(rows)]
+                if mod:
+                    vec = [x % mod for x in vec]
+            entries[col::width] = vec
+        comps[v] = Matrix(field, rows, width, entries)
+    return ModuleMap._built(p, m, comps)
+
+
+def lift_through(src: Module, through: ModuleMap, target: ModuleMap) -> ModuleMap:
+    """h: src -> through.source with h.then(through) = target, for a tagged
+    projective src (NotProjective otherwise).  h sends each generator e_i,
+    at its vertex x_i, to a solution w of through_{x_i} w = target(e_i),
+    one `Matrix.solve` per generating vertex, and `yoneda_map` builds it:
+    h.then(through) and target are maps out of src that agree on its
+    generators, so they are equal.  Raises NoSolution when some target(e_i)
+    has no preimage, and then there is no lift at all."""
+    positions = generator_positions(src)
+    at = {}  # vertex -> the indices of the generators there
+    for i, x in enumerate(src.proj_info.vertices):
+        at.setdefault(x, []).append(i)
+    vectors = [None] * len(positions)
+    for x, gens in at.items():
+        t = target.components[x]
+        solved = through.components[x].solve(t.submatrix(range(t.rows),
+                                                          [positions[i] for i in gens]))
+        for k, i in enumerate(gens):
+            vectors[i] = solved.col(k)
+    return yoneda_map(src, through.source, vectors)
+
+
+def cocycle_is_coboundary(phi_d: ModuleMap, last_diff: ModuleMap) -> bool:
+    """phi_d = last_diff followed by some psi: P_{d-1} -> left?
+
+    P_d and P_{d-1} are tagged projectives (NotProjective otherwise), so
+    this is decided at their generators (Yoneda).  A map psi out of
+    P_{d-1} = (+) P(x_i) is a free choice of u_i in left_{x_i}, the image
+    of its generator g_i, and sends the fiber vector labelled (i, path) to
+    path . u_i.  Two maps out of P_d are equal iff they agree on its
+    generators g'_j, at y_j.  So phi_d is a coboundary iff one linear
+    system has a solution: unknowns the u_i, and per g'_j the equations
+    psi(last_diff(g'_j)) = phi_d(g'_j) in left_{y_j}, whose coefficients
+    are left's actions by the labels of P_{d-1} at y_j weighted by the
+    column of last_diff at g'_j.  The system is built on raw entries and
+    solved once."""
+    src, mid, left = last_diff.source, last_diff.target, phi_d.target
+    positions = generator_positions(src)
+    if mid.proj_info is None:
+        raise NotProjective("module lacks projective structure")
+    field = left.field
+    mod, zero = field.p, field.zero()
+    offsets, width = [], 0  # the columns of u_i start at offsets[i]
+    for x in mid.proj_info.vertices:
+        offsets.append(width)
+        width += left.dims[x]
+    entries, rhs = [], []
+    actions = _label_actions(left, mid)
+    for y, pos in zip(src.proj_info.vertices, positions):
+        d, phi = last_diff.components[y], phi_d.components[y]
+        rows = left.dims[y]
+        block = [zero] * (rows * width)
+        for r, (i, bidx) in enumerate(mid.proj_info.labels[y]):
+            c = d.entries[r * d.cols + pos]
+            if not c:
+                continue
+            act, w, base = actions.get(bidx), left.dims[mid.proj_info.vertices[i]], offsets[i]
+            for t in range(rows):
+                at = t * width + base
+                if act is None:  # the trivial path: x_i = y
+                    block[at + t] += c
+                else:
+                    for k in range(w):
+                        block[at + k] += c * act[t * w + k]
+        entries += [e % mod for e in block] if mod else block
+        rhs += phi.entries[pos::phi.cols]
+    try:
+        Matrix(field, len(rhs), width, entries).solve(Matrix(field, len(rhs), 1, rhs))
+    except NoSolution:
+        return False
+    return True
+
+
 # -- covers and presentations ---------------------------------------------------
 
 def projective_cover(m: Module) -> ModuleMap:
@@ -39,29 +174,21 @@ def projective_cover(m: Module) -> ModuleMap:
     of the top, in vertex order: one shared object per algebra and vertex
     tuple (the zero module for m = 0), so every cover of every module
     with the same top has the same source.  Only the surjection is built
-    here, from the standard vectors that `complement_basis` picks past
-    rad M_x (`radical_spaces`), which depend only on its column space."""
-    algebra, field = m.algebra, m.field
+    here: `yoneda_map` sends the generators to the standard vectors that
+    `complement_basis` picks past rad M_x (`radical_spaces`), which
+    depend only on its column space."""
+    algebra = m.algebra
     if m.is_zero():
         return zero_map(projective_sum(algebra, ()), m)
     rad = radical_spaces(m)
-    generators = []  # (vertex, column vector in m's fiber), one per summand of P
+    generators = []  # (vertex, vector in m's fiber), one per summand of P
     for x in algebra.quiver.vertices:
         rep = complement_basis(rad[x])
-        generators.extend((x, rep.submatrix(range(m.dims[x]), [c])) for c in range(rep.cols))
+        generators.extend((x, rep.col(c)) for c in range(rep.cols))
     if not generators:
         raise NotProjective("nonzero module equal to its radical")
     cover = projective_sum(algebra, tuple(x for x, _ in generators))
-    comps = {}
-    for v in algebra.quiver.vertices:
-        comps[v] = Matrix.zero(field, m.dims[v], cover.dims[v])
-        for col, (k, bidx) in enumerate(cover.proj_info.labels[v]):
-            path = algebra.basis_paths[bidx]
-            gen = generators[k][1]
-            vec = gen if len(path) == 0 else m.path_action(path) @ gen
-            for r in range(m.dims[v]):
-                comps[v][r, col] = vec[r, 0]
-    out = ModuleMap(cover, m, comps, check=False)
+    out = yoneda_map(cover, m, [vec for _, vec in generators])
     if not out.is_surjective():
         raise NotProjective("projective cover construction failed to surject")
     return out
@@ -115,19 +242,6 @@ def is_injective_module(m: Module) -> bool:
 
 # -- the combinatorial Hom(-, algebra) transform --------------------------------
 
-def _generator_positions(p: Module):
-    """Fiber position of each summand generator e_{x_i} inside p."""
-    algebra = p.algebra
-    info = p.proj_info
-    if info is None:
-        raise NotProjective("module lacks projective structure")
-    positions = []
-    for i, x in enumerate(info.vertices):
-        target = (i, algebra.e_index[x])
-        positions.append(info.labels[x].index(target))
-    return positions
-
-
 def _reverse_element(algebra: BasicAlgebra, op: BasicAlgebra, coeffs):
     """Transport sum(c * basis path) through path reversal into op."""
     out = {}
@@ -175,7 +289,7 @@ def hom_lambda_transform(f: ModuleMap) -> ModuleMap:
     src_info, tgt_info = f.source.proj_info, f.target.proj_info
     if src_info is None or tgt_info is None:
         raise NotProjective("Hom(-,algebra) transform needs structured projectives")
-    src_pos = _generator_positions(f.source)
+    src_pos = generator_positions(f.source)
     p_op = dict(zip(op.quiver.vertices, projectives(op)))
     h_source_parts = [p_op[x] for x in tgt_info.vertices]
     h_target_parts = [p_op[x] for x in src_info.vertices]

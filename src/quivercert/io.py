@@ -127,12 +127,8 @@ def module_to_json(m: Module) -> dict:
 def module_from_json(payload: dict, algebra: BasicAlgebra) -> Module:
     try:
         dims = {v: _int(n, f"dims[{v}]") for v, n in payload["dims"].items()}
-        action = {}
-        for a in algebra.quiver.arrows:
-            rows = payload.get("action", {}).get(a.name)
-            if rows is None:
-                continue
-            action[a.name] = Matrix.from_rows(algebra.field, rows)
+        action = {name: Matrix.from_rows(algebra.field, rows)
+                  for name, rows in payload.get("action", {}).items() if rows is not None}
         return Module(algebra, dims, action)
     except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed module payload: {exc}") from exc
@@ -172,11 +168,14 @@ def lattice_from_json(payload: dict, field_override=None) -> tuple[Lattice, Basi
         d = _int(payload["d"], "d")
         rank = {v: _int(n, f"rank[{v}]") for v, n in payload["rank"].items()}
         field = algebra.field
+        arrows = {a.name: a for a in algebra.quiver.arrows}
         action = {}
-        for a in algebra.quiver.arrows:
-            rows = payload["action"].get(a.name)
+        for name, rows in payload["action"].items():
             if rows is None:
                 continue
+            a = arrows.get(name)
+            if a is None:
+                raise LatticeError(f"action names no arrow: {name!r}")
             shape = (rank.get(a.target, 0), rank.get(a.source, 0))
             if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
                 raise LatticeError(f"arrow {a.name}: polynomial matrix shape mismatch")

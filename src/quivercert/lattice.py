@@ -15,24 +15,30 @@ non-vanishing is decided by exact linear algebra.
 
 The witness for Odim >= n over A_1 (x) ... (x) A_n uses the Kuenneth
 formula.  Each lattice value a is resolved once per algebra, however
-many factors and witness calls read it: its tensored sequence, the
-minimal resolution P_top -> ... -> P_0 -> L_a and the lift of the
-sequence to a cocycle phi_a: P_1 -> L_a are kept in the memo of the
-lattice's algebra under ("resolution", lat, a), with a normalised by
-`field.element`.  A call that needs a higher top extends that resolution
-by one projective cover per missing degree and checks it again; a call
-with n factors reads views cut at top n.  At a point
-(a_1, ..., a_n) the total complex R = P^(1) (x) ... (x) P^(n), folded
-left to right, is a projective resolution of L_{a_1} (x) ... (x)
-L_{a_n} over the tensor algebra: R_k = (+)_{i+j=k} X_i (x) P_j with
-d = d_X (x) 1 + (-1)^i 1 (x) d_P and augmentation aug_X (x) aug_P.  The
-external product of the n classes is represented, up to sign, by
-phi_{a_1} (x) ... (x) phi_{a_n} on the (1, ..., 1) summand of R_n and
-zero on the others, so the point passes when that cocycle is not a
-coboundary.  Every complex the witness reads is checked (d d = 0, exact
-below its top degree); `external_product` and `ext_nonzero` on the
-spliced sequence are the independent route the tests compare with.  One
-factor is the degree-1 case.
+many factors, lattice objects and witness calls read it: its tensored
+sequence, the minimal resolution P_top -> ... -> P_0 -> L_a and the lift
+of the sequence to a cocycle phi_a: P_1 -> L_a are kept in the memo of
+the lattice's algebra under ("resolution", lat.content, a), keyed by the
+lattice's content and with a normalised by `field.element`.  A call that
+needs a higher top extends that resolution by one projective cover per
+missing degree and checks it again; a call with n factors reads views
+cut at top n.  At a point (a_1, ..., a_n) the total complex
+R = P^(1) (x) ... (x) P^(n), folded left to right, is a projective
+resolution of L_{a_1} (x) ... (x) L_{a_n} over the tensor algebra:
+R_k = (+)_{i+j=k} X_i (x) P_j with d = d_X (x) 1 + (-1)^i 1 (x) d_P and
+augmentation aug_X (x) aug_P.  The external product of the n classes is
+represented, up to sign, by phi_{a_1} (x) ... (x) phi_{a_n} on the
+(1, ..., 1) summand of R_n and zero on the others, so the point passes
+when that cocycle is not a coboundary.  Every complex the witness reads
+is checked (d d = 0, exact below its top degree); `external_product` and
+`ext_nonzero` on the spliced sequence are the independent route the
+tests compare with.  One factor is the degree-1 case.
+
+Every term of those resolutions is a tagged projective: covers are
+tagged sums, `tensor_module` tags P(x) (x) P(y) = P(x.y), and sums of
+tagged terms are tagged.  So the coboundary test and the comparison
+lifts run at the generators (`functors.cocycle_is_coboundary`,
+`functors.lift_through`), and no Hom space out of a term is solved for.
 """
 
 from __future__ import annotations
@@ -44,10 +50,12 @@ from .algebra import BasicAlgebra
 from .fields import Field
 from .matrix import Matrix, NoSolution
 from .module import (
-    Module, ModuleMap, block_map, hom_basis, identity_map, in_span, map_coordinates,
-    map_from_coordinates, sum_module, vertex_counts, zero_map,
+    Module, ModuleMap, ProjInfo, block_map, hom_basis, identity_map, in_span, sum_module,
+    vertex_counts,
 )
-from .functors import extend_resolution, projective_resolution
+from .functors import (
+    cocycle_is_coboundary, extend_resolution, lift_through, projective_resolution,
+)
 
 MAX_POLY_DEGREE = 8
 MAX_VARIABLES = 2
@@ -73,7 +81,10 @@ class Lattice:
         self.algebra = algebra
         self.field = algebra.field
         self.d = d
-        self.rank = vertex_counts(algebra.quiver.vertices, rank, LatticeError, "rank")
+        self.rank = vertex_counts(algebra.quiver, rank, LatticeError, "rank")
+        unknown = action.keys() - algebra.quiver.arrow_names
+        if unknown:
+            raise LatticeError(f"action names no arrow: {sorted(unknown)}")
         self.action = {}
         for a in algebra.quiver.arrows:
             shape = (self.rank[a.target], self.rank[a.source])
@@ -91,6 +102,11 @@ class Lattice:
                 if not c.is_zero():
                     coeffs[exps] = c
             self.action[a.name] = coeffs
+        # d, the ranks and each arrow's coefficients: lattices with equal
+        # content share their algebra's memo entries (`_value_resolution`)
+        self.content = (d, tuple(self.rank[v] for v in algebra.quiver.vertices),
+                        tuple(tuple(sorted((e, tuple(c.entries)) for e, c in coeffs.items()))
+                              for coeffs in self.action.values()))
         if check:
             bad = self.relation_defect()
             if bad is not None:
@@ -246,23 +262,15 @@ def tensor_sequence(lat: Lattice, alpha) -> ExtensionClass:
 
 # -- Ext non-vanishing -------------------------------------------------------------------
 
-def _lift_through(src: Module, through: ModuleMap, target: ModuleMap) -> ModuleMap:
-    """h: src -> through.source with h.then(through) = target; raises
-    NoSolution when there is none."""
-    basis = hom_basis(src, through.source)
-    coords = map_coordinates(target, [h.then(through) for h in basis])
-    return map_from_coordinates(coords, basis) if basis else zero_map(src, through.source)
-
-
 def _lift_cocycle(cls: ExtensionClass, projs, diffs, aug) -> ModuleMap:
     """phi_d: P_d -> left by comparison lifting along a projective
     resolution of cls.right of length at least d."""
     d = cls.degree
     maps = cls.maps
     try:
-        phi = _lift_through(projs[0], maps[-1], aug)
+        phi = lift_through(projs[0], maps[-1], aug)
         for k in range(1, d + 1):  # k = d lifts through the injection left -> mids[0]
-            phi = _lift_through(projs[k], maps[d - k], diffs[k - 1].then(phi))
+            phi = lift_through(projs[k], maps[d - k], diffs[k - 1].then(phi))
     except NoSolution:
         raise LatticeError("cocycle lift failed") from None
     return phi
@@ -272,12 +280,6 @@ def yoneda_cocycle(cls: ExtensionClass):
     """(cocycle phi_d: P_d -> left, resolution data) by comparison lifting."""
     projs, diffs, aug = projective_resolution(cls.right, cls.degree)
     return _lift_cocycle(cls, projs, diffs, aug), projs, diffs
-
-
-def cocycle_is_coboundary(phi_d: ModuleMap, last_diff: ModuleMap) -> bool:
-    """phi_d = last_diff followed by some psi: P_{d-1} -> left?"""
-    return in_span(phi_d, [last_diff.then(psi)
-                           for psi in hom_basis(last_diff.target, phi_d.target)])
 
 
 def ext_nonzero(cls: ExtensionClass) -> bool:
@@ -301,7 +303,8 @@ def _same_algebra(a: BasicAlgebra, b: BasicAlgebra) -> bool:
 
 def tensor_module(product_algebra: BasicAlgebra, m: Module, n: Module) -> Module:
     """m (x) n over the tensor algebra (fiber basis ordered (m, n)): arrow
-    a.y acts by m_a (x) I and arrow x.b by I (x) n_b."""
+    a.y acts by m_a (x) I and arrow x.b by I (x) n_b.  When m and n are
+    tagged projectives, so is the product (`_tensor_tag`)."""
     factors = product_algebra.tensor_of
     if factors is None:
         raise LatticeError("target algebra is not a tensor product")
@@ -315,7 +318,38 @@ def tensor_module(product_algebra: BasicAlgebra, m: Module, n: Module) -> Module
               for a in m.algebra.quiver.arrows for y, eye in eye_n.items()}
     action.update({f"{x}.{b.name}": eye.kron(n.action[b.name])
                    for b in n.algebra.quiver.arrows for x, eye in eye_m.items()})
-    return Module(product_algebra, dims, action)
+    info = None
+    if m.proj_info is not None and n.proj_info is not None:
+        info = _tensor_tag(product_algebra, m, n)
+    return Module(product_algebra, dims, action, proj_info=info)
+
+
+def _tensor_tag(product_algebra: BasicAlgebra, m: Module, n: Module) -> ProjInfo:
+    """The tag of m (x) n for tagged projectives m = (+) P(x_i) and
+    n = (+) P(y_j): P(x) (x) P(y) = P(x.y), so summand i * len(y) + j is
+    generated by e_{x_i} (x) e_{y_j} at x_i.y_j, and the fiber vector
+    p (x) q, for basis paths p: x_i -> x and q: y_j -> y, is labelled by
+    the basis path that p lifted at y_j followed by q lifted at x reduces
+    to.  Raises LatticeError when that is not one basis path with
+    coefficient 1: the label would not be a path, and no tag is guessed."""
+    a, b, alg = m.algebra, n.algebra, product_algebra
+    one, count = alg.field.one(), len(n.proj_info.vertices)
+    labels = {}
+    for x in m.dims:
+        for y in n.dims:
+            out = labels[f"{x}.{y}"] = []
+            for i, p in m.proj_info.labels[x]:
+                for j, q in n.proj_info.labels[y]:
+                    path = (tuple(f"{name}.{b.basis_source[q]}" for name in a.basis_paths[p])
+                            + tuple(f"{x}.{name}" for name in b.basis_paths[q]))
+                    expansion = (alg.reduce_path(path) if path
+                                 else ((alg.e_index[f"{x}.{y}"], one),))
+                    if len(expansion) != 1 or expansion[0][1] != one:
+                        raise LatticeError(f"path {path} reduces to {expansion}, "
+                                           "not one basis path")
+                    out.append((i * count + j, expansion[0][0]))
+    vertices = tuple(f"{x}.{y}" for x in m.proj_info.vertices for y in n.proj_info.vertices)
+    return ProjInfo(vertices, labels)
 
 
 def tensor_map(source: Module, target: Module, f: ModuleMap, g: ModuleMap) -> ModuleMap:
@@ -417,13 +451,15 @@ def _resolve_value(lat: Lattice, a, top: int) -> _Resolved:
 
 def _value_resolution(lat: Lattice, a, top: int) -> _Resolution:
     """The factor resolution of lat at a, cut at P_top: built once per
-    algebra and value and kept in lat.algebra's memo under
-    ("resolution", lat, a); when it ends below P_top it is extended
+    algebra, lattice content and value and kept in lat.algebra's memo under
+    ("resolution", lat.content, a), so lattices built apart with equal
+    content share it; when it ends below P_top it is extended
     (`extend_resolution`, one projective cover per missing degree) and
     checked again.  The resolutions are never changed: an extension
     replaces the entry's, and every caller gets a view of its own lists."""
     a = lat.field.element(a)
-    entry = lat.algebra.cached(("resolution", lat, a), lambda: _resolve_value(lat, a, top))
+    entry = lat.algebra.cached(("resolution", lat.content, a),
+                               lambda: _resolve_value(lat, a, top))
     res = entry.res
     if len(res.terms) <= top:
         projs, diffs = extend_resolution(res.terms, res.diffs, res.aug, top)
@@ -525,16 +561,18 @@ def kunneth_witness(product_algebra: BasicAlgebra, *lattices: Lattice, points=No
     each coordinate value a that it takes in a factor, reads the resolution
     of the end L_a of its tensored sequence and the cocycle
     phi_a: P_1 -> L_a from its algebra's memo (`_value_resolution`, key
-    ("resolution", lat, a)), as a view cut at P_n; they are built, or
-    extended to P_n, on the first call that needs them, so factors given
-    the same Lattice object, and later calls on it (an `odim_witness`
-    included), share them.  At a point (a_1, ..., a_n) the total complex of
+    ("resolution", lat.content, a)), as a view cut at P_n; they are built,
+    or extended to P_n, on the first call that needs them, so factors given
+    equal lattices, and later calls on them (an `odim_witness` included),
+    share them.  At a point (a_1, ..., a_n) the total complex of
     those resolutions is folded left to right over the intermediate
     products, one complex per distinct prefix (a_1, ..., a_k), with the
     differential d_X (x) 1 + (-1)^i 1 (x) d_P on X_i (x) P_j; each such
     block is built once per call and shared by every complex that has it.
     The point passes when phi_{a_1} (x) ... (x) phi_{a_n}, on the
-    (1, ..., 1) summand of R_n, is not a coboundary of d_n.  Each complex,
+    (1, ..., 1) summand of R_n, is not a coboundary of d_n.  R_n and
+    R_{n-1} are tagged projectives, so `cocycle_is_coboundary` decides
+    that by Yoneda, at their generators, with no Hom basis.  Each complex,
     and each factor resolution at each top it reaches, is checked (d d = 0,
     exact below its top) and raises LatticeError if not.
     """

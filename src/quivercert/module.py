@@ -6,8 +6,14 @@ the algebra is checked to vanish on construction.  A ModuleMap is a
 vertex-indexed family of matrices intertwining the arrow actions.
 
 Projective modules carry a `proj_info` structural tag (ordered list of
-generating vertices plus path labels per fiber) that later lets the
-Nakayama functor act combinatorially on maps between projectives.
+generating vertices plus path labels per fiber): `projective`,
+`sum_module` of tagged summands (the empty sum included) and
+`lattice.tensor_module` of two tagged projectives set it.  A map out of
+P = (+) P(x_i) is fixed by the images v_i in X_{x_i} of the generators
+e_i, any choice of them gives one (Yoneda), and the fiber vector labelled
+(i, path) goes to path . v_i.  `functors.yoneda_map` builds maps that
+way, and `functors` reads maps out of projectives off their generators:
+the Nakayama transform, lifts and the coboundary test of `lattice`.
 """
 
 from __future__ import annotations
@@ -35,11 +41,14 @@ class ProjInfo:
     labels: dict  # vertex -> list[(summand_idx, algebra basis idx)]
 
 
-def vertex_counts(vertices, counts, error: type[ValueError], what: str) -> dict:
-    """{v: counts.get(v, 0)} over vertices: dimensions or ranks, each an
-    int >= 0.  A negative count, a bool or a float raises error; nothing
-    is truncated."""
-    out = {v: counts.get(v, 0) for v in vertices}
+def vertex_counts(quiver, counts, error: type[ValueError], what: str) -> dict:
+    """{v: counts.get(v, 0)} over the quiver's vertices: dimensions or
+    ranks, each an int >= 0.  A key that names no vertex, a negative
+    count, a bool or a float raises error; nothing is truncated."""
+    unknown = counts.keys() - quiver.vertex_set
+    if unknown:
+        raise error(f"{what} name no vertex: {sorted(unknown)}")
+    out = {v: counts.get(v, 0) for v in quiver.vertices}
     for v, n in out.items():
         if type(n) is not int or n < 0:
             raise error(f"{what}[{v}] is not a count: {n!r}")
@@ -60,7 +69,10 @@ class Module:
     def __init__(self, algebra: BasicAlgebra, dims, action, check: bool = True,
                  proj_info: ProjInfo | None = None):
         self.algebra = algebra
-        self.dims = vertex_counts(algebra.quiver.vertices, dims, ModuleError, "dims")
+        self.dims = vertex_counts(algebra.quiver, dims, ModuleError, "dims")
+        unknown = action.keys() - algebra.quiver.arrow_names
+        if unknown:
+            raise ModuleError(f"action names no arrow: {sorted(unknown)}")
         self.action = {}
         field = algebra.field
         for a in algebra.quiver.arrows:
@@ -137,9 +149,9 @@ class ModuleMap:
 
     The public constructor fills absent vertices with zeros, checks every
     shape and, with `check`, that the components intertwine the arrows.
-    `then`, `+`, `-`, `scale`, `identity_map`, `block_map` and
-    `lattice.tensor_map` build complete components of the right shapes by
-    construction and go through `_built`, which checks nothing.  Maps
+    `then`, `+`, `-`, `scale`, `identity_map`, `block_map`,
+    `functors.yoneda_map` and `lattice.tensor_map` build complete components
+    of the right shapes by construction and go through `_built`, which checks nothing.  Maps
     share component matrices, which are never written after they are
     built (see `Matrix`): the public constructor keeps the matrices it is
     given, and a one-part `block_map` has its block's components."""
@@ -312,9 +324,9 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 def sum_module(algebra: BasicAlgebra, summands) -> Module:
     """The direct sum of summands (modules over algebra), without the
-    inclusions and projections; the zero module for no summands."""
-    if not summands:
-        return zero_module(algebra)
+    inclusions and projections.  It is tagged when every summand is, so
+    the zero module it gives for no summands is tagged as the empty sum
+    of projectives."""
     field = algebra.field
     dims = {v: sum(s.dims[v] for s in summands) for v in algebra.quiver.vertices}
     action = {}

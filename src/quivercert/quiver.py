@@ -24,19 +24,25 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices and arrows; `vertex_set` and `arrow_names` are their names
+    as frozensets, built once here for the key checks of every module and
+    lattice on the quiver."""
+
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        vs = set(self.vertices)
+        vs = frozenset(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
+        names = frozenset(a.name for a in self.arrows)
+        if len(names) != len(self.arrows):
             raise ValueError("duplicate arrow names")
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
                 raise ValueError(f"arrow {a.name} references unknown vertex")
+        object.__setattr__(self, "vertex_set", vs)
+        object.__setattr__(self, "arrow_names", names)
 
     @staticmethod
     def build(vertices, arrows) -> "Quiver":

@@ -10,8 +10,9 @@ from quivercert.io import (
     lattice_to_json, load_algebra, load_lattice, load_module, module_from_json,
     module_to_json, payload_hash, save_algebra, save_lattice,
 )
-from quivercert.lattice import LatticeError, kronecker_family
-from quivercert.module import ModuleError, projective, projective_sum
+from quivercert.lattice import Lattice, LatticeError, kronecker_family
+from quivercert.matrix import Matrix
+from quivercert.module import Module, ModuleError, projective, projective_sum
 
 PRESETS = (
     presets.a3_rad_square, presets.kronecker, presets.commutative_square_plus,
@@ -128,6 +129,31 @@ def test_malformed_payloads_raise_typed_errors(tmp_path):
         load_algebra(str(bad))
     with pytest.raises(InputError):
         load_lattice(str(tmp_path / "missing.json"))
+
+
+def test_unknown_vertices_and_arrows_raise_typed_errors():
+    # a key that names no vertex or arrow is refused, not dropped: at the
+    # constructors and in payloads
+    field = GF(3)
+    alg = presets.kronecker(field)
+    one = Matrix.identity(field, 1)
+    with pytest.raises(ModuleError, match="no arrow"):
+        Module(alg, {"1": 1, "2": 1}, {"typo": one})
+    with pytest.raises(ModuleError, match="no vertex"):
+        Module(alg, {"1": 1, "9": 4}, {})
+    with pytest.raises(ModuleError, match="no arrow"):
+        module_from_json({"dims": {"1": 1, "2": 1}, "action": {"typo": [["1"]]}}, alg)
+    with pytest.raises(ModuleError, match="no vertex"):
+        module_from_json({"dims": {"1": 1, "9": 4}, "action": {}}, alg)
+    with pytest.raises(LatticeError, match="no arrow"):
+        Lattice(alg, 1, {"1": 1, "2": 1}, {"typo": {(0,): one}})
+    with pytest.raises(LatticeError, match="no vertex"):
+        Lattice(alg, 1, {"1": 1, "9": 1}, {})
+    payload = lattice_to_json(kronecker_family(alg))
+    with pytest.raises(LatticeError, match="no arrow"):
+        lattice_from_json(dict(payload, action=dict(payload["action"], typo=[[[["1", [0]]]]])))
+    with pytest.raises(LatticeError, match="no vertex"):
+        lattice_from_json(dict(payload, rank=dict(payload["rank"], **{"9": 0})))
 
 
 def test_lattice_action_shape_must_match_the_ranks():

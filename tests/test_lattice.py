@@ -9,7 +9,10 @@ from quivercert import presets
 from quivercert.decompose import is_indecomposable, is_isomorphic
 from quivercert.fields import field_name
 from quivercert.algebra import tensor
-from quivercert.functors import projective_resolution
+from quivercert.functors import (
+    NotProjective, generator_positions, lift_through, projective_cover, projective_resolution,
+    yoneda_map,
+)
 from quivercert.io import algebra_to_json, lattice_from_json, lattice_to_json, payload_hash
 from quivercert.lattice import (
     ExtensionClass, Lattice, LatticeError, constant_lattice, eps_alpha, ext_nonzero,
@@ -17,7 +20,10 @@ from quivercert.lattice import (
     rational_points, scale_class, tensor_map, tensor_module,
     tensor_sequence, yoneda_cocycle, cocycle_is_coboundary,
 )
-from quivercert.module import Module, identity_map, injective, projective, simple, zero_map
+from quivercert.module import (
+    Module, hom_basis, identity_map, in_span, injective, map_coordinates, map_from_coordinates,
+    projective, projective_sum, simple, sum_module, zero_map,
+)
 
 
 def test_kronecker_family_specializations():
@@ -675,13 +681,14 @@ def test_odim_and_kunneth_witnesses_share_their_factor_resolutions(monkeypatch, 
     # builds the resolutions; kunneth_witness after odim_witness extends each
     # by one cover, and odim_witness after kunneth_witness builds nothing:
     # 3p covers and p sequences, where resolving per witness takes 5p and
-    # 2p.  The tables are those of lattices that share nothing
+    # 2p.  The tables are those of lattices that share nothing: equal
+    # lattices share memo entries, so those are built over another K
     from quivercert import functors, lattice as lattice_module
     field = GF(5)
-    kron = presets.kronecker(field)
+    kron, other = presets.kronecker(field), presets.kronecker(field)
     kk = presets.kronecker_squared(field)
-    expected = {"odim": odim_witness(kronecker_family(kron)),
-                "kunneth": kunneth_witness(kk, kronecker_family(kron), kronecker_family(kron))}
+    expected = {"odim": odim_witness(kronecker_family(other)),
+                "kunneth": kunneth_witness(kk, kronecker_family(other), kronecker_family(other))}
     lat = kronecker_family(kron)
     witnesses = {"odim": lambda: odim_witness(lat), "kunneth": lambda: kunneth_witness(kk, lat, lat)}
     order = ["odim", "kunneth"] if odim_first else ["kunneth", "odim"]
@@ -712,7 +719,7 @@ def test_an_extended_factor_resolution_equals_a_fresh_one(preset, field, a):
     lat = kronecker_family(algebra)
     short = _value_resolution(lat, a, 1)
     extended = _value_resolution(lat, a, 2)
-    entry = algebra._memo["resolution", lat, algebra.field.element(a)]
+    entry = algebra._memo["resolution", lat.content, algebra.field.element(a)]
     assert entry.res.terms == extended.terms
     projs, diffs, aug = projective_resolution(entry.seq.right, 2)
     assert extended.terms == projs
@@ -783,3 +790,296 @@ def test_kronecker_lattice_json_round_trip_and_specialize(payload, data):
         rows = payload["action"][a.name]
         assert ([m.action[a.name].row(i) for i in range(len(rows))]
                 == [[value(entry) for entry in row] for row in rows])
+
+
+# -- the tag of a tensor product of projectives --------------------------------------
+
+def _assert_tag_is_the_projective(t, vertex):
+    """t, a tensor product of two indecomposable projectives, is P(vertex)
+    with its fibers relabelled: equal dims, the same labels at each vertex,
+    and equal actions under the permutation that matches the labels."""
+    product = t.algebra
+    q = projective(product, vertex)
+    assert t.proj_info.vertices == (vertex,)
+    assert t.dims == q.dims
+    pos = {}
+    for v in product.quiver.vertices:
+        assert sorted(t.proj_info.labels[v]) == sorted(q.proj_info.labels[v])
+        pos[v] = [q.proj_info.labels[v].index(label) for label in t.proj_info.labels[v]]
+    for arrow in product.quiver.arrows:
+        mt, mq = t.action[arrow.name], q.action[arrow.name]
+        for r, pr in enumerate(pos[arrow.target]):
+            for c, pc in enumerate(pos[arrow.source]):
+                assert mt[r, c] == mq[pr, pc]
+
+
+def _assert_tag_is_consistent(m):
+    """The generators of a tagged m sent to themselves give the identity
+    (every label is the path that carries its generator to that vector),
+    and m's projective cover is an isomorphism."""
+    positions = generator_positions(m)
+    units = []
+    for x, pos in zip(m.proj_info.vertices, positions):
+        unit = [m.field.zero()] * m.dims[x]
+        unit[pos] = m.field.one()
+        units.append(unit)
+    assert yoneda_map(m, m, units).components == identity_map(m).components
+    assert projective_cover(m).is_isomorphism()
+
+
+def _assert_products_are_the_projectives(product):
+    a, b = product.tensor_of
+    for x in a.quiver.vertices:
+        for y in b.quiver.vertices:
+            t = tensor_module(product, projective(a, x), projective(b, y))
+            _assert_tag_is_the_projective(t, f"{x}.{y}")
+            _assert_tag_is_consistent(t)
+
+
+TAG_FIELDS = [pytest.param(f, id=field_name(f)) for f in (GF(2), GF(3), QQ)]
+
+
+@pytest.mark.parametrize("field", TAG_FIELDS)
+def test_tensor_tag_matches_the_projective_at_the_product_vertex(field):
+    # K (x) K, K (x) A2 and the nested (K (x) K) (x) K, whose first factor's
+    # projectives are themselves tagged tensor products
+    kron, a2 = presets.kronecker(field), presets.a2(field)
+    kk = presets.kronecker_squared(field)
+    for product in (kk, tensor(kron, a2)):
+        _assert_products_are_the_projectives(product)
+    kkk = tensor(kk, kron)
+    for x in kron.quiver.vertices:
+        for y in kron.quiver.vertices:
+            inner = tensor_module(kk, projective(kron, x), projective(kron, y))
+            for z in kron.quiver.vertices:
+                t = tensor_module(kkk, inner, projective(kron, z))
+                _assert_tag_is_the_projective(t, f"{x}.{y}.{z}")
+                _assert_tag_is_consistent(t)
+
+
+@pytest.mark.parametrize("field", TAG_FIELDS)
+def test_tensor_tags_of_sums_are_consistent(field):
+    # sums of projectives on either side, K (x) K, K (x) K (x) K and K (x) A2
+    kron, a2 = presets.kronecker(field), presets.a2(field)
+    kk = presets.kronecker_squared(field)
+    left = projective_sum(kron, ("1", "2", "1"))
+    for product, right in ((kk, projective_sum(kron, ("2", "1"))),
+                           (tensor(kron, a2), projective_sum(a2, ("2", "1", "1")))):
+        t = tensor_module(product, left, right)
+        assert t.proj_info.vertices == tuple(f"{x}.{y}" for x in left.proj_info.vertices
+                                             for y in right.proj_info.vertices)
+        _assert_tag_is_consistent(t)
+    inner = tensor_module(kk, left, projective_sum(kron, ("2", "1")))
+    _assert_tag_is_consistent(tensor_module(tensor(kk, kron), inner, left))
+
+
+PRESET_FACTORS = ("a3_rad_square", "commutative_square_plus", "local_xy")
+
+
+@pytest.mark.parametrize("name", PRESET_FACTORS)
+@pytest.mark.parametrize("field", TAG_FIELDS)
+def test_every_preset_product_with_k_tags_by_single_paths(name, field):
+    # A (x) K and K (x) A: every p (x) q reduces to one basis path with
+    # coefficient 1, so P(x) (x) P(y) is tagged, and the tag is P(x.y)'s
+    algebra, kron = getattr(presets, name)(field), presets.kronecker(field)
+    for product in (tensor(algebra, kron), tensor(kron, algebra)):
+        _assert_products_are_the_projectives(product)
+
+
+def test_tensor_tag_refuses_a_path_that_is_no_basis_path(monkeypatch):
+    field = GF(3)
+    kron, kk = presets.kronecker(field), presets.kronecker_squared(field)
+    one = field.one()
+    assert tensor_module(kk, projective(kron, "2"), simple(kron, "1")).proj_info is None
+    monkeypatch.setattr(kk, "reduce_path", lambda path: ((0, one), (1, one)))
+    # P(2) (x) P(2) has only the trivial path, which is never reduced
+    assert tensor_module(kk, projective(kron, "2"), projective(kron, "2")).proj_info
+    with pytest.raises(LatticeError, match="not one basis path"):
+        tensor_module(kk, projective(kron, "1"), projective(kron, "2"))
+
+
+def test_the_empty_sum_is_the_tagged_zero_projective():
+    kron = presets.kronecker(GF(3))
+    zero = sum_module(kron, [])
+    assert zero.is_zero()
+    assert zero.proj_info.vertices == () and zero.proj_info.labels == {"1": [], "2": []}
+
+
+# -- coboundaries and lifts at the generators -----------------------------------------
+
+def _coboundary_by_hom_basis(phi_d, last_diff):
+    """The reference: phi_d in the span of last_diff followed by every
+    basis map of Hom(P_{d-1}, left)."""
+    return in_span(phi_d, [last_diff.then(psi)
+                           for psi in hom_basis(last_diff.target, phi_d.target)])
+
+
+def _lift_by_hom_basis(src, through, target):
+    """The reference lift: coordinates of target on the composites of a
+    Hom(src, through.source) basis."""
+    basis = hom_basis(src, through.source)
+    if not basis:
+        return zero_map(src, through.source)
+    coords = map_coordinates(target, [h.then(through) for h in basis])
+    return map_from_coordinates(coords, basis)
+
+
+def _k_lattices(field):
+    """kronecker_family (1, T), the family (1, T^2), which splits at T = 0,
+    and the split constant lattice of P(1)."""
+    kron = presets.kronecker(field)
+    one = Matrix.identity(field, 1)
+    square = Lattice(kron, 1, {"1": 1, "2": 1}, {"a": {(0,): one}, "b": {(2,): one}})
+    return {"fam": kronecker_family(kron), "square": square,
+            "const": constant_lattice(projective(kron, "1"))}
+
+
+def _checking_coboundaries(monkeypatch):
+    """Patch lattice.cocycle_is_coboundary to assert, on every call, that it
+    agrees with the reference; returns the list of its answers."""
+    from quivercert import lattice as lattice_module
+    original = lattice_module.cocycle_is_coboundary
+    answers = []
+
+    def checking(phi_d, last_diff):
+        got = original(phi_d, last_diff)
+        assert got == _coboundary_by_hom_basis(phi_d, last_diff)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(lattice_module, "cocycle_is_coboundary", checking)
+    return answers
+
+
+ODIM_PASSED = {("fam", 3): 3, ("square", 3): 2, ("const", 3): 0,
+               ("fam", 5): 5, ("square", 5): 4, ("const", 5): 0}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_generator_test_matches_the_hom_basis_route_on_k_and_kxk(monkeypatch, p):
+    # every point of odim on K and kunneth on K (x) K for all pairs of the
+    # three lattices, coboundaries included: (1, T^2) passes 2/3 and 4/5,
+    # with the family 6/9 and 20/25, with itself 4/9 and 16/25
+    field = GF(p)
+    lats = _k_lattices(field)
+    kk = presets.kronecker_squared(field)
+    answers = _checking_coboundaries(monkeypatch)
+    for name, lat in lats.items():
+        assert odim_witness(lat)["passed"] == ODIM_PASSED[name, p]
+    assert len(answers) == 3 * p and not all(answers) and any(answers)
+    for left, l_lat in lats.items():
+        for right, r_lat in lats.items():
+            del answers[:]
+            cert = kunneth_witness(kk, l_lat, r_lat)
+            assert len(answers) == p * p
+            assert cert["passed"] == ODIM_PASSED[left, p] * ODIM_PASSED[right, p]
+
+
+def test_generator_test_matches_the_hom_basis_route_on_kxkxk(monkeypatch):
+    field = GF(3)
+    kron = presets.kronecker(field)
+    kkk = tensor(presets.kronecker_squared(field), kron)
+    lats = _k_lattices(field)
+    answers = _checking_coboundaries(monkeypatch)
+    assert kunneth_witness(kkk, lats["fam"], lats["square"], lats["fam"])["passed"] == 18
+    assert len(answers) == 27 and sum(answers) == 9
+
+
+def test_generator_test_matches_the_hom_basis_route_over_q(monkeypatch):
+    lats = _k_lattices(QQ)
+    kk = presets.kronecker_squared(QQ)
+    answers = _checking_coboundaries(monkeypatch)
+    line = [(Fraction(0),), (Fraction(1, 2),), (Fraction(-3),)]
+    assert [odim_witness(lats[n], points=line)["passed"]
+            for n in ("fam", "square", "const")] == [3, 2, 0]
+    # (1, T^2) splits at 0 and only there
+    plane = [(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(0)),
+             (Fraction(-3), Fraction(2, 7))]
+    assert kunneth_witness(kk, lats["fam"], lats["square"], points=plane)["passed"] == 2
+    assert len(answers) == 12
+
+
+@pytest.mark.parametrize("preset, field", [
+    pytest.param(presets.kronecker, GF(3), id="K@GF(3)"),
+    pytest.param(presets.kronecker, QQ, id="K@QQ"),
+    pytest.param(presets.kronecker_tensor_a2, GF(5), id="KxA2@GF(5)"),
+])
+def test_lifts_at_the_generators_lift_and_change_the_cocycle_by_a_coboundary(preset, field):
+    from quivercert.lattice import _lift_cocycle
+    lat = kronecker_family(preset(field))
+    values = [0, 1, 2] if field.is_prime_field else [0, Fraction(1, 2), -3]
+    for a in values:
+        cls = tensor_sequence(lat, a)
+        projs, diffs, aug = projective_resolution(cls.right, 1)
+        h = lift_through(projs[0], cls.maps[-1], aug)
+        assert h.intertwines()
+        assert h.then(cls.maps[-1]).components == aug.components
+        phi = _lift_cocycle(cls, projs, diffs, aug)
+        ref = _lift_by_hom_basis(projs[0], cls.maps[-1], aug)
+        ref_phi = _lift_by_hom_basis(projs[1], cls.maps[0], diffs[0].then(ref))
+        assert _coboundary_by_hom_basis(phi - ref_phi, diffs[0])
+        assert cocycle_is_coboundary(phi, diffs[0]) == _coboundary_by_hom_basis(ref_phi, diffs[0])
+
+
+def test_degree_two_cocycles_differ_from_the_reference_by_a_coboundary():
+    # external products on K (x) K: the lifts run through both middle terms
+    field = GF(3)
+    kk = presets.kronecker_squared(field)
+    lat = _k_lattices(field)["square"]
+    for a, b in ((0, 1), (1, 2), (0, 0)):
+        cls = external_product(kk, tensor_sequence(lat, a), tensor_sequence(lat, b))
+        phi, projs, diffs = yoneda_cocycle(cls)
+        _, _, aug = projective_resolution(cls.right, 2)
+        ref = _lift_by_hom_basis(projs[0], cls.maps[-1], aug)
+        for k in (1, 2):
+            ref = _lift_by_hom_basis(projs[k], cls.maps[2 - k], diffs[k - 1].then(ref))
+        assert _coboundary_by_hom_basis(phi - ref, diffs[1])
+        assert ext_nonzero(cls) == (a != 0 and b != 0)
+
+
+def test_maps_out_of_an_untagged_module_are_refused():
+    kron = presets.kronecker(GF(3))
+    s, p = simple(kron, "1"), projective(kron, "1")
+    with pytest.raises(NotProjective):
+        cocycle_is_coboundary(identity_map(s), identity_map(s))
+    with pytest.raises(NotProjective):
+        cocycle_is_coboundary(zero_map(p, s), zero_map(p, s))
+    with pytest.raises(NotProjective):
+        lift_through(s, identity_map(s), identity_map(s))
+
+
+def test_witnesses_build_no_hom_basis(monkeypatch):
+    # the generator test and the lifts read maps out of projectives off
+    # their generators: no Hom basis anywhere in either witness
+    import sys
+    from quivercert import module
+    original = module.hom_basis
+    calls = []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return original(m, n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quivercert") and getattr(mod, "hom_basis", None) is original:
+            monkeypatch.setattr(mod, "hom_basis", counting)
+    field = GF(7)
+    lat = kronecker_family(presets.kronecker(field))
+    assert odim_witness(lat)["passed"] == 7
+    assert kunneth_witness(presets.kronecker_squared(field), lat, lat)["passed"] == 49
+    assert calls == []
+
+
+def test_equal_lattices_share_one_memo_entry_per_value():
+    # lattices built apart with equal content: four calls leave p entries,
+    # not p more per call, and give one table
+    field = GF(5)
+    kron = presets.kronecker(field)
+    kk = presets.kronecker_squared(field)
+    tables = []
+    for _ in range(4):
+        tables.append(kunneth_witness(kk, kronecker_family(kron), kronecker_family(kron)))
+        assert sum(key[0] == "resolution" for key in kron._memo) == field.p
+    assert all(t == tables[0] for t in tables)
+    square = _k_lattices(field)["square"]
+    assert square.content != kronecker_family(kron).content
