@@ -108,8 +108,9 @@ class BasicAlgebra:
     here, so that checking a relation on a module parses nothing.
 
     `cached(key, build)` is the one memo other modules keep on an
-    algebra: the projectives, injectives and projective sums, the terms
-    of the total complexes of `lattice`, and the End radicals of
+    algebra: the projectives, injectives and projective sums and the Hom
+    basis components of `module`, the terms of the total complexes and
+    the factor resolutions of `lattice`, and the End radicals of
     `decompose`.  Every caller of a key gets the same object, so callers
     share these results and never mutate them.
     """

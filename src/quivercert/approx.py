@@ -74,13 +74,16 @@ class AddCategory:
         m, n = self.objects[i], self.objects[j]
         key = (m, n)
         if key not in self._homs:
-            basis = hom_basis(m, n)
-            self._rad_dims[key] = len(basis)
             if m is n:
-                rad = EndAlgebra(m, basis).radical_coords()
+                end = EndAlgebra(m)
+                rad = end.radical_coords()
                 change = Matrix.hstack([rad, complement_basis(rad)])
-                basis = [map_from_coordinates(change.col(c), basis) for c in range(change.cols)]
+                basis = [map_from_coordinates(change.col(c), end.basis)
+                         for c in range(change.cols)]
                 self._rad_dims[key] = rad.cols
+            else:
+                basis = hom_basis(m, n)
+                self._rad_dims[key] = len(basis)
             self._homs[key] = basis
         return self._homs[key]
 

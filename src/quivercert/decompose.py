@@ -79,10 +79,10 @@ class EndAlgebra:
     coordinates are read there (`QuotientAlgebra.coordinates`), not
     solved for."""
 
-    def __init__(self, module: Module, basis=None):
+    def __init__(self, module: Module):
         self.module = module
         self.field = module.field
-        self.basis = basis if basis is not None else hom_basis(module, module)
+        self.basis = hom_basis(module, module)
         self.dim = len(self.basis)
         self._rad_coords = None
         self._quotient = None
@@ -101,16 +101,14 @@ class EndAlgebra:
         depends only on the subspace rad End(M), not on the route.
 
         The result is kept in the algebra's memo under ("end_radical",
-        dims, action entries, basis map vectors): content-equal modules
-        with the same basis share one radical, and it dies with the
-        algebra.
+        m.content_hash()): the basis is `hom_basis(m, m)`, a function of
+        m's content, so content-equal modules share one radical, and it
+        dies with the algebra.
         """
         if self._rad_coords is None:
             m = self.module
-            key = ("end_radical", m.dim_vector(),
-                   tuple(tuple(m.action[a.name].entries) for a in m.algebra.quiver.arrows),
-                   tuple(tuple(map_vector(b)) for b in self.basis))
-            self._rad_coords = m.algebra.cached(key, self._radical)
+            self._rad_coords = m.algebra.cached(("end_radical", m.content_hash()),
+                                                self._radical)
         return self._rad_coords
 
     def _radical(self) -> Matrix:

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import BasicAlgebra
-from .matrix import Matrix, NoSolution, complement_basis
+from .matrix import Matrix, NoSolution, _matrix, complement_basis
 
 _new = object.__new__
 
@@ -149,12 +149,13 @@ class ModuleMap:
 
     The public constructor fills absent vertices with zeros, checks every
     shape and, with `check`, that the components intertwine the arrows.
-    `then`, `+`, `-`, `scale`, `identity_map`, `block_map`,
+    `then`, `+`, `-`, `scale`, `identity_map`, `block_map`, `hom_basis`,
     `functors.yoneda_map` and `lattice.tensor_map` build complete components
     of the right shapes by construction and go through `_built`, which checks nothing.  Maps
     share component matrices, which are never written after they are
     built (see `Matrix`): the public constructor keeps the matrices it is
-    given, and a one-part `block_map` has its block's components."""
+    given, a one-part `block_map` has its block's components, and the maps
+    of every `hom_basis` call on one content pair have the same ones."""
 
     __slots__ = ("source", "target", "components")
 
@@ -397,6 +398,14 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     system n_a f_x - f_y m_a = 0, one constraint per arrow a: x -> y and
     entry (i, j).
 
+    The basis is a function of the two modules' contents, so it is built
+    once per algebra and content pair: the components are kept in the
+    algebra's memo (`BasicAlgebra.cached`) under ("hom", m.content_hash(),
+    n.content_hash()), as a tuple of {vertex: matrix} dicts, and no module
+    is kept with them.  Each call returns a new list of new maps on the
+    caller's own m and n, each with a fresh dict; the maps of all calls
+    share the memo's matrices, which are never written (see `Matrix`).
+
     The unknowns are the entries of the f_v, vertex by vertex in quiver
     order and row-major within a vertex.  Each constraint has at most
     n_x + m_y nonzeros, so it is built as a sparse row and reduced at
@@ -414,32 +423,55 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
     left, so they are not built."""
     if m.algebra is not n.algebra:
         raise ModuleError("hom between different algebras")
+    comps = m.algebra.cached(("hom", m.content_hash(), n.content_hash()),
+                             lambda: _hom_components(m, n))
+    return [ModuleMap._built(m, n, dict(c)) for c in comps]
+
+
+def _hom_components(m: Module, n: Module) -> tuple[dict, ...]:
+    """The components of `hom_basis(m, n)`, one {vertex: matrix} dict per
+    basis map: the elimination that its docstring describes."""
     algebra, field = m.algebra, m.field
     p = field.p
-    verts = list(algebra.quiver.vertices)
+    verts = algebra.quiver.vertices
     offsets = {}
     total = 0
     for v in verts:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
     if not total:
-        return []
+        return ()
     pivots = {}  # least column -> fully reduced row, 1 at that column
     for a in algebra.quiver.arrows:
         x, y = a.source, a.target
-        nx, mx, my = n.dims[x], m.dims[x], m.dims[y]
+        nx, mx, my, ny = n.dims[x], m.dims[x], m.dims[y], n.dims[y]
+        if not ny or not mx or not (nx or my):
+            continue  # no constraint, or only empty ones
         ox, oy = offsets[x], offsets[y]
         na, ma = n.action[a.name].entries, m.action[a.name].entries
         na_rows = [[(ox + k * mx, c) for k in range(nx) if (c := na[i * nx + k])]
-                   for i in range(n.dims[y])]
-        ma_cols = [[(k, c) for k in range(my) if (c := ma[k * mx + j])]
+                   for i in range(ny)]
+        # the m-part enters each row negated
+        ma_cols = [[(k, (p - c if p else -c)) for k in range(my) if (c := ma[k * mx + j])]
                    for j in range(mx)]
+        loop = x == y  # only then do the two parts share columns
         for i, n_row in enumerate(na_rows):
             base = oy + i * my
             for j, m_col in enumerate(ma_cols):
                 row = {col + j: c for col, c in n_row}
-                # the two parts share columns only on a loop (x == y)
-                _subtract_multiple(row, 1, {base + k: c for k, c in m_col}, p)
+                if loop:
+                    for k, c in m_col:
+                        col = base + k
+                        e = row.get(col, 0) + c
+                        if p:
+                            e %= p
+                        if e:
+                            row[col] = e
+                        else:
+                            del row[col]
+                else:
+                    for k, c in m_col:
+                        row[base + k] = c
                 for pc in [pc for pc in row if pc in pivots]:
                     _subtract_multiple(row, row[pc], pivots[pc], p)
                 if not row:
@@ -452,15 +484,18 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
                     _subtract_multiple(prow, prow[lead], row, p)
                 pivots[lead] = row
                 if len(pivots) == total:
-                    return []
+                    return ()
     # kernel vector of free column fc: 1 at fc, -R_pc[fc] at each pivot pc
     minus = {}
     for pc, prow in pivots.items():
         for col, c in prow.items():
             if col != pc:
-                minus.setdefault(col, []).append((pc, (-c) % p if p else -c))
+                minus.setdefault(col, []).append((pc, (p - c) if p else -c))
     zero, one = field.zero(), field.one()
-    maps = []
+    shapes = [(v, offsets[v], n.dims[v], m.dims[v]) for v in verts]
+    # the maps share one matrix at each vertex where it has no entries
+    empty = {v: _matrix(field, rows, cols, []) for v, _, rows, cols in shapes if not rows * cols}
+    out = []
     for fc in range(total):
         if fc in pivots:
             continue
@@ -468,11 +503,10 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMap]:
         vec[fc] = one
         for pc, c in minus.get(fc, ()):
             vec[pc] = c
-        comps = {v: Matrix(field, n.dims[v], m.dims[v],
-                           vec[offsets[v]:offsets[v] + n.dims[v] * m.dims[v]])
-                 for v in verts}
-        maps.append(ModuleMap(m, n, comps, check=False))
-    return maps
+        out.append({v: empty[v] if v in empty else
+                    _matrix(field, rows, cols, vec[o:o + rows * cols])
+                    for v, o, rows, cols in shapes})
+    return tuple(out)
 
 
 def free_columns(basis: list[ModuleMap]) -> list[int]:

@@ -563,6 +563,52 @@ def test_double_dual_is_the_identity(data):
     assert ff.components == f.components
 
 
+# -- the Hom memo ------------------------------------------------------------------
+
+def _homs_kept(alg):
+    """The number of Hom bases in alg's memo."""
+    return sum(key[0] == "hom" for key in alg._memo)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+def test_hom_basis_is_built_once_per_content_pair(field, monkeypatch):
+    # content-equal but distinct modules: P(*) and P(*) + I(*), each built
+    # twice; every call gets maps on its own modules, and only the first
+    # call of each content pair runs the elimination
+    from quivercert import module as module_mod
+    builds = []
+    original = module_mod._hom_components
+
+    def counting(m, n):
+        builds.append((m.content_hash(), n.content_hash()))
+        return original(m, n)
+
+    monkeypatch.setattr(module_mod, "_hom_components", counting)
+    alg = presets.local_xy(field)
+    with pytest.raises(ModuleError):
+        hom_basis(projective(alg, "*"), projective(presets.local_xy(field), "*"))
+    kinds = [[projective(alg, "*"), projective(alg, "*")],
+             [sum_module(alg, [projective(alg, "*"), injective(alg, "*")]) for _ in range(2)]]
+    assert all(first is not second for first, second in kinds)
+    assert _homs_kept(alg) == 0
+    for src in kinds:
+        for tgt in kinds:
+            first = None
+            for m in src:
+                for n in tgt:
+                    basis = hom_basis(m, n)
+                    assert basis and all(f.source is m and f.target is n for f in basis)
+                    vectors = [map_vector(f) for f in basis]
+                    first = first or vectors
+                    assert vectors == first
+                    basis.append(zero_map(m, n))
+                    again = hom_basis(m, n)
+                    assert [map_vector(f) for f in again] == first
+                    assert again is not basis and again[0].components is not basis[0].components
+    assert len(builds) == len(set(builds)) == 4
+    assert _homs_kept(alg) == 4
+
+
 # -- saturation and content hashes ----------------------------------------------
 
 from quivercert.module import submodule
